@@ -93,14 +93,18 @@ def bounding_box(cloud: ColorPointCloud) -> Aabb:
     return Aabb(tuple(map(float, pos.min(axis=0))), tuple(map(float, pos.max(axis=0))))
 
 
+def check_block_size(block_size: float) -> None:
+    if not (math.isfinite(block_size) and block_size > 0):
+        raise InvalidConfig(f"block_size must be positive and finite, got {block_size}")
+
+
 def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Block]:
     """Split the cloud into half-open cubic cells anchored at the bbox minimum.
 
     Only non-empty cells are returned, ordered lexicographically by cell
     index; every point lands in exactly one cell.
     """
-    if block_size <= 0:
-        raise InvalidConfig(f"block_size must be positive, got {block_size}")
+    check_block_size(block_size)
     origin = bounding_box(cloud).min
 
     cells: dict[Tuple[int, int, int], list[int]] = {}

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind
-from .core import ColorPoint, ColorPointCloud, Role
+from .core import ColorPoint, ColorPointCloud, Role, check_block_size
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .fsmmr import FsmmrConfig, round_color_channel
 from .pipeline import upsample_cloud
@@ -42,6 +42,9 @@ class ExperimentSpec:
             raise InvalidConfig("densities must lie in (0, 1]")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
+        check_block_size(self.block_size)
+        if self.threads < 1:
+            raise InvalidConfig(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)

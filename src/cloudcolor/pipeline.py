@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3
-from .core import Block, Color, ColorPoint, ColorPointCloud, Role, partition_into_blocks
-from .errors import EmptySamples
+from .core import Block, Color, ColorPoint, ColorPointCloud, Role, check_block_size, partition_into_blocks
+from .errors import EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, nearest_original_color, upsample_block
 from .surface_transform import RootPolicy, flatten_block
 
@@ -54,6 +54,9 @@ def upsample_cloud(
 ) -> tuple[ColorPointCloud, int]:
     """Color every Reconstruct point (where the method can) and return the
     resulting cloud plus the count of points the method left uncolored."""
+    check_block_size(block_size)
+    if threads < 1:
+        raise InvalidConfig(f"threads must be >= 1, got {threads}")
     if not cloud.original_ids():
         raise EmptySamples("upsampling requires at least one original point")
 

@@ -34,6 +34,48 @@ def brute_force_mst_weight(points):
     return best
 
 
+def kruskal_mst_oracle(points, root=0):
+    """Reference MST as (parent_id, child_id, weight) triples: pure-Python
+    Kruskal over every pair ordered by (math.dist, i, j), oriented by a
+    breadth-first walk from `root` that visits children in ascending id."""
+    n = len(points)
+    edges = sorted(
+        (math.dist(points[i], points[j]), i, j)
+        for i in range(n) for j in range(i + 1, n)
+    )
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    adjacency = {i: [] for i in range(n)}
+    accepted = 0
+    for w, i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+            adjacency[i].append((j, w))
+            adjacency[j].append((i, w))
+            accepted += 1
+            if accepted == n - 1:
+                break
+
+    oriented = []
+    seen = {root}
+    queue = [root]
+    while queue:
+        node = queue.pop(0)
+        for child, w in sorted(adjacency[node]):
+            if child not in seen:
+                seen.add(child)
+                oriented.append((node, child, w))
+                queue.append(child)
+    return oriented
+
+
 def fold_2d_oracle(parent3, child3):
     """Recompute the folded 2D deltas directly from the 3D coordinates."""
     dx = child3[0] - parent3[0]

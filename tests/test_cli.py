@@ -79,6 +79,35 @@ class TestEvaluate:
         raw.decode("utf-8")
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
+    @pytest.mark.parametrize("command, method_flag", [
+        ("upsample", "--method=fsmmr"), ("upsample", "--method=nn3"),
+        ("evaluate", "--methods=nn3"), ("flatten", "--block=0"),
+    ])
+    def test_bad_block_size_is_data_error(self, command, method_flag, value, mixed_ply, colored_ply, tmp_path, capsys):
+        source = colored_ply if command == "evaluate" else mixed_ply
+        code = main([command, method_flag, f"--block-size={value}", str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "block_size must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command, method_flag", [
+        ("upsample", "--method=fsmmr"), ("upsample", "--method=nn3"), ("evaluate", "--methods=nn3"),
+    ])
+    def test_threads_below_one_is_data_error(self, command, method_flag, value, mixed_ply, colored_ply, tmp_path, capsys):
+        source = colored_ply if command == "evaluate" else mixed_ply
+        code = main([command, method_flag, f"--threads={value}", str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "threads must be >= 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestFlatten:
     def test_dump_csv(self, mixed_ply, tmp_path):
         out = tmp_path / "flat.csv"

@@ -73,6 +73,11 @@ class TestPartition:
         with pytest.raises(InvalidConfig):
             partition_into_blocks(cloud_of((0, 0, 0)), 0.0)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_block_size(self, size):
+        with pytest.raises(InvalidConfig):
+            partition_into_blocks(cloud_of((0, 0, 0)), size)
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 80), seed=st.integers(0, 1000), size=st.floats(0.5, 8.0))
     def test_partition_exhaustive_and_disjoint(self, n, seed, size):

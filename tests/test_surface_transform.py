@@ -6,11 +6,11 @@ import pytest
 from cloudcolor.core import ColorPoint, ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptyBlock
 from cloudcolor.surface_transform import (
-    RootPolicy, build_mst, flatten_block, fold_deltas, pairwise_distance,
+    _PRIM_MIN_POINTS, RootPolicy, _prim_tree, build_mst, flatten_block, fold_deltas,
 )
 
 from conftest import random_cloud
-from oracles import brute_force_mst_weight, fold_2d_oracle
+from oracles import brute_force_mst_weight, fold_2d_oracle, kruskal_mst_oracle
 
 
 def single_block(coords):
@@ -18,18 +18,6 @@ def single_block(coords):
     blocks = partition_into_blocks(cloud, 1e9)
     assert len(blocks) == 1
     return blocks[0], cloud
-
-
-class TestPairwiseDistance:
-    def test_345_triangle(self):
-        assert pairwise_distance(ColorPoint(0, 0, 0, (0, 0, 0)), ColorPoint(1, 2, 2, (0, 0, 0))) == 3.0
-
-    def test_identity(self):
-        p = ColorPoint(2, 3, 4, (0, 0, 0))
-        assert pairwise_distance(p, p) == 0.0
-
-    def test_axis_aligned(self):
-        assert pairwise_distance(ColorPoint(1, 1, 1, (0, 0, 0)), ColorPoint(1, 1, 4, (0, 0, 0))) == 3.0
 
 
 class TestBuildMst:
@@ -68,6 +56,84 @@ class TestBuildMst:
         rng = np.random.default_rng(5)
         points = [tuple(c) for c in rng.uniform(0, 5, size=(12, 3))]
         assert build_mst(points, root=3) == build_mst(points, root=3)
+
+
+def _as_points(array, float32):
+    if float32:
+        array = array.astype(np.float32)
+    return [tuple(float(c) for c in row) for row in array]
+
+
+def sphere_block(n, seed, float32):
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return _as_points(directions * 8.0, float32)
+
+
+def planar_block(n, seed, float32):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 4.0, size=(n, 2))
+    z = 0.3 * xy[:, 0] - 0.2 * xy[:, 1] + 1.0
+    return _as_points(np.column_stack([xy, z]), float32)
+
+
+def mst_triples(points, root):
+    return [(e.parent_id, e.child_id, e.weight) for e in build_mst(points, root=root)]
+
+
+class TestBuildMstMatchesKruskal:
+    """build_mst against the pure-Python Kruskal reference on blocks large
+    enough for the vectorised path, and on blocks that must fall back."""
+
+    @pytest.mark.parametrize("make, n, float32", [
+        (sphere_block, _PRIM_MIN_POINTS, True),
+        (sphere_block, 107, False),
+        (sphere_block, 500, True),
+        (planar_block, _PRIM_MIN_POINTS, False),
+        (planar_block, 200, True),
+        (planar_block, 500, False),
+    ])
+    def test_vectorised_path_is_exact(self, make, n, float32):
+        points = make(n, seed=n, float32=float32)
+        assert _prim_tree(points) is not None  # the fast path runs
+        for root in (0, n // 2, n - 1):
+            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+
+    def test_exact_tie_lattice_falls_back(self):
+        # shuffled so that Prim's growth order would break ties differently
+        # from the (weight, i, j) order
+        grid = [(float(x), float(y), 2.0) for x in range(8) for y in range(8)]
+        points = [grid[i] for i in np.random.default_rng(3).permutation(len(grid))]
+        assert _prim_tree(points) is None
+        for root in (0, 27, 63):
+            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+
+    def test_near_tie_lattice_falls_back(self):
+        # jitter far below the tie tolerance: numpy and math.dist may order
+        # these weights differently, so only the Kruskal may decide
+        rng = np.random.default_rng(4)
+        grid = np.array([(x, y, z) for x in range(4) for y in range(4) for z in range(4)], float)
+        points = _as_points(grid + rng.uniform(-1e-14, 1e-14, size=grid.shape), False)
+        assert _prim_tree(points) is None
+        assert mst_triples(points, 5) == kruskal_mst_oracle(points, 5)
+
+    def test_weights_within_tolerance_fall_back(self):
+        # two distinct weights 1e-13 apart: distinct, yet too close to trust
+        points = sphere_block(100, seed=8, float32=False)
+        a, b, c = (np.array(points[i]) for i in (0, 1, 2))
+        points[3] = tuple(float(v) for v in c + (b - a) * (1.0 + 1e-13))
+        assert _prim_tree(points) is None
+        assert mst_triples(points, 0) == kruskal_mst_oracle(points, 0)
+
+    def test_duplicate_points_fall_back(self):
+        points = sphere_block(120, seed=7, float32=True)
+        points[30] = points[10]
+        points[99] = points[10]
+        points[100] = points[55]
+        assert _prim_tree(points) is None
+        for root in (0, 10, 99):
+            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
 
 class TestFlattenBlock:
