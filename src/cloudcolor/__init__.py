@@ -6,7 +6,7 @@ basis functions, plus baseline interpolators and an evaluation harness.
 """
 
 from .baselines import InterpolatorKind
-from .core import Aabb, Block, ColorPoint, ColorPointCloud, Role, bounding_box, partition_into_blocks
+from .core import Block, ColorPoint, ColorPointCloud, Role, partition_into_blocks
 from .evaluation import ExperimentReport, ExperimentSpec, random_downsample, reconstruction_color_psnr, run_experiment
 from .fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, generate_model, upsample_block
 from .pipeline import upsample_cloud
@@ -16,8 +16,7 @@ from .surface_transform import FlattenedMesh, MstEdge, RootPolicy, build_mst, fl
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb", "Block", "ColorPoint", "ColorPointCloud", "Role",
-    "bounding_box", "partition_into_blocks",
+    "Block", "ColorPoint", "ColorPointCloud", "Role", "partition_into_blocks",
     "PlyFormat", "read_ply", "write_ply",
     "FlattenedMesh", "MstEdge", "RootPolicy", "build_mst", "flatten_block",
     "FsmmrConfig", "ScatteredSamples", "SparseModel",

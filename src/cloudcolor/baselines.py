@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import Color
+from .core import Color, nearest_ids
 from .errors import EmptySamples, InvalidConfig
 from .fsmmr import round_color_channel
 
@@ -37,15 +37,7 @@ class InterpolatorKind(Enum):
 def interpolate_nn3(positions: np.ndarray, colors: Sequence[Color], queries: np.ndarray) -> list[Color]:
     """Each query takes the color of its nearest original; ties go to the
     smaller point id."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    queries = np.asarray(queries, dtype=float).reshape(-1, 3)
-    if len(positions) == 0:
-        raise EmptySamples("nearest-neighbor interpolation needs at least one original")
-    out = []
-    for q in queries:
-        d2 = ((positions - q) ** 2).sum(axis=1)
-        out.append(colors[int(np.argmin(d2))])  # argmin returns the first (lowest-id) minimum
-    return out
+    return [colors[i] for i in nearest_ids(positions, queries).tolist()]
 
 
 def interpolate_idw(

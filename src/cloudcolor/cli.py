@@ -16,10 +16,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baselines import InterpolatorKind
-from .core import partition_into_blocks, Role
+from .core import Role, nearest_original_color, partition_into_blocks
 from .errors import CloudColorError
 from .evaluation import ExperimentSpec, run_experiment
-from .fsmmr import FsmmrConfig, nearest_original_color
+from .fsmmr import FsmmrConfig
 from .pipeline import upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
 from .surface_transform import RootPolicy, flatten_block
@@ -44,7 +44,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--energy-threshold", type=float, default=0.0, help="stop once weighted residual energy falls to this (default 0)")
     p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default deterministic)")
     p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over blocks (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -109,14 +108,14 @@ def _cmd_upsample(args) -> int:
         fsmmr_config=_fsmmr_config(args),
         root_policy=_root_policy(args),
         idw_power=args.idw_power,
-        threads=args.threads,
     )
     if uncolored:
         # keep the output total: fill the method's holes from the nearest original
         print(f"{uncolored} points left uncolored by {method.value}; filled from nearest originals", file=sys.stderr)
-        for pid, p in enumerate(upsampled.points):
-            if p.color is None:
-                upsampled.points[pid] = replace(p, color=nearest_original_color(cloud, p.coords))
+        holes = [pid for pid, p in enumerate(upsampled.points) if p.color is None]
+        fills = nearest_original_color(cloud, [upsampled.points[pid].coords for pid in holes])
+        for pid, color in zip(holes, fills):
+            upsampled.points[pid] = replace(upsampled.points[pid], color=color)
     fmt = PlyFormat.ASCII if args.ascii else PlyFormat.BINARY_LITTLE_ENDIAN
     args.output.write_bytes(write_ply(upsampled, fmt))
     return 0
@@ -135,7 +134,6 @@ def _cmd_evaluate(args) -> int:
         block_size=args.block_size,
         root_policy=_root_policy(args),
         idw_power=args.idw_power,
-        threads=args.threads,
         measure_time=args.timing,
     )
     report = run_experiment(cloud, spec)

@@ -15,7 +15,7 @@ import numpy as np
 from .baselines import InterpolatorKind
 from .core import ColorPoint, ColorPointCloud, Role, check_block_size
 from .errors import CloudColorError, InvalidConfig, InvalidInput
-from .fsmmr import FsmmrConfig, round_color_channel
+from .fsmmr import FsmmrConfig, round_color_channel, round_half_away
 from .pipeline import upsample_cloud
 from .surface_transform import RootPolicy
 
@@ -34,7 +34,6 @@ class ExperimentSpec:
     block_size: float = 4.0
     root_policy: RootPolicy = RootPolicy.deterministic()
     idw_power: float = 2.0
-    threads: int = 1
     measure_time: bool = False  # real timings break byte-identical reports
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class ExperimentSpec:
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
         check_block_size(self.block_size)
-        if self.threads < 1:
-            raise InvalidConfig(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,6 @@ def _fmt_db(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _round_half_away(v: float) -> int:
-    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-
-
 def derive_seed(base_seed: int, density: float, run: int) -> int:
     """Stable cross-platform per-record seed."""
     digest = hashlib.sha256(f"{density!r}|{run}".encode()).digest()
@@ -108,7 +101,7 @@ def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> Colo
     if not cloud.fully_colored():
         raise InvalidInput("downsampling requires a fully colored cloud")
     n = len(cloud)
-    n_keep = min(n, _round_half_away(density * n))
+    n_keep = min(n, round_half_away(density * n))
     rng = np.random.default_rng(seed)
     keep = set(rng.permutation(n)[:n_keep].tolist())
 
@@ -182,7 +175,7 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
     for density in sorted(spec.densities):
         for run in range(1, spec.runs + 1):
             seed = derive_seed(spec.base_seed, density, run)
-            if _round_half_away(density * len(cloud)) >= len(cloud):
+            if round_half_away(density * len(cloud)) >= len(cloud):
                 for method in spec.methods:
                     report.records.append(ExperimentRecord(
                         method=method.value, density=density, run=run, seed=seed,
@@ -217,7 +210,6 @@ def _score_method(
             fsmmr_config=spec.fsmmr_config,
             root_policy=spec.root_policy,
             idw_power=spec.idw_power,
-            threads=spec.threads,
         )
         elapsed_ms = int((time.perf_counter() - started) * 1000) if spec.measure_time else 0
         result = reconstruction_color_psnr(reference, upsampled)

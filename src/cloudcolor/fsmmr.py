@@ -14,9 +14,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, Color, ColorPointCloud, Role
+from .core import Color
+from .core import nearest_original_color  # noqa: F401  (kept importable from fsmmr)
 from .errors import DegenerateBasis, EmptySamples, InvalidConfig
-from .surface_transform import FlattenedMesh, RootPolicy, flatten_block
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,18 @@ def frequency_weight(k: int, l: int, sigma: float) -> float:
     return sigma ** math.hypot(k, l)
 
 
+def _axis_cosine(freq, coord: np.ndarray, side: int) -> np.ndarray:
+    """One axis of the DCT-II basis, elementwise: cos(pi k (2x + 1) / 2M)."""
+    return np.cos(np.pi * freq * (2 * coord + 1) / (2 * side))
+
+
 def _basis_matrix(candidates: Sequence[Tuple[int, int]], coords: np.ndarray, window: Tuple[int, int]) -> np.ndarray:
     m, n = window
     ks = np.array([k for k, _ in candidates], dtype=float)[:, None]
     ls = np.array([l for _, l in candidates], dtype=float)[:, None]
     x = coords[:, 0][None, :]
     y = coords[:, 1][None, :]
-    return np.cos(np.pi * ks * (2 * x + 1) / (2 * m)) * np.cos(np.pi * ls * (2 * y + 1) / (2 * n))
+    return _axis_cosine(ks, x, m) * _axis_cosine(ls, y, n)
 
 
 def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseModel:
@@ -172,19 +177,19 @@ def evaluate_model(model: SparseModel, queries: np.ndarray) -> np.ndarray:
     y = np.clip(queries[:, 1], 0.0, n - 1)
     out = np.zeros(len(queries))
     for u, v, c in model.terms:
-        out += c * np.cos(np.pi * u * (2 * x + 1) / (2 * m)) * np.cos(np.pi * v * (2 * y + 1) / (2 * n))
+        out += c * _axis_cosine(u, x, m) * _axis_cosine(v, y, n)
     return out
 
 
-def normalize_to_window(mesh: FlattenedMesh, window: Tuple[int, int]) -> np.ndarray:
-    """Affinely map all flattened coordinates onto [0, M-1] x [0, N-1].
+def normalize_to_window(coords: np.ndarray, window: Tuple[int, int]) -> np.ndarray:
+    """Affinely map flattened (n, 2) coordinates onto [0, M-1] x [0, N-1].
 
     A degenerate axis (all coordinates equal) maps to the window center on
-    that axis.  Returns an (n, 2) array aligned with mesh.entries.
+    that axis.
     """
-    if not mesh.entries:
-        raise EmptySamples("cannot normalize an empty mesh")
-    raw = np.array([(x, y) for _, x, y in mesh.entries], dtype=float)
+    raw = np.asarray(coords, dtype=float).reshape(-1, 2)
+    if len(raw) == 0:
+        raise EmptySamples("cannot normalize zero coordinates")
     out = np.empty_like(raw)
     for axis, side in enumerate(window):
         lo, hi = raw[:, axis].min(), raw[:, axis].max()
@@ -195,56 +200,36 @@ def normalize_to_window(mesh: FlattenedMesh, window: Tuple[int, int]) -> np.ndar
     return out
 
 
+def round_half_away(v: float) -> int:
+    """Nearest integer, ties away from zero."""
+    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
+
+
 def round_color_channel(v: float) -> int:
-    """Nearest integer, ties away from zero, clamped to [0, 255]."""
-    iv = math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-    return min(255, max(0, iv))
-
-
-def nearest_original_color(cloud: ColorPointCloud, query: Tuple[float, float, float]) -> Color:
-    best_d2, best_color = None, None
-    for p in cloud.points:
-        if p.role is not Role.ORIGINAL:
-            continue
-        d2 = (p.x - query[0]) ** 2 + (p.y - query[1]) ** 2 + (p.z - query[2]) ** 2
-        if best_d2 is None or d2 < best_d2:
-            best_d2, best_color = d2, p.color
-    if best_color is None:
-        raise EmptySamples("cloud contains no original points")
-    return best_color
+    """`round_half_away`, clamped to [0, 255]."""
+    return min(255, max(0, round_half_away(v)))
 
 
 def upsample_block(
-    block: Block,
-    cloud: ColorPointCloud,
+    coords: np.ndarray,
+    is_original: np.ndarray,
+    colors: Sequence[Color],
     config: FsmmrConfig = FsmmrConfig(),
-    root_policy: RootPolicy = RootPolicy.deterministic(),
-) -> dict[int, Color]:
-    """Reconstruct colors for the block's Reconstruct points.
+) -> list[Color]:
+    """FSMMR on one flattened block: colors for the points that are not
+    original, in block order.
 
-    Blocks without any original point fall back to the nearest original
-    neighbor in 3D over the whole cloud; blocks without Reconstruct points
-    return an empty mapping.
+    `coords` holds the 2D coordinates of all of the block's points, which
+    are normalised to the model window together; `is_original` marks the
+    originals and `colors` gives their colors in block order.  One model
+    per channel is fitted to the originals and evaluated at the others.
     """
-    roles = [cloud.points[pid].role for pid in block.point_ids]
-    r_ids = [pid for pid, role in zip(block.point_ids, roles) if role is Role.RECONSTRUCT]
-    if not r_ids:
-        return {}
-    o_ids = [pid for pid, role in zip(block.point_ids, roles) if role is Role.ORIGINAL]
-    if not o_ids:
-        return {pid: nearest_original_color(cloud, cloud.points[pid].coords) for pid in r_ids}
-
-    mesh = flatten_block(block, cloud, root_policy)
-    coords = normalize_to_window(mesh, config.window)
-    is_original = np.array([cloud.points[pid].role is Role.ORIGINAL for pid, _, _ in mesh.entries])
+    coords = normalize_to_window(coords, config.window)
+    is_original = np.asarray(is_original, dtype=bool)
     o_coords = coords[is_original]
     r_coords = coords[~is_original]
-    r_order = [pid for (pid, _, _), orig in zip(mesh.entries, is_original) if not orig]
     weights = np.array([spatial_weight(x, y, config.window, config.rho) for x, y in o_coords])
-    o_colors = np.array(
-        [cloud.points[pid].color for (pid, _, _), orig in zip(mesh.entries, is_original) if orig],
-        dtype=float,
-    )
+    o_colors = np.asarray(colors, dtype=float)
 
     channels = []
     for ch in range(3):
@@ -252,7 +237,4 @@ def upsample_block(
         model = generate_model(samples, config)
         channels.append(evaluate_model(model, r_coords))
 
-    return {
-        pid: tuple(round_color_channel(channels[ch][i]) for ch in range(3))
-        for i, pid in enumerate(r_order)
-    }
+    return [tuple(round_color_channel(v) for v in rgb) for rgb in zip(*channels)]

@@ -3,43 +3,56 @@ the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3
-from .core import Block, Color, ColorPoint, ColorPointCloud, Role, check_block_size, partition_into_blocks
-from .errors import EmptySamples, InvalidConfig
-from .fsmmr import FsmmrConfig, nearest_original_color, upsample_block
+from .core import (
+    Block, Color, ColorPointCloud, Role, check_block_size, nearest_original_color, partition_into_blocks,
+)
+from .errors import EmptySamples
+from .fsmmr import FsmmrConfig, upsample_block
 from .surface_transform import RootPolicy, flatten_block
 
 
-def _block_colors_2d(
-    block: Block, cloud: ColorPointCloud, kind: InterpolatorKind,
-    root_policy: RootPolicy, idw_power: float,
+def block_colors(
+    block: Block,
+    cloud: ColorPointCloud,
+    method: InterpolatorKind,
+    fsmmr_config: FsmmrConfig = FsmmrConfig(),
+    root_policy: RootPolicy = RootPolicy.deterministic(),
+    idw_power: float = 2.0,
 ) -> dict[int, Optional[Color]]:
-    r_ids = [pid for pid in block.point_ids if cloud.points[pid].role is Role.RECONSTRUCT]
+    """Colors for the block's Reconstruct points by a 2D method: FSMMR,
+    IDW2 or LIN2.
+
+    A block without Reconstruct points gives an empty mapping.  A block
+    without Original points takes the nearest original in 3D over the whole
+    cloud, except under LIN2, which leaves its points uncolored (None).
+    Otherwise the block is flattened once and the method interpolates its
+    originals' colors in 2D.
+    """
+    is_original = np.array([cloud.points[pid].role is Role.ORIGINAL for pid in block.point_ids])
+    r_ids = [pid for pid, orig in zip(block.point_ids, is_original) if not orig]
     if not r_ids:
         return {}
-    o_ids = [pid for pid in block.point_ids if cloud.points[pid].role is Role.ORIGINAL]
-    if not o_ids:
-        if kind is InterpolatorKind.LIN2_DELAUNAY:
-            return {pid: None for pid in r_ids}
-        # keep IDW2 total: fall back to the nearest original in 3D
-        return {pid: nearest_original_color(cloud, cloud.points[pid].coords) for pid in r_ids}
+    if not is_original.any():
+        if method is InterpolatorKind.LIN2_DELAUNAY:
+            return dict.fromkeys(r_ids)
+        queries = [cloud.points[pid].coords for pid in r_ids]
+        return dict(zip(r_ids, nearest_original_color(cloud, queries)))
 
     mesh = flatten_block(block, cloud, root_policy)
-    flat = {pid: (x, y) for pid, x, y in mesh.entries}
-    o_coords = np.array([flat[pid] for pid in o_ids])
-    r_coords = np.array([flat[pid] for pid in r_ids])
-    o_colors = [cloud.points[pid].color for pid in o_ids]
-
-    if kind is InterpolatorKind.IDW2:
-        colors = interpolate_idw(o_coords, o_colors, r_coords, power=idw_power)
+    coords = np.array([(x, y) for _, x, y in mesh.entries], dtype=float)
+    o_colors = [cloud.points[pid].color for pid, orig in zip(block.point_ids, is_original) if orig]
+    if method is InterpolatorKind.FSMMR:
+        colors = upsample_block(coords, is_original, o_colors, fsmmr_config)
+    elif method is InterpolatorKind.IDW2:
+        colors = interpolate_idw(coords[is_original], o_colors, coords[~is_original], power=idw_power)
     else:
-        colors = interpolate_lin2(o_coords, o_colors, r_coords)
+        colors = interpolate_lin2(coords[is_original], o_colors, coords[~is_original])
     return dict(zip(r_ids, colors))
 
 
@@ -50,14 +63,12 @@ def upsample_cloud(
     fsmmr_config: FsmmrConfig = FsmmrConfig(),
     root_policy: RootPolicy = RootPolicy.deterministic(),
     idw_power: float = 2.0,
-    threads: int = 1,
 ) -> tuple[ColorPointCloud, int]:
     """Color every Reconstruct point (where the method can) and return the
     resulting cloud plus the count of points the method left uncolored."""
     check_block_size(block_size)
-    if threads < 1:
-        raise InvalidConfig(f"threads must be >= 1, got {threads}")
-    if not cloud.original_ids():
+    o_ids = cloud.original_ids()
+    if not o_ids:
         raise EmptySamples("upsampling requires at least one original point")
 
     assigned: dict[int, Optional[Color]] = {}
@@ -65,7 +76,6 @@ def upsample_cloud(
     if r_ids:
         if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
             positions = cloud.positions()
-            o_ids = cloud.original_ids()
             o_pos = positions[o_ids]
             o_colors = [cloud.points[i].color for i in o_ids]
             queries = positions[r_ids]
@@ -75,31 +85,12 @@ def upsample_cloud(
                 colors = interpolate_idw(o_pos, o_colors, queries, power=idw_power)
             assigned = dict(zip(r_ids, colors))
         else:
-            blocks = partition_into_blocks(cloud, block_size)
+            for block in partition_into_blocks(cloud, block_size):
+                assigned.update(block_colors(block, cloud, method, fsmmr_config, root_policy, idw_power))
 
-            def job(block: Block) -> dict[int, Optional[Color]]:
-                if method is InterpolatorKind.FSMMR:
-                    return upsample_block(block, cloud, fsmmr_config, root_policy)
-                return _block_colors_2d(block, cloud, method, root_policy, idw_power)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(job, blocks))
-            else:
-                results = [job(b) for b in blocks]
-            for mapping in results:
-                assigned.update(mapping)
-
-    uncolored = 0
-    points = []
-    for pid, p in enumerate(cloud.points):
-        if p.role is Role.RECONSTRUCT:
-            color = assigned.get(pid)
-            if color is None:
-                uncolored += 1
-                points.append(p)
-            else:
-                points.append(replace(p, color=color))
-        else:
-            points.append(p)
+    points = list(cloud.points)
+    for pid, color in assigned.items():
+        if color is not None:
+            points[pid] = replace(points[pid], color=color)
+    uncolored = sum(assigned.get(pid) is None for pid in r_ids)
     return ColorPointCloud(points=points, provenance=cloud.provenance), uncolored

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import ColorPoint, ColorPointCloud, Role
-from .errors import MissingColor, ParseError
+from .errors import InvalidInput, MissingColor, ParseError
 
 
 class PlyFormat(Enum):
@@ -40,6 +40,13 @@ class _Element:
     name: str
     count: int
     properties: list[tuple[str, str]]  # (name, ply type); lists unsupported
+
+
+def _decode_name(token: bytes, offset: int) -> str:
+    try:
+        return token.decode()
+    except UnicodeDecodeError:
+        raise ParseError(f"header name {token!r} is not UTF-8", offset) from None
 
 
 def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
@@ -74,15 +81,20 @@ def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
                 count = int(tokens[2])
             except ValueError:
                 raise ParseError("non-integer element count", offset) from None
-            elements.append(_Element(tokens[1].decode(), count, []))
+            if count < 0:
+                raise ParseError("negative element count", offset)
+            elements.append(_Element(_decode_name(tokens[1], offset), count, []))
         elif tokens[0] == b"property":
             if not elements:
                 raise ParseError("property line before any element", offset)
-            if tokens[1] == b"list":
+            if tokens[1:2] == [b"list"]:
                 raise ParseError("list properties are not supported", offset)
             if len(tokens) != 3:
                 raise ParseError("malformed property line", offset)
-            elements[-1].properties.append((tokens[2].decode(), tokens[1].decode()))
+            ptype = _decode_name(tokens[1], offset)
+            if ptype not in _SCALAR_TYPES:
+                raise ParseError(f"unknown property type {ptype!r}", offset)
+            elements[-1].properties.append((_decode_name(tokens[2], offset), ptype))
         else:
             raise ParseError(f"unknown header keyword {tokens[0].decode(errors='replace')!r}", offset)
         offset += len(raw) + 1
@@ -201,7 +213,7 @@ def write_ply(
     header.append("end_header")
 
     out = bytearray(("\n".join(header) + "\n").encode("ascii"))
-    for p in cloud.points:
+    for pid, p in enumerate(cloud.points):
         color = p.color if p.color is not None else (0, 0, 0)
         is_original = 1 if p.role is Role.ORIGINAL else 0
         if fmt is PlyFormat.ASCII:
@@ -212,7 +224,10 @@ def write_ply(
                 fields.append(str(is_original))
             out += (" ".join(fields) + "\n").encode("ascii")
         else:
-            out += struct.pack("<fff", p.x, p.y, p.z)
+            try:
+                out += struct.pack("<fff", p.x, p.y, p.z)
+            except OverflowError:
+                raise InvalidInput(f"point {pid} has a coordinate beyond float32 range") from None
             if not position_only:
                 out += struct.pack("<3B", *color)
             if include_roles:

@@ -2,6 +2,8 @@
 import itertools
 import math
 
+from cloudcolor.core import Role
+
 
 def brute_force_mst_weight(points):
     """Minimum spanning tree weight by enumerating every edge subset of
@@ -111,3 +113,15 @@ def grid_least_squares_projection(values_grid, m, n):
             col += 1
     coeffs, *_ = np.linalg.lstsq(design, flat, rcond=None)
     return dict(zip(pairs, coeffs))
+
+
+def nearest_original_color_oracle(cloud, query):
+    """The seed's per-query scan: strict `<` keeps the lowest id on ties."""
+    best_d2, best_color = None, None
+    for p in cloud.points:
+        if p.role is not Role.ORIGINAL:
+            continue
+        d2 = (p.x - query[0]) ** 2 + (p.y - query[1]) ** 2 + (p.z - query[2]) ** 2
+        if best_d2 is None or d2 < best_d2:
+            best_d2, best_color = d2, p.color
+    return best_color

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.cli import main
 from cloudcolor.core import ColorPoint, ColorPointCloud, Role, partition_into_blocks
 from cloudcolor.evaluation import (
     ExperimentSpec, derive_seed, dihedral_cloud, plane_cloud, psnr_channel,
@@ -18,9 +17,8 @@ from cloudcolor.evaluation import (
 )
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, generate_model,
-    upsample_block,
 )
-from cloudcolor.pipeline import upsample_cloud
+from cloudcolor.pipeline import block_colors, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
@@ -79,7 +77,7 @@ def test_dc_exactness():
                 points.append(ColorPoint(x, y, z, color=color))
         cloud = ColorPointCloud(points)
         block = partition_into_blocks(cloud, 1e9)[0]
-        reconstructed = upsample_block(block, cloud, FsmmrConfig())
+        reconstructed = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
         assert reconstructed, f"trial {trial} produced no colors"
         assert all(c == color for c in reconstructed.values()), f"trial {trial} not exact"
     print("\nPASS: DC exactness on 100 constant-color random blocks (integer exact)")
@@ -239,33 +237,3 @@ def test_ply_roundtrip():
         second = write_ply(read_ply(first), PlyFormat.BINARY_LITTLE_ENDIAN)
         assert first == second, f"seed {seed}"
     print("\nPASS: binary-LE PLY write/read/write byte-identical for 50 clouds")
-
-
-def test_determinism_under_parallelism(tmp_path):
-    """--threads 1 and --threads 8 give byte-identical PLY and CSV outputs
-    across the synthetic suite."""
-    for name, cloud in _synthetic_suite():
-        mixed = tmp_path / f"{name}.ply"
-        mixed.write_bytes(write_ply(
-            random_downsample(cloud, 0.5, derive_seed(3, 0.5, 1)), include_roles=True,
-        ))
-        outputs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"{name}-t{threads}.ply"
-            code = main(["upsample", "--method", "fsmmr", "--threads", threads,
-                         str(mixed), str(out)])
-            assert code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], f"{name}: PLY differs across thread counts"
-
-        colored = tmp_path / f"{name}-full.ply"
-        colored.write_bytes(write_ply(cloud))
-        csvs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"{name}-t{threads}.csv"
-            code = main(["evaluate", "--densities", "20,60", "--runs", "2", "--seed", "5",
-                         "--threads", threads, str(colored), str(out)])
-            assert code == 0
-            csvs.append(out.read_bytes())
-        assert csvs[0] == csvs[1], f"{name}: CSV differs across thread counts"
-    print("\nPASS: thread counts 1 and 8 produce byte-identical PLY and CSV outputs")

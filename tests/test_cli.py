@@ -94,18 +94,41 @@ class TestFlagValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    @pytest.mark.parametrize("command, method_flag", [
-        ("upsample", "--method=fsmmr"), ("upsample", "--method=nn3"), ("evaluate", "--methods=nn3"),
-    ])
-    def test_threads_below_one_is_data_error(self, command, method_flag, value, mixed_ply, colored_ply, tmp_path, capsys):
-        source = colored_ply if command == "evaluate" else mixed_ply
-        code = main([command, method_flag, f"--threads={value}", str(source), str(tmp_path / "out")])
+    def test_threads_flag_is_usage_error(self, mixed_ply, tmp_path, capsys):
+        code = main(["upsample", "--threads", "2", str(mixed_ply), str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 2
-        assert "threads must be >= 1" in err
+        assert code == 1
+        assert "usage" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+
+class TestOutOfRangeCoordinates:
+    def ascii_ply(self, tmp_path, rows):
+        header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\nproperty float y\nproperty float z\n" \
+            "property uchar red\nproperty uchar green\nproperty uchar blue\nproperty uchar original\nend_header\n"
+        path = tmp_path / "in.ply"
+        path.write_text(header.format(len(rows)) + "".join(row + "\n" for row in rows))
+        return path
+
+    def test_coordinate_beyond_float32_in_binary_output(self, tmp_path, capsys):
+        source = self.ascii_ply(tmp_path, ["0 0 0 10 20 30 1", "1e39 0 0 0 0 0 0"])
+        code = main(["upsample", "--method", "nn3", str(source), str(tmp_path / "out.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "float32" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ply").exists()
+
+    @pytest.mark.parametrize("method", ["fsmmr", "idw2", "lin2"])
+    def test_cell_index_overflow(self, method, tmp_path, capsys):
+        source = self.ascii_ply(tmp_path, ["-1.7e308 0 0 10 20 30 1", "1.7e308 0 0 0 0 0 0"])
+        code = main(["upsample", "--ascii", "--method", method, str(source), str(tmp_path / "out.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "too many cells" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ply").exists()
 
 
 class TestFlatten:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPoint, ColorPointCloud, Role, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, frequency_weight,
     generate_model, normalize_to_window, round_color_channel, spatial_weight,
-    upsample_block,
 )
-from cloudcolor.surface_transform import FlattenedMesh
+from cloudcolor.pipeline import block_colors
 
 from oracles import dct2_basis_oracle, grid_least_squares_projection
 
@@ -175,19 +175,16 @@ class TestEvaluateModel:
 
 
 class TestNormalizeToWindow:
-    def mesh(self, pairs):
-        return FlattenedMesh(entries=tuple((i, x, y) for i, (x, y) in enumerate(pairs)), root_id=0)
-
     def test_corners(self):
-        out = normalize_to_window(self.mesh([(0, 0), (10, 20)]), (8, 8))
+        out = normalize_to_window(np.array([(0, 0), (10, 20)]), (8, 8))
         assert np.allclose(out, [[0, 0], [7, 7]])
 
     def test_degenerate_axis_maps_to_center(self):
-        out = normalize_to_window(self.mesh([(5, 1), (5, 2)]), (16, 16))
+        out = normalize_to_window(np.array([(5, 1), (5, 2)]), (16, 16))
         assert np.allclose(out[:, 0], 7.5)
 
     def test_affine_interior(self):
-        out = normalize_to_window(self.mesh([(0, 0), (5, 0), (10, 0)]), (8, 8))
+        out = normalize_to_window(np.array([(0, 0), (5, 0), (10, 0)]), (8, 8))
         assert np.allclose(out[:, 0], [0.0, 3.5, 7.0])
         assert np.allclose(out[:, 1], 3.5)
 
@@ -207,11 +204,15 @@ class TestUpsampleBlock:
             else:
                 points.append(ColorPoint(x, y, z, color=(100, 150, 200)))
         block, cloud = self.build(points)
-        colors = upsample_block(block, cloud, FsmmrConfig())
+        colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
         assert colors
         assert all(c == (100, 150, 200) for c in colors.values())
 
-    def test_zero_original_block_falls_back_to_nearest(self):
+    @pytest.mark.parametrize("method, expected", [
+        (InterpolatorKind.FSMMR, (9, 9, 9)), (InterpolatorKind.IDW2, (9, 9, 9)),
+        (InterpolatorKind.LIN2_DELAUNAY, None),
+    ])
+    def test_zero_original_block_falls_back_to_nearest(self, method, expected):
         points = [
             ColorPoint(100.0, 0, 0, color=(9, 9, 9)),
             ColorPoint(0.0, 0, 0, color=None, role=Role.RECONSTRUCT),
@@ -220,12 +221,12 @@ class TestUpsampleBlock:
         cloud = ColorPointCloud(points)
         blocks = partition_into_blocks(cloud, 4.0)
         lonely = next(b for b in blocks if 1 in b.point_ids)
-        colors = upsample_block(lonely, cloud, FsmmrConfig())
-        assert colors == {1: (9, 9, 9), 2: (9, 9, 9)}
+        colors = block_colors(lonely, cloud, method, FsmmrConfig())
+        assert colors == {1: expected, 2: expected}
 
     def test_no_reconstruct_points_returns_empty(self):
         block, cloud = self.build([ColorPoint(0, 0, 0, color=(1, 2, 3)), ColorPoint(1, 1, 1, color=(4, 5, 6))])
-        assert upsample_block(block, cloud, FsmmrConfig()) == {}
+        assert block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig()) == {}
 
     def test_linear_ramp_midpoint(self):
         # colors ramp along x; the reconstructed midpoint should sit near the
@@ -238,7 +239,7 @@ class TestUpsampleBlock:
             points.append(ColorPoint(float(x), 0.0, 0.0, color=(value, value, value)))
         points.append(ColorPoint(2.07, 0.0, 0.0, color=None, role=Role.RECONSTRUCT))
         block, cloud = self.build(points)
-        colors = upsample_block(block, cloud, FsmmrConfig())
+        colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
         expected = 40 + 40 * 2.07
         got = colors[len(points) - 1]
         assert abs(got[0] - expected) <= 8

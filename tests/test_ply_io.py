@@ -80,6 +80,24 @@ def test_bad_color_type_rejected():
         read_ply(data)
 
 
+@pytest.mark.parametrize("old, new, binary", [
+    (b"element vertex 1", b"element vert\xffex 1", False),
+    (b"property uchar blue\n", b"property uchar blue\nproperty\n", False),
+    (b"blue\nend_header\n0 0 0 255 0 0\n", b"blue\nproperty bogus w\nend_header\n0 0 0 255 0 0 7\n", False),
+    (b"property uchar blue\n", b"property uchar blue\nproperty bogus w\n", True),
+    (b"element vertex 1", b"element vertex -3", False),
+], ids=["non-utf8-name", "bare-property", "unknown-type-ascii", "unknown-type-binary", "negative-count"])
+def test_malformed_header_is_parse_error(old, new, binary):
+    data = ASCII_ONE_RED
+    if binary:
+        data = data.replace(b"format ascii 1.0", b"format binary_little_endian 1.0")
+        data = data[:data.index(b"end_header\n") + 11] + bytes(16)
+    data = data.replace(old, new)
+    assert new in data
+    with pytest.raises(ParseError):
+        read_ply(data)
+
+
 def test_missing_magic():
     with pytest.raises(ParseError):
         read_ply(b"not a ply file")
