@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .baselines import InterpolatorKind
-from .core import Role, nearest_original_color, partition_into_blocks
+from .core import nearest_original_color, partition_into_blocks
 from .errors import CloudColorError
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
@@ -112,10 +113,8 @@ def _cmd_upsample(args) -> int:
     if uncolored:
         # keep the output total: fill the method's holes from the nearest original
         print(f"{uncolored} points left uncolored by {method.value}; filled from nearest originals", file=sys.stderr)
-        holes = [pid for pid, p in enumerate(upsampled.points) if p.color is None]
-        fills = nearest_original_color(cloud, [upsampled.points[pid].coords for pid in holes])
-        for pid, color in zip(holes, fills):
-            upsampled.points[pid] = replace(upsampled.points[pid], color=color)
+        holes = np.flatnonzero(~upsampled.colored)
+        upsampled = upsampled.with_colors(holes, nearest_original_color(cloud, upsampled.positions[holes]))
     fmt = PlyFormat.ASCII if args.ascii else PlyFormat.BINARY_LITTLE_ENDIAN
     args.output.write_bytes(write_ply(upsampled, fmt))
     return 0
@@ -151,7 +150,7 @@ def _cmd_flatten(args) -> int:
     mesh = flatten_block(blocks[args.block], cloud, _root_policy(args))
     lines = ["point_id,role,x_flat,y_flat"]
     for pid, x, y in mesh.entries:
-        role = "original" if cloud.points[pid].role is Role.ORIGINAL else "reconstruct"
+        role = "original" if cloud.original[pid] else "reconstruct"
         lines.append(f"{pid},{role},{x!r},{y!r}")
     args.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return 0

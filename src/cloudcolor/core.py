@@ -7,9 +7,8 @@ on lives here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -18,61 +17,72 @@ from .errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
 Color = Tuple[int, int, int]
 
 
-class Role(Enum):
-    ORIGINAL = "original"
-    RECONSTRUCT = "reconstruct"
+def _rows(values, dtype, name: str) -> np.ndarray:
+    """A copy of `values` as an (N, 3) array."""
+    table = np.array(values, dtype=dtype)
+    if table.size and table.shape[1:] != (3,):
+        raise InvalidConfig(f"{name} must have shape (N, 3), got {table.shape}")
+    return table.reshape(-1, 3)
 
 
-@dataclass(frozen=True)
-class ColorPoint:
-    x: float
-    y: float
-    z: float
-    color: Optional[Color] = None
-    role: Role = Role.ORIGINAL
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise InvalidConfig("point coordinates must be finite")
-        if self.role is Role.ORIGINAL and self.color is None:
-            raise InvalidConfig("a point with role Original must carry a color")
-        if self.color is not None:
-            r, g, b = self.color
-            if not all(isinstance(v, int) and 0 <= v <= 255 for v in (r, g, b)):
-                raise InvalidConfig("color channels must be integers in [0, 255]")
-
-    @property
-    def coords(self) -> Tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass
 class ColorPointCloud:
-    """Ordered point sequence; the storage order is the tie-break identity."""
+    """Ordered points as four arrays; the storage order is the tie-break
+    identity.
 
-    points: list[ColorPoint] = field(default_factory=list)
-    provenance: str = ""
+    ``positions`` (N, 3) float64, ``colors`` (N, 3) uint8, ``original`` (N,)
+    bool marks the points whose color is given and ``colored`` (N,) bool the
+    points that carry a color at all.  By default every point is colored
+    when colors are given and none otherwise, and the colored points are the
+    originals.  The arrays are copied, checked once and read-only; the colors
+    of uncolored points read 0.
+    """
+
+    def __init__(self, positions, colors=None, original=None, colored=None):
+        positions = _rows(positions, np.float64, "positions")
+        n = len(positions)
+        values = np.zeros((n, 3), dtype=np.uint8) if colors is None else _rows(colors, None, "colors")
+        colored = np.full(n, colors is not None) if colored is None else np.array(colored, dtype=bool)
+        original = colored.copy() if original is None else np.array(original, dtype=bool)
+        if not (len(values) == n and colored.shape == original.shape == (n,)):
+            raise InvalidConfig("positions, colors, original and colored must have equal lengths")
+        if not np.isfinite(positions).all():
+            raise InvalidConfig("point coordinates must be finite")
+        if (original & ~colored).any():
+            raise InvalidConfig("a point with role Original must carry a color")
+        if values.dtype.kind not in "iu" or ((values[colored] < 0) | (values[colored] > 255)).any():
+            raise InvalidConfig("color channels must be integers in [0, 255]")
+        self.positions = positions
+        self.colors = np.where(colored[:, None], values, 0).astype(np.uint8)
+        self.original = original
+        self.colored = colored
+        for array in (self.positions, self.colors, self.original, self.colored):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.positions)
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float).reshape(-1, 3)
+    def original_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.original)
 
-    def original_ids(self) -> list[int]:
-        return [i for i, p in enumerate(self.points) if p.role is Role.ORIGINAL]
-
-    def reconstruct_ids(self) -> list[int]:
-        return [i for i, p in enumerate(self.points) if p.role is Role.RECONSTRUCT]
+    def reconstruct_ids(self) -> np.ndarray:
+        return np.flatnonzero(~self.original)
 
     def fully_colored(self) -> bool:
-        return all(p.color is not None for p in self.points)
+        return bool(self.colored.all())
+
+    def with_colors(self, ids: np.ndarray, colors: np.ndarray) -> "ColorPointCloud":
+        """A copy in which the points `ids` carry `colors`; roles unchanged."""
+        new_colors = self.colors.copy()
+        new_colors[ids] = colors
+        colored = self.colored.copy()
+        colored[ids] = True
+        return ColorPointCloud(self.positions, new_colors, self.original, colored)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Block:
-    cell_index: Tuple[int, int, int]
-    point_ids: Tuple[int, ...]
+    cell_index: Tuple[int, int, int]  # Python ints: the random root hashes its repr
+    point_ids: np.ndarray  # ascending
 
 
 def check_block_size(block_size: float) -> None:
@@ -89,20 +99,22 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
     check_block_size(block_size)
     if len(cloud) == 0:
         raise EmptyCloud("cannot partition an empty cloud")
-    positions = cloud.positions()
-    origin = positions.min(axis=0).tolist()
+    positions = cloud.positions
+    origin = positions.min(axis=0)
     # subtraction and division round monotonically, so the largest cell
     # index on each axis is the maximum coordinate's
-    spans = [(hi - lo) / block_size for hi, lo in zip(positions.max(axis=0).tolist(), origin)]
+    spans = [(hi - lo) / block_size for hi, lo in zip(positions.max(axis=0).tolist(), origin.tolist())]
     if not all(map(math.isfinite, spans)):
         raise InvalidInput(f"the cloud spans too many cells of size {block_size} to index")
 
-    cells: dict[Tuple[int, int, int], list[int]] = {}
-    for pid, p in enumerate(cloud.points):
-        idx = tuple(math.floor((c - o) / block_size) for c, o in zip(p.coords, origin))
-        cells.setdefault(idx, []).append(pid)
-
-    return [Block(cell_index=idx, point_ids=tuple(cells[idx])) for idx in sorted(cells)]
+    # each float is an exact integer, possibly beyond int64; unique sorts the rows lexicographically
+    cells = np.floor((positions - origin) / block_size)
+    keys, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    return [
+        Block(cell_index=tuple(map(int, key)), point_ids=ids)
+        for key, ids in zip(keys.tolist(), members)
+    ]
 
 
 # Queries per chunk are sized so one chunk's distance matrix holds about
@@ -117,7 +129,9 @@ def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
     ties go to the lowest index.
 
     Squared distances are summed over x, y and z in that order, as
-    ``((positions - q) ** 2).sum(axis=1)`` would.
+    ``((positions - q) ** 2).sum(axis=1)`` would.  A query whose smallest
+    squared distance overflows to inf raises InvalidInput: every candidate
+    would tie.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     if len(positions) == 0:
@@ -129,17 +143,20 @@ def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
     for start in range(0, len(queries), rows):
         chunk = queries[start:start + rows]
         d2 = np.zeros((len(chunk), len(positions)))
-        for column, q in zip(columns, chunk.T):
-            diff = column - q[:, None]
-            diff *= diff
-            d2 += diff
-        out[start:start + rows] = d2.argmin(axis=1)  # argmin returns the first minimum
+        with np.errstate(over="ignore"):
+            for column, q in zip(columns, chunk.T):
+                diff = column - q[:, None]
+                diff *= diff
+                d2 += diff
+        nearest = d2.argmin(axis=1)  # argmin returns the first minimum
+        if np.isinf(d2[np.arange(len(chunk)), nearest]).any():
+            raise InvalidInput("squared distances to the originals overflow float64")
+        out[start:start + rows] = nearest
     return out
 
 
-def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> list[Color]:
-    """Color of the Original point nearest to each (x, y, z) query in 3D;
-    ties go to the lowest point id."""
+def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> np.ndarray:
+    """(k, 3) colors of the Original point nearest to each (x, y, z) query
+    in 3D; ties go to the lowest point id."""
     o_ids = cloud.original_ids()
-    nearest = nearest_ids(cloud.positions()[o_ids], queries)
-    return [cloud.points[o_ids[i]].color for i in nearest.tolist()]
+    return cloud.colors[o_ids[nearest_ids(cloud.positions[o_ids], queries)]]

@@ -7,13 +7,13 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .baselines import InterpolatorKind
-from .core import ColorPoint, ColorPointCloud, Role, check_block_size
+from .core import ColorPointCloud, check_block_size
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .fsmmr import FsmmrConfig, round_color_channel, round_half_away
 from .pipeline import upsample_cloud
@@ -103,15 +103,9 @@ def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> Colo
     n = len(cloud)
     n_keep = min(n, round_half_away(density * n))
     rng = np.random.default_rng(seed)
-    keep = set(rng.permutation(n)[:n_keep].tolist())
-
-    points = []
-    for pid, p in enumerate(cloud.points):
-        if pid in keep:
-            points.append(replace(p, role=Role.ORIGINAL))
-        else:
-            points.append(ColorPoint(p.x, p.y, p.z, color=None, role=Role.RECONSTRUCT))
-    return ColorPointCloud(points=points, provenance=cloud.provenance)
+    keep = np.zeros(n, dtype=bool)
+    keep[rng.permutation(n)[:n_keep]] = True
+    return ColorPointCloud(cloud.positions, cloud.colors, original=keep, colored=keep)
 
 
 def psnr_channel(reference: Sequence[int], reconstructed: Sequence[int]) -> float:
@@ -141,25 +135,18 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
     averaged.  Points the method left uncolored are excluded and counted."""
     if len(original) != len(upsampled):
         raise InvalidInput("clouds must have identical point counts and order")
-    ref, rec = [], []
-    uncolored = 0
-    reconstructable = 0
-    for po, pu in zip(original.points, upsampled.points):
-        if pu.role is not Role.RECONSTRUCT:
-            continue
-        reconstructable += 1
-        if pu.color is None:
-            uncolored += 1
-            continue
-        ref.append(po.color)
-        rec.append(pu.color)
-    if reconstructable == 0:
+    reconstructed = ~upsampled.original
+    if not reconstructed.any():
         raise InvalidInput("no reconstructed points to score")
-    if not ref:
+    scored = reconstructed & upsampled.colored
+    uncolored = int(reconstructed.sum() - scored.sum())
+    if not scored.any():
         return PsnrResult(math.nan, math.nan, math.nan, math.nan, uncolored)
+    if not original.colored[scored].all():
+        raise InvalidInput("the reference cloud lacks a color to score against")
 
-    ref_arr = np.asarray(ref)
-    rec_arr = np.asarray(rec)
+    ref_arr = original.colors[scored]
+    rec_arr = upsampled.colors[scored]
     per_channel = [psnr_channel(ref_arr[:, ch], rec_arr[:, ch]) for ch in range(3)]
     color = sum(per_channel) / 3.0
     return PsnrResult(per_channel[0], per_channel[1], per_channel[2], color, uncolored)
@@ -239,15 +226,18 @@ def _cosine_color(x: float, y: float, z: float, extent: float) -> Tuple[int, int
     return tuple(round_color_channel(v) for v in (r, g, b))
 
 
+def _cosine_colors(positions: np.ndarray, extent: float) -> np.ndarray:
+    # math.cos per point: numpy's vectorised cos may round differently
+    colors = [_cosine_color(x, y, z, extent) for x, y, z in positions.tolist()]
+    return np.array(colors, dtype=np.int64).reshape(-1, 3)
+
+
 def sphere_cloud(n_points: int = 1500, radius: float = 8.0, seed: int = 0) -> ColorPointCloud:
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(n_points, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    points = [
-        ColorPoint(x, y, z, color=_cosine_color(x, y, z, radius))
-        for x, y, z in (directions * radius)
-    ]
-    return ColorPointCloud(points=points, provenance=f"synthetic-sphere(n={n_points},seed={seed})")
+    positions = directions * radius
+    return ColorPointCloud(positions, _cosine_colors(positions, radius))
 
 
 def plane_cloud(
@@ -255,24 +245,19 @@ def plane_cloud(
 ) -> ColorPointCloud:
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0.0, size, size=(n_points, 2))
-    points = []
-    for x, y in xy:
-        color = _cosine_color(x, y, 0.0, size)
-        if sharp_edge and x > size / 2:
-            color = (255 - color[0], color[1], 255 - color[2])
-        points.append(ColorPoint(float(x), float(y), 0.0, color=color))
-    return ColorPointCloud(points=points, provenance=f"synthetic-plane(n={n_points},seed={seed})")
+    positions = np.column_stack([xy, np.zeros(n_points)])
+    colors = _cosine_colors(positions, size)
+    if sharp_edge:
+        red_blue_right = np.ix_(xy[:, 0] > size / 2, [0, 2])
+        colors[red_blue_right] = 255 - colors[red_blue_right]
+    return ColorPointCloud(positions, colors)
 
 
 def dihedral_cloud(n_points: int = 800, size: float = 12.0, seed: int = 0) -> ColorPointCloud:
     """Two half-planes meeting at a right angle along the y axis."""
     rng = np.random.default_rng(seed)
     uv = rng.uniform(0.0, size, size=(n_points, 2))
-    points = []
-    for i, (u, v) in enumerate(uv):
-        if i % 2 == 0:
-            x, y, z = u, v, 0.0
-        else:
-            x, y, z = 0.0, v, u
-        points.append(ColorPoint(float(x), float(y), float(z), color=_cosine_color(x, y, z, size)))
-    return ColorPointCloud(points=points, provenance=f"synthetic-dihedral(n={n_points},seed={seed})")
+    positions = np.column_stack([uv, np.zeros(n_points)])
+    odd = np.arange(n_points) % 2 == 1
+    positions[odd] = np.column_stack([np.zeros(odd.sum()), uv[odd, 1], uv[odd, 0]])
+    return ColorPointCloud(positions, _cosine_colors(positions, size))

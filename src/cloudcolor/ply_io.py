@@ -8,11 +8,12 @@ optional `uchar original` role-flag property written by this tool.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ColorPoint, ColorPointCloud, Role
+import numpy as np
+
+from .core import ColorPointCloud
 from .errors import InvalidInput, MissingColor, ParseError
 
 
@@ -21,6 +22,7 @@ class PlyFormat(Enum):
     BINARY_LITTLE_ENDIAN = "binary_little_endian"
 
 
+# struct codes, which numpy reads the same way after a "<"
 _SCALAR_TYPES = {
     "char": "b", "int8": "b",
     "uchar": "B", "uint8": "B",
@@ -33,6 +35,8 @@ _SCALAR_TYPES = {
 }
 _FLOAT_TYPES = {"float", "float32", "double", "float64"}
 _UCHAR_TYPES = {"uchar", "uint8"}
+_CHANNELS = ("red", "green", "blue")
+_ASCII_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -112,78 +116,76 @@ def read_ply(data: bytes) -> ColorPointCloud:
     if elements[0].name != "vertex":
         raise ParseError("elements preceding 'vertex' are not supported", 0)
 
-    names = [n for n, _ in vertex.properties]
-    for axis in ("x", "y", "z"):
-        if axis not in names:
-            raise ParseError(f"vertex element lacks property {axis!r}", 0)
-        if dict(vertex.properties)[axis] not in _FLOAT_TYPES:
-            raise ParseError(f"property {axis!r} must be a float type", 0)
-    has_color = all(c in names for c in ("red", "green", "blue"))
+    types = dict(vertex.properties)  # a repeated name reads its last column
+    required = dict.fromkeys("xyz", _FLOAT_TYPES)
+    has_color = all(c in types for c in _CHANNELS)
     if has_color:
-        for c in ("red", "green", "blue"):
-            if dict(vertex.properties)[c] not in _UCHAR_TYPES:
-                raise ParseError(f"property {c!r} must be an 8-bit unsigned type", 0)
-    has_role = "original" in names
+        required.update(dict.fromkeys(_CHANNELS, _UCHAR_TYPES))
+    if "original" in types:
+        required["original"] = _UCHAR_TYPES  # the type write_ply gives it
+    for name, allowed in required.items():
+        if name not in types:
+            raise ParseError(f"vertex element lacks property {name!r}", 0)
+        if types[name] not in allowed:
+            kind = "a float type" if allowed is _FLOAT_TYPES else "an 8-bit unsigned type"
+            raise ParseError(f"property {name!r} must be {kind}", 0)
 
-    if fmt is PlyFormat.ASCII:
-        rows = _read_ascii_rows(data, body_start, vertex)
-    else:
-        rows = _read_binary_rows(data, body_start, vertex)
-
-    points = []
-    for row in rows:
-        x, y, z = float(row["x"]), float(row["y"]), float(row["z"])
-        if has_color:
-            color = (int(row["red"]), int(row["green"]), int(row["blue"]))
-        else:
-            color = None
-        if has_role and int(row["original"]) == 0:
-            points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
-        elif color is not None:
-            points.append(ColorPoint(x, y, z, color=color, role=Role.ORIGINAL))
-        else:
-            points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
-    return ColorPointCloud(points=points, provenance="ply")
+    read_columns = _read_ascii_columns if fmt is PlyFormat.ASCII else _read_binary_columns
+    columns = read_columns(data, body_start, vertex, list(required))
+    positions = np.column_stack([columns[axis] for axis in "xyz"])
+    colors = np.column_stack([columns[c] for c in _CHANNELS]) if has_color else None
+    original = np.full(len(positions), has_color)
+    if "original" in columns:
+        original &= columns["original"] != 0
+    return ColorPointCloud(positions, colors, original=original, colored=original)
 
 
-def _read_ascii_rows(data: bytes, body_start: int, vertex: _Element) -> list[dict]:
+def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
     text = data[body_start:].decode("ascii", errors="replace")
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip()]
+    lines = [ln for ln in text.split("\n") if ln.strip()]  # str.split() drops a trailing "\r" too
     if len(lines) < vertex.count:
-        raise ParseError(
-            f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}",
-            len(data),
-        )
+        raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
+    # row by row: a table of every token at once would double the peak memory
+    parsers = [float if ptype in _FLOAT_TYPES else int for _, ptype in vertex.properties]
     rows = []
-    for i in range(vertex.count):
-        tokens = lines[i].split()
-        if len(tokens) < len(vertex.properties):
+    for i, line in enumerate(lines[:vertex.count]):
+        tokens = line.split()
+        if len(tokens) < len(parsers):
             raise ParseError(f"vertex row {i} has too few values", body_start)
-        row = {}
-        for (name, ptype), tok in zip(vertex.properties, tokens):
-            try:
-                row[name] = float(tok) if ptype in _FLOAT_TYPES else int(tok)
-            except ValueError:
-                raise ParseError(f"bad value {tok!r} for property {name!r}", body_start) from None
-        rows.append(row)
-    return rows
+        try:  # every token is parsed, used or not, so that a bad one is rejected
+            rows.append([parse(token) for parse, token in zip(parsers, tokens)])
+        except ValueError as exc:
+            raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
+    values = dict(zip([name for name, _ in vertex.properties], zip(*rows)))
+
+    # a value must fit its declared type, as it does in a binary file
+    types = dict(vertex.properties)
+    columns = {}
+    for name in used:
+        column = values.get(name, [])
+        if types[name] in _UCHAR_TYPES:
+            if column and not 0 <= min(column) <= max(column) <= 255:
+                raise ParseError(f"a value of property {name!r} is outside the uchar range", body_start)
+            columns[name] = np.array(column, dtype=np.uint8)
+            continue
+        columns[name] = np.array(column, dtype=np.float64)
+        if types[name] in ("float", "float32"):
+            with np.errstate(over="ignore"):
+                beyond = np.isinf(columns[name].astype(np.float32)) & np.isfinite(columns[name])
+            if beyond.any():
+                raise ParseError(f"a value of property {name!r} is beyond float32 range", body_start)
+    return columns
 
 
-def _read_binary_rows(data: bytes, body_start: int, vertex: _Element) -> list[dict]:
-    fmt = "<" + "".join(_SCALAR_TYPES[t] for _, t in vertex.properties)
-    record = struct.Struct(fmt)
-    needed = body_start + record.size * vertex.count
+def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
+    # fields are named by position: a repeated property name reads its last column
+    record = np.dtype([(f"f{i}", "<" + _SCALAR_TYPES[t]) for i, (_, t) in enumerate(vertex.properties)])
+    needed = body_start + record.itemsize * vertex.count
     if len(data) < needed:
-        raise ParseError(
-            f"truncated body: need {needed - body_start} bytes for {vertex.count} vertices",
-            len(data),
-        )
-    rows = []
-    names = [n for n, _ in vertex.properties]
-    for i in range(vertex.count):
-        values = record.unpack_from(data, body_start + i * record.size)
-        rows.append(dict(zip(names, values)))
-    return rows
+        raise ParseError(f"truncated body: need {needed - body_start} bytes for {vertex.count} vertices", len(data))
+    table = np.frombuffer(data, dtype=record, count=vertex.count, offset=body_start)
+    index = {name: i for i, (name, _) in enumerate(vertex.properties)}
+    return {name: table[f"f{index[name]}"] for name in used}
 
 
 def _fmt_float(v: float) -> str:
@@ -198,38 +200,33 @@ def write_ply(
     allow_uncolored: bool = False,
     include_roles: bool = False,
 ) -> bytes:
-    uncolored = [p for p in cloud.points if p.color is None]
+    uncolored = len(cloud) - int(cloud.colored.sum())
     if uncolored and not (allow_uncolored or include_roles):
-        raise MissingColor(f"{len(uncolored)} points lack color; pass allow_uncolored to drop colors")
+        raise MissingColor(f"{uncolored} points lack color; pass allow_uncolored to drop colors")
 
     position_only = allow_uncolored and not include_roles
-    header = ["ply", f"format {fmt.value} 1.0", f"element vertex {len(cloud)}"]
-    float_name = "float"
-    header += [f"property {float_name} {axis}" for axis in ("x", "y", "z")]
+    fields = [(axis, "float", cloud.positions[:, i]) for i, axis in enumerate("xyz")]
     if not position_only:
-        header += [f"property uchar {c}" for c in ("red", "green", "blue")]
+        fields += [(c, "uchar", cloud.colors[:, i]) for i, c in enumerate(_CHANNELS)]
     if include_roles:
-        header.append("property uchar original")
-    header.append("end_header")
+        fields.append(("original", "uchar", cloud.original.astype(np.uint8)))
+    header = ["ply", f"format {fmt.value} 1.0", f"element vertex {len(cloud)}"]
+    header += [f"property {ptype} {name}" for name, ptype, _ in fields] + ["end_header"]
+    head = ("\n".join(header) + "\n").encode("ascii")
 
-    out = bytearray(("\n".join(header) + "\n").encode("ascii"))
-    for pid, p in enumerate(cloud.points):
-        color = p.color if p.color is not None else (0, 0, 0)
-        is_original = 1 if p.role is Role.ORIGINAL else 0
-        if fmt is PlyFormat.ASCII:
-            fields = [_fmt_float(p.x), _fmt_float(p.y), _fmt_float(p.z)]
-            if not position_only:
-                fields += [str(c) for c in color]
-            if include_roles:
-                fields.append(str(is_original))
-            out += (" ".join(fields) + "\n").encode("ascii")
-        else:
-            try:
-                out += struct.pack("<fff", p.x, p.y, p.z)
-            except OverflowError:
-                raise InvalidInput(f"point {pid} has a coordinate beyond float32 range") from None
-            if not position_only:
-                out += struct.pack("<3B", *color)
-            if include_roles:
-                out += struct.pack("<B", is_original)
-    return bytes(out)
+    if fmt is PlyFormat.ASCII:
+        out = bytearray(head)
+        for start in range(0, len(cloud), _ASCII_CHUNK_ROWS):  # chunks bound the memory held by strings
+            text = [map(_fmt_float if ptype == "float" else str, col[start:start + _ASCII_CHUNK_ROWS].tolist())
+                    for _, ptype, col in fields]
+            out += "".join(" ".join(row) + "\n" for row in zip(*text)).encode("ascii")
+        return bytes(out)
+
+    table = np.empty(len(cloud), dtype=[(name, "<" + _SCALAR_TYPES[ptype]) for name, ptype, _ in fields])
+    with np.errstate(over="ignore"):
+        for name, _, col in fields:
+            table[name] = col
+    beyond = np.flatnonzero(np.isinf(table["x"]) | np.isinf(table["y"]) | np.isinf(table["z"]))
+    if beyond.size:
+        raise InvalidInput(f"point {beyond[0]} has a coordinate beyond float32 range")
+    return head + table.tobytes()

@@ -213,10 +213,11 @@ def _pick_root(block: Block, policy: RootPolicy) -> int:
 def flatten_block(
     block: Block, cloud: ColorPointCloud, root_policy: RootPolicy = RootPolicy.deterministic()
 ) -> FlattenedMesh:
-    if not block.point_ids:
+    if not len(block.point_ids):
         raise EmptyBlock("cannot flatten an empty block")
 
-    coords = [cloud.points[pid].coords for pid in block.point_ids]
+    # tuples of Python floats: math.dist converts any other sequence on every call
+    coords = list(map(tuple, cloud.positions[block.point_ids].tolist()))
     root = _pick_root(block, root_policy)
     edges = build_mst(coords, root=root)
 
@@ -226,8 +227,5 @@ def flatten_block(
         dx, dy = fold_deltas(coords[e.parent_id], coords[e.child_id])
         flat[e.child_id] = (px + dx, py + dy)
 
-    entries = tuple(
-        (pid, flat[local][0], flat[local][1])
-        for local, pid in enumerate(block.point_ids)
-    )
-    return FlattenedMesh(entries=entries, root_id=block.point_ids[root])
+    entries = tuple((pid, *flat[local]) for local, pid in enumerate(block.point_ids.tolist()))
+    return FlattenedMesh(entries=entries, root_id=int(block.point_ids[root]))

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role
+from cloudcolor.core import ColorPointCloud
 
 
 def random_cloud(n, seed, extent=10.0):
@@ -14,11 +14,7 @@ def random_cloud(n, seed, extent=10.0):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, extent, size=(n, 3)).astype(np.float32)
     colors = rng.integers(0, 256, size=(n, 3))
-    points = [
-        ColorPoint(float(x), float(y), float(z), color=(int(r), int(g), int(b)))
-        for (x, y, z), (r, g, b) in zip(pos, colors)
-    ]
-    return ColorPointCloud(points=points, provenance=f"random(n={n},seed={seed})")
+    return ColorPointCloud(pos, colors)
 
 
 @pytest.fixture

@@ -2,8 +2,6 @@
 import itertools
 import math
 
-from cloudcolor.core import Role
-
 
 def brute_force_mst_weight(points):
     """Minimum spanning tree weight by enumerating every edge subset of
@@ -115,13 +113,25 @@ def grid_least_squares_projection(values_grid, m, n):
     return dict(zip(pairs, coeffs))
 
 
+def partition_oracle(cloud, block_size):
+    """The seed's per-point partition as (cell_index, point_ids) pairs:
+    math.floor per coordinate, cells sorted as tuples of Python ints."""
+    origin = cloud.positions.min(axis=0).tolist()
+    cells = {}
+    for pid, coords in enumerate(cloud.positions.tolist()):
+        idx = tuple(math.floor((c - o) / block_size) for c, o in zip(coords, origin))
+        cells.setdefault(idx, []).append(pid)
+    return [(idx, cells[idx]) for idx in sorted(cells)]
+
+
 def nearest_original_color_oracle(cloud, query):
     """The seed's per-query scan: strict `<` keeps the lowest id on ties."""
     best_d2, best_color = None, None
-    for p in cloud.points:
-        if p.role is not Role.ORIGINAL:
+    points = zip(cloud.positions.tolist(), cloud.colors.tolist(), cloud.original.tolist())
+    for (x, y, z), color, is_original in points:
+        if not is_original:
             continue
-        d2 = (p.x - query[0]) ** 2 + (p.y - query[1]) ** 2 + (p.z - query[2]) ** 2
+        d2 = (x - query[0]) ** 2 + (y - query[1]) ** 2 + (z - query[2]) ** 2
         if best_d2 is None or d2 < best_d2:
-            best_d2, best_color = d2, p.color
+            best_d2, best_color = d2, tuple(color)
     return best_color

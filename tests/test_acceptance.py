@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role, partition_into_blocks
+from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.evaluation import (
     ExperimentSpec, derive_seed, dihedral_cloud, plane_cloud, psnr_channel,
     random_downsample, run_experiment, sphere_cloud,
@@ -65,21 +65,20 @@ def test_dc_exactness():
     for trial in range(100):
         n = int(rng.integers(2, 30))
         color = tuple(int(v) for v in rng.integers(0, 256, 3))
-        points = []
+        positions = rng.uniform(0, 4, size=(n, 3))
+        original = np.ones(n, dtype=bool)
         has_r = False
-        for i, (x, y, z) in enumerate(rng.uniform(0, 4, size=(n, 3))):
+        for i in range(n):
             if i == n - 1 and not has_r:
-                points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
+                original[i] = False
             elif i > 0 and rng.random() < 0.4:
                 has_r = True
-                points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
-            else:
-                points.append(ColorPoint(x, y, z, color=color))
-        cloud = ColorPointCloud(points)
+                original[i] = False
+        cloud = ColorPointCloud(positions, [color] * n, original=original, colored=original)
         block = partition_into_blocks(cloud, 1e9)[0]
-        reconstructed = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
-        assert reconstructed, f"trial {trial} produced no colors"
-        assert all(c == color for c in reconstructed.values()), f"trial {trial} not exact"
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        assert ids.tolist() == cloud.reconstruct_ids().tolist(), f"trial {trial} left points uncolored"
+        assert all(tuple(c) == color for c in colors.tolist()), f"trial {trial} not exact"
     print("\nPASS: DC exactness on 100 constant-color random blocks (integer exact)")
 
 
@@ -141,11 +140,11 @@ def test_flatten_consistency():
         coords = rng.uniform(0, 4, size=(n, 3))
         if planar:
             coords[:, 2] = coords[0, 2]
-        cloud = ColorPointCloud([ColorPoint(x, y, z, color=(0, 0, 0)) for x, y, z in coords])
+        cloud = ColorPointCloud(coords, np.zeros((n, 3), dtype=int))
         block = partition_into_blocks(cloud, 1e9)[0]
         mesh = flatten_block(block, cloud)
         flat = {pid: (x, y) for pid, x, y in mesh.entries}
-        local_coords = [cloud.points[pid].coords for pid in block.point_ids]
+        local_coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
         for e in build_mst(local_coords, root=0):
             dx, dy = fold_2d_oracle(local_coords[e.parent_id], local_coords[e.child_id])
             parent = flat[block.point_ids[e.parent_id]]
@@ -154,7 +153,7 @@ def test_flatten_consistency():
         if planar:
             rx, ry, _ = local_coords[0]
             for pid, fx, fy in mesh.entries:
-                x, y, _ = cloud.points[pid].coords
+                x, y, _ = cloud.positions[pid].tolist()
                 assert abs(fx - (x - rx)) <= 1e-12 and abs(fy - (y - ry)) <= 1e-12
     print("\nPASS: flatten fold identity exact and equal-z fixpoint within 1e-12 (200 blocks)")
 

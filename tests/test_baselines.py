@@ -4,7 +4,7 @@ import pytest
 from cloudcolor.baselines import (
     InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3,
 )
-from cloudcolor.errors import EmptySamples, InvalidConfig
+from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 
 
 class TestKindParsing:
@@ -44,6 +44,17 @@ class TestNn3:
     def test_empty(self):
         with pytest.raises(EmptySamples):
             interpolate_nn3(np.empty((0, 3)), [], [[0, 0, 0]])
+
+
+    def test_overflowing_distances_are_invalid_input(self):
+        # both squared distances overflow to inf, which would tie them and
+        # hand the query the farther original's color
+        with pytest.raises(InvalidInput, match="overflow"):
+            interpolate_nn3([[1.1e200, 0, 0], [1e200, 0, 0]], [(1, 1, 1), (2, 2, 2)], [[0, 0, 0]])
+
+    def test_one_overflowing_distance_is_harmless(self):
+        colors = interpolate_nn3([[1.1e200, 0, 0], [1, 0, 0]], [(1, 1, 1), (2, 2, 2)], [[0, 0, 0]])
+        assert colors == [(2, 2, 2)]
 
 
 class TestIdw:

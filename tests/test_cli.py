@@ -1,9 +1,6 @@
-from dataclasses import replace
-
 import pytest
 
 from cloudcolor.cli import main
-from cloudcolor.core import Role
 from cloudcolor.evaluation import sphere_cloud, random_downsample
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
@@ -105,7 +102,8 @@ class TestFlagValidation:
 
 class TestOutOfRangeCoordinates:
     def ascii_ply(self, tmp_path, rows):
-        header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty float x\nproperty float y\nproperty float z\n" \
+        # x is a double: beyond float32 range is a read error under float
+        header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty float y\nproperty float z\n" \
             "property uchar red\nproperty uchar green\nproperty uchar blue\nproperty uchar original\nend_header\n"
         path = tmp_path / "in.ply"
         path.write_text(header.format(len(rows)) + "".join(row + "\n" for row in rows))

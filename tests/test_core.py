@@ -7,33 +7,57 @@ from hypothesis import strategies as st
 import numpy as np
 
 from cloudcolor import core
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role, nearest_original_color, partition_into_blocks
+from cloudcolor.core import ColorPointCloud, nearest_original_color, partition_into_blocks
 from cloudcolor.errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
 
 from conftest import random_cloud
-from oracles import nearest_original_color_oracle
+from oracles import nearest_original_color_oracle, partition_oracle
 
 
 def cloud_of(*coords):
-    return ColorPointCloud([ColorPoint(x, y, z, color=(0, 0, 0)) for x, y, z in coords])
+    return ColorPointCloud(coords, np.zeros((len(coords), 3), dtype=int))
 
 
-class TestColorPoint:
+class TestColorPointCloud:
     def test_original_requires_color(self):
         with pytest.raises(InvalidConfig):
-            ColorPoint(0, 0, 0, color=None, role=Role.ORIGINAL)
+            ColorPointCloud([(0, 0, 0)], original=[True])
 
     def test_reconstruct_may_lack_color(self):
-        p = ColorPoint(0, 0, 0, color=None, role=Role.RECONSTRUCT)
-        assert p.color is None
+        cloud = ColorPointCloud([(0, 0, 0)], original=[False])
+        assert not cloud.colored[0]
 
-    def test_rejects_nonfinite_coordinates(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coordinates(self, bad):
         with pytest.raises(InvalidConfig):
-            ColorPoint(math.nan, 0, 0, color=(1, 2, 3))
+            ColorPointCloud([(bad, 0, 0)], [(1, 2, 3)])
 
-    def test_rejects_out_of_range_color(self):
+    @pytest.mark.parametrize("color", [(0, 0, 256), (-1, 0, 0), (0.5, 0, 0)])
+    def test_rejects_out_of_range_color(self, color):
         with pytest.raises(InvalidConfig):
-            ColorPoint(0, 0, 0, color=(0, 0, 256))
+            ColorPointCloud([(0, 0, 0)], [color])
+
+    def test_uncolored_points_ignore_their_color_values(self):
+        cloud = ColorPointCloud([(0, 0, 0), (1, 0, 0)], [(1, 2, 3), (999, 0, 0)], colored=[True, False])
+        assert cloud.colors.tolist() == [[1, 2, 3], [0, 0, 0]]
+        assert cloud.original.tolist() == [True, False]
+
+    @pytest.mark.parametrize("positions, colors, original", [
+        ([(0, 0)], None, None),
+        ([(0, 0, 0)], [(1, 2)], None),
+        ([(0, 0, 0)], [(1, 2, 3)], [True, True]),
+    ])
+    def test_rejects_mismatched_shapes(self, positions, colors, original):
+        with pytest.raises(InvalidConfig):
+            ColorPointCloud(positions, colors, original=original)
+
+    def test_arrays_are_copied_and_read_only(self):
+        positions = np.zeros((2, 3))
+        cloud = ColorPointCloud(positions, [(1, 2, 3), (4, 5, 6)])
+        positions[0, 0] = 7.0
+        assert cloud.positions[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            cloud.colors[0, 0] = 9
 
 
 class TestPartition:
@@ -44,7 +68,7 @@ class TestPartition:
     def test_single_block_contains_all(self):
         blocks = partition_into_blocks(cloud_of((0, 0, 0), (1, 2, 3), (3.9, 3.9, 3.9)), 4.0)
         assert len(blocks) == 1
-        assert blocks[0].point_ids == (0, 1, 2)
+        assert blocks[0].point_ids.tolist() == [0, 1, 2]
 
     def test_boundary_point_goes_to_next_cell(self):
         # local coordinate exactly 4.0 with block_size 4: half-open cells
@@ -53,7 +77,7 @@ class TestPartition:
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
-            partition_into_blocks(ColorPointCloud(), 4.0)
+            partition_into_blocks(ColorPointCloud([]), 4.0)
 
     @pytest.mark.parametrize("coords, size", [
         (((-1.7e308, 0, 0), (1.7e308, 0, 0)), 4.0),
@@ -80,33 +104,42 @@ class TestPartition:
         ids = [pid for b in blocks for pid in b.point_ids]
         assert sorted(ids) == list(range(n))
         assert len(ids) == len(set(ids))
+        assert [(b.cell_index, b.point_ids.tolist()) for b in blocks] == partition_oracle(cloud, size)
 
     def test_partition_deterministic(self):
         cloud = random_cloud(50, seed=3)
-        assert partition_into_blocks(cloud, 2.5) == partition_into_blocks(cloud, 2.5)
+
+        def summary(blocks):
+            return [(b.cell_index, b.point_ids.tolist()) for b in blocks]
+
+        assert summary(partition_into_blocks(cloud, 2.5)) == summary(partition_into_blocks(cloud, 2.5))
 
     def test_cell_index_matches_floor_identity(self):
         cloud = random_cloud(60, seed=4)
         size = 3.0
-        origin = cloud.positions().min(axis=0).tolist()
-        for b in partition_into_blocks(cloud, size):
-            for pid in b.point_ids:
-                p = cloud.points[pid]
-                expected = tuple(math.floor((c - o) / size) for c, o in zip(p.coords, origin))
+        origin = cloud.positions.min(axis=0).tolist()
+        blocks = partition_into_blocks(cloud, size)
+        assert [b.cell_index for b in blocks] == sorted(b.cell_index for b in blocks)
+        for b in blocks:
+            assert all(type(i) is int for i in b.cell_index)
+            assert b.point_ids.tolist() == sorted(b.point_ids.tolist())
+            for pid in b.point_ids.tolist():
+                expected = tuple(math.floor((c - o) / size) for c, o in zip(cloud.positions[pid].tolist(), origin))
                 assert expected == b.cell_index
+
+    def test_cell_index_beyond_int64(self):
+        blocks = partition_into_blocks(cloud_of((0, 0, 0), (0, 1e300, 0)), 1.0)
+        assert [b.cell_index for b in blocks] == [(0, 0, 0), (0, math.floor(1e300), 0)]
 
 
 class TestNearestOriginal:
     def lattice_cloud(self, seed):
         # integer coordinates: exact distances and many exact ties
         rng = np.random.default_rng(seed)
-        points = []
-        for i, (x, y, z) in enumerate(rng.integers(0, 4, size=(60, 3)).tolist()):
-            if rng.random() < 0.5:
-                points.append(ColorPoint(x, y, z, color=(i, i, i)))
-            else:
-                points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
-        return ColorPointCloud(points)
+        positions = rng.integers(0, 4, size=(60, 3))
+        original = np.array([rng.random() < 0.5 for _ in range(60)])
+        colors = np.repeat(np.arange(60)[:, None], 3, axis=1)
+        return ColorPointCloud(positions, colors, original=original, colored=original)
 
     @pytest.mark.parametrize("chunk_values", [1 << 14, 7, 1])
     @pytest.mark.parametrize("seed", range(5))
@@ -114,11 +147,11 @@ class TestNearestOriginal:
         monkeypatch.setattr(core, "_NEAREST_CHUNK_VALUES", chunk_values)
         cloud = self.lattice_cloud(seed)
         rng = np.random.default_rng(100 + seed)
-        queries = np.concatenate([rng.integers(0, 8, size=(40, 3)) / 2, cloud.positions()])
+        queries = np.concatenate([rng.integers(0, 8, size=(40, 3)) / 2, cloud.positions])
         expected = [nearest_original_color_oracle(cloud, q) for q in queries.tolist()]
-        assert nearest_original_color(cloud, queries) == expected
+        assert list(map(tuple, nearest_original_color(cloud, queries).tolist())) == expected
 
     def test_no_originals(self):
-        cloud = ColorPointCloud([ColorPoint(0, 0, 0, color=None, role=Role.RECONSTRUCT)])
+        cloud = ColorPointCloud([(0, 0, 0)], original=[False])
         with pytest.raises(EmptySamples):
             nearest_original_color(cloud, [[0, 0, 0]])

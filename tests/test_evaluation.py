@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role
+from cloudcolor.core import ColorPointCloud
 from cloudcolor.errors import InvalidConfig, InvalidInput
 from cloudcolor.evaluation import (
     CSV_HEADER, ExperimentSpec, derive_seed, dihedral_cloud, plane_cloud, psnr_channel,
@@ -18,7 +18,7 @@ class TestRandomDownsample:
     def test_density_one_keeps_everything(self):
         cloud = random_cloud(10, seed=0)
         down = random_downsample(cloud, 1.0, seed=5)
-        assert all(p.role is Role.ORIGINAL for p in down.points)
+        assert down.original.all()
 
     def test_half_density_counts(self):
         cloud = random_cloud(10, seed=0)
@@ -35,15 +35,14 @@ class TestRandomDownsample:
         cloud = random_cloud(30, seed=2)
         a = random_downsample(cloud, 0.4, seed=77)
         b = random_downsample(cloud, 0.4, seed=77)
-        assert [p.role for p in a.points] == [p.role for p in b.points]
+        assert a.original.tolist() == b.original.tolist()
 
     def test_reconstruct_points_lose_color_keep_coords(self):
         cloud = random_cloud(20, seed=3)
         down = random_downsample(cloud, 0.5, seed=9)
-        for orig, d in zip(cloud.points, down.points):
-            assert d.coords == orig.coords
-            if d.role is Role.RECONSTRUCT:
-                assert d.color is None
+        assert down.positions.tolist() == cloud.positions.tolist()
+        assert down.colored.tolist() == down.original.tolist()
+        assert down.colors[down.original].tolist() == cloud.colors[down.original].tolist()
 
     def test_bad_density(self):
         cloud = random_cloud(5, seed=0)
@@ -71,17 +70,21 @@ class TestPsnrChannel:
 
 
 class TestReconstructionPsnr:
-    def build_pair(self, reference_colors, upsampled_colors, roles):
-        ref_points, up_points = [], []
-        for i, (rc, uc, role) in enumerate(zip(reference_colors, upsampled_colors, roles)):
-            ref_points.append(ColorPoint(float(i), 0, 0, color=rc))
-            up_points.append(ColorPoint(float(i), 0, 0, color=uc, role=role))
-        return ColorPointCloud(ref_points), ColorPointCloud(up_points)
+    def build_pair(self, reference_colors, upsampled_colors, original):
+        """`original` flags the upsampled cloud's roles; None in
+        `upsampled_colors` marks a point the method left uncolored."""
+        positions = [(float(i), 0, 0) for i in range(len(reference_colors))]
+        colored = [c is not None for c in upsampled_colors]
+        up_colors = [c if c is not None else (0, 0, 0) for c in upsampled_colors]
+        return (
+            ColorPointCloud(positions, reference_colors),
+            ColorPointCloud(positions, up_colors, original=original, colored=colored),
+        )
 
     def test_perfect_reconstruction(self):
         ref, up = self.build_pair(
             [(10, 20, 30), (40, 50, 60)], [(10, 20, 30), (40, 50, 60)],
-            [Role.ORIGINAL, Role.RECONSTRUCT],
+            [True, False],
         )
         result = reconstruction_color_psnr(ref, up)
         assert result.color_psnr == math.inf
@@ -89,14 +92,14 @@ class TestReconstructionPsnr:
     def test_original_points_do_not_influence_metric(self):
         ref, up = self.build_pair(
             [(10, 20, 30), (40, 50, 60)], [(99, 99, 99), (40, 50, 60)],
-            [Role.ORIGINAL, Role.RECONSTRUCT],
+            [True, False],
         )
         assert reconstruction_color_psnr(ref, up).color_psnr == math.inf
 
     def test_two_point_closed_form(self):
         ref, up = self.build_pair(
             [(16, 5, 5), (0, 5, 5)], [(32, 5, 5), (0, 5, 5)],
-            [Role.RECONSTRUCT, Role.RECONSTRUCT],
+            [False, False],
         )
         result = reconstruction_color_psnr(ref, up)
         assert result.psnr_r == pytest.approx(10 * math.log10(255**2 / 128), abs=1e-9)
@@ -106,16 +109,22 @@ class TestReconstructionPsnr:
     def test_uncolored_points_excluded_and_counted(self):
         ref, up = self.build_pair(
             [(1, 1, 1), (2, 2, 2)], [(1, 1, 1), None],
-            [Role.RECONSTRUCT, Role.RECONSTRUCT],
+            [False, False],
         )
         result = reconstruction_color_psnr(ref, up)
         assert result.uncolored_count == 1
         assert result.color_psnr == math.inf
 
     def test_no_reconstructable_points(self):
-        ref, up = self.build_pair([(1, 1, 1)], [(1, 1, 1)], [Role.ORIGINAL])
+        ref, up = self.build_pair([(1, 1, 1)], [(1, 1, 1)], [True])
         with pytest.raises(InvalidInput):
             reconstruction_color_psnr(ref, up)
+
+    def test_uncolored_reference_is_invalid_input(self):
+        ref, up = self.build_pair([(1, 1, 1)], [(1, 1, 1)], [False])
+        uncolored_ref = ColorPointCloud(ref.positions, original=[False])
+        with pytest.raises(InvalidInput, match="reference"):
+            reconstruction_color_psnr(uncolored_ref, up)
 
 
 class TestDeriveSeed:
@@ -176,15 +185,16 @@ class TestSyntheticClouds:
     def test_generators_are_seeded_and_colored(self, factory):
         a = factory(n_points=50, seed=9)
         b = factory(n_points=50, seed=9)
-        assert [p.coords for p in a.points] == [p.coords for p in b.points]
-        assert a.fully_colored()
+        assert a.positions.tolist() == b.positions.tolist()
+        assert a.colors.tolist() == b.colors.tolist()
+        assert a.fully_colored() and a.original.all()
 
     def test_sphere_points_on_radius(self):
         cloud = sphere_cloud(n_points=40, radius=5.0, seed=1)
-        for p in cloud.points:
-            assert np.hypot(np.hypot(p.x, p.y), p.z) == pytest.approx(5.0, rel=1e-9)
+        for x, y, z in cloud.positions.tolist():
+            assert np.hypot(np.hypot(x, y), z) == pytest.approx(5.0, rel=1e-9)
 
     def test_plane_sharp_edge_flag_changes_colors(self):
         smooth = plane_cloud(n_points=100, seed=2, sharp_edge=False)
         edged = plane_cloud(n_points=100, seed=2, sharp_edge=True)
-        assert any(a.color != b.color for a, b in zip(smooth.points, edged.points))
+        assert (smooth.colors != edged.colors).any(axis=1).any()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role, partition_into_blocks
+from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, frequency_weight,
@@ -189,59 +189,58 @@ class TestNormalizeToWindow:
         assert np.allclose(out[:, 1], 3.5)
 
 
+def mixed_cloud(positions, colors):
+    """None in `colors` marks a point to reconstruct."""
+    original = [c is not None for c in colors]
+    colors = [c if c is not None else (0, 0, 0) for c in colors]
+    return ColorPointCloud(positions, colors, original=original, colored=original)
+
+
 class TestUpsampleBlock:
-    def build(self, points):
-        cloud = ColorPointCloud(points)
+    def build(self, positions, colors):
+        cloud = mixed_cloud(positions, colors)
         blocks = partition_into_blocks(cloud, 1e9)
         return blocks[0], cloud
 
     def test_constant_color_block(self):
         rng = np.random.default_rng(17)
-        points = []
-        for i, (x, y, z) in enumerate(rng.uniform(0, 4, size=(20, 3))):
-            if i % 3 == 0:
-                points.append(ColorPoint(x, y, z, color=None, role=Role.RECONSTRUCT))
-            else:
-                points.append(ColorPoint(x, y, z, color=(100, 150, 200)))
-        block, cloud = self.build(points)
-        colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
-        assert colors
-        assert all(c == (100, 150, 200) for c in colors.values())
+        positions = rng.uniform(0, 4, size=(20, 3))
+        colors = [None if i % 3 == 0 else (100, 150, 200) for i in range(20)]
+        block, cloud = self.build(positions, colors)
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        assert ids.tolist() == list(range(0, 20, 3))
+        assert all(tuple(c) == (100, 150, 200) for c in colors.tolist())
 
     @pytest.mark.parametrize("method, expected", [
         (InterpolatorKind.FSMMR, (9, 9, 9)), (InterpolatorKind.IDW2, (9, 9, 9)),
         (InterpolatorKind.LIN2_DELAUNAY, None),
     ])
     def test_zero_original_block_falls_back_to_nearest(self, method, expected):
-        points = [
-            ColorPoint(100.0, 0, 0, color=(9, 9, 9)),
-            ColorPoint(0.0, 0, 0, color=None, role=Role.RECONSTRUCT),
-            ColorPoint(0.5, 0, 0, color=None, role=Role.RECONSTRUCT),
-        ]
-        cloud = ColorPointCloud(points)
+        cloud = mixed_cloud([(100.0, 0, 0), (0.0, 0, 0), (0.5, 0, 0)], [(9, 9, 9), None, None])
         blocks = partition_into_blocks(cloud, 4.0)
         lonely = next(b for b in blocks if 1 in b.point_ids)
-        colors = block_colors(lonely, cloud, method, FsmmrConfig())
-        assert colors == {1: expected, 2: expected}
+        ids, colors = block_colors(lonely, cloud, method, FsmmrConfig())
+        # LIN2 leaves both points uncolored, and uncolored points are left out
+        colored = {pid: tuple(c) for pid, c in zip(ids.tolist(), colors.tolist())}
+        assert colored == ({} if expected is None else {1: expected, 2: expected})
 
     def test_no_reconstruct_points_returns_empty(self):
-        block, cloud = self.build([ColorPoint(0, 0, 0, color=(1, 2, 3)), ColorPoint(1, 1, 1, color=(4, 5, 6))])
-        assert block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig()) == {}
+        block, cloud = self.build([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        assert ids.size == 0 and colors.shape == (0, 3)
 
     def test_linear_ramp_midpoint(self):
         # colors ramp along x; the reconstructed midpoint should sit near the
         # ramp value, checked against a dense least-squares fit on the same basis
         rng = np.random.default_rng(23)
         xs = np.linspace(0, 4, 17)
-        points = []
-        for x in xs:
-            value = int(round(40 + 40 * x))
-            points.append(ColorPoint(float(x), 0.0, 0.0, color=(value, value, value)))
-        points.append(ColorPoint(2.07, 0.0, 0.0, color=None, role=Role.RECONSTRUCT))
-        block, cloud = self.build(points)
-        colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        positions = [(float(x), 0.0, 0.0) for x in xs] + [(2.07, 0.0, 0.0)]
+        colors = [(int(round(40 + 40 * x)),) * 3 for x in xs] + [None]
+        block, cloud = self.build(positions, colors)
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
         expected = 40 + 40 * 2.07
-        got = colors[len(points) - 1]
+        assert ids.tolist() == [len(positions) - 1]
+        got = colors[0].tolist()
         assert abs(got[0] - expected) <= 8
         assert got[0] == got[1] == got[2]
 

@@ -1,0 +1,77 @@
+"""Fuzz tests of the PLY reader: whatever the bytes, `read_ply` returns a
+checked cloud or raises a `CloudColorError`, never another exception."""
+import struct
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cloudcolor.core import ColorPointCloud
+from cloudcolor.errors import CloudColorError
+from cloudcolor.ply_io import _SCALAR_TYPES, read_ply
+
+SCALAR_TYPES = sorted(_SCALAR_TYPES)
+FLOATS, UCHARS = ["float", "float32", "double", "float64"], ["uchar", "uint8"]
+# the types this reader accepts for each property it uses; "extra" is unused
+EXPECTED_TYPES = {"x": FLOATS, "y": FLOATS, "z": FLOATS, "red": UCHARS, "green": UCHARS,
+                  "blue": UCHARS, "original": UCHARS, "extra": SCALAR_TYPES}
+TOKENS = ["0", "1", "-1", "255", "256", "0.5", "nan", "-inf", "inf", "1e39", "1e308", "1e400", "1_0",
+          "99999999999999999999", "0x1", "", "+7", "-0", "1e-320", "\xff"]
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def read_or_domain_error(data: bytes) -> None:
+    try:
+        cloud = read_ply(data)
+    except CloudColorError:
+        return
+    assert isinstance(cloud, ColorPointCloud)
+    n = len(cloud)
+    assert cloud.positions.shape == (n, 3) and np.isfinite(cloud.positions).all()
+    assert cloud.colors.shape == (n, 3) and cloud.colors.dtype == np.uint8
+    assert not (cloud.original & ~cloud.colored).any()
+
+
+@FUZZ
+@given(data=st.binary(max_size=400))
+def test_arbitrary_bytes(data):
+    read_or_domain_error(data)
+
+
+@FUZZ
+@given(body=st.binary(max_size=300))
+def test_arbitrary_bytes_between_magic_and_end_header(body):
+    read_or_domain_error(b"ply\n" + body + b"\nend_header\n")
+
+
+@st.composite
+def ply_files(draw):
+    """A well-formed header with random property types and vertex count,
+    then a random body: raw bytes, or for ASCII also rows of tricky tokens."""
+    binary = draw(st.booleans())
+    names = ["x", "y", "z"] + draw(st.sampled_from([[], ["red", "green", "blue"]]))
+    names += draw(st.lists(st.sampled_from(sorted(EXPECTED_TYPES)), max_size=3))
+    names = draw(st.permutations(names))
+    # one property in ten gets any type, float or int `original` included
+    types = [draw(st.sampled_from(EXPECTED_TYPES[n] if draw(st.integers(0, 9)) else SCALAR_TYPES)) for n in names]
+    count = draw(st.integers(0, 6) | st.integers(-2, 10**20))
+    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0", f"element vertex {count}"]
+    header += [f"property {t} {n}" for t, n in zip(types, names)]
+    head = ("\n".join(header) + "\nend_header\n").encode()
+
+    if binary:
+        needed = struct.calcsize("<" + "".join(_SCALAR_TYPES[t] for t in types)) * max(0, min(count, 6))
+        size = draw(st.just(needed) | st.integers(0, needed + 8))
+        return head + draw(st.binary(min_size=size, max_size=size))
+    if draw(st.booleans()):
+        return head + draw(st.binary(max_size=200))
+    token = st.sampled_from(TOKENS) | st.integers(-300, 300).map(str)
+    rows = draw(st.lists(st.lists(token, min_size=len(names) - 1, max_size=len(names) + 1), max_size=8))
+    return head + "".join(" ".join(row) + "\n" for row in rows).encode("utf-8")
+
+
+@FUZZ
+@given(data=ply_files())
+def test_random_header_types_count_and_body(data):
+    read_or_domain_error(data)

@@ -1,8 +1,10 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudcolor.core import ColorPoint, ColorPointCloud, Role
+from cloudcolor.core import ColorPointCloud
 from cloudcolor.errors import MissingColor, ParseError
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
@@ -26,10 +28,10 @@ end_header
 def test_ascii_single_colored_vertex():
     cloud = read_ply(ASCII_ONE_RED)
     assert len(cloud) == 1
-    p = cloud.points[0]
-    assert p.coords == (0.0, 0.0, 0.0)
-    assert p.color == (255, 0, 0)
-    assert p.role is Role.ORIGINAL
+    assert cloud.positions.tolist() == [[0.0, 0.0, 0.0]]
+    assert cloud.colors.tolist() == [[255, 0, 0]]
+    assert cloud.original.tolist() == [True]
+    assert cloud.colored.tolist() == [True]
 
 
 def test_truncated_ascii_body():
@@ -52,12 +54,12 @@ def test_colorless_header_yields_reconstruct_roles():
         b"1 2 3\n4 5 6\n"
     )
     cloud = read_ply(data)
-    assert all(p.role is Role.RECONSTRUCT and p.color is None for p in cloud.points)
+    assert not cloud.original.any() and not cloud.colored.any()
 
 
 def test_crlf_header_accepted():
     cloud = read_ply(ASCII_ONE_RED.replace(b"\n", b"\r\n"))
-    assert cloud.points[0].color == (255, 0, 0)
+    assert cloud.colors.tolist() == [[255, 0, 0]]
 
 
 def test_unknown_extra_property_skipped():
@@ -69,9 +71,9 @@ def test_unknown_extra_property_skipped():
         b"1 2 3 0.5 7 8 9\n"
     )
     # properties are positional: confidence sits between z and red
-    p = read_ply(data).points[0]
-    assert p.coords == (1.0, 2.0, 3.0)
-    assert p.color == (7, 8, 9)
+    cloud = read_ply(data)
+    assert cloud.positions.tolist() == [[1.0, 2.0, 3.0]]
+    assert cloud.colors.tolist() == [[7, 8, 9]]
 
 
 def test_bad_color_type_rejected():
@@ -98,19 +100,61 @@ def test_malformed_header_is_parse_error(old, new, binary):
         read_ply(data)
 
 
+ASCII_MIXED = b"""ply
+format ascii 1.0
+element vertex 2
+property float x
+property float y
+property float z
+property uchar red
+property uchar green
+property uchar blue
+property uchar original
+end_header
+0 0 0 10 20 30 1
+1 1 1 0 0 0 {flag}
+"""
+
+
+@pytest.mark.parametrize("ptype", [b"float", b"double", b"int", b"char", b"ushort"])
+@pytest.mark.parametrize("flag", [b"nan", b"inf", b"0.5", b"0"])
+def test_role_flag_must_be_uchar_ascii(ptype, flag):
+    data = ASCII_MIXED.replace(b"{flag}", flag).replace(b"uchar original", b"%s original" % ptype)
+    with pytest.raises(ParseError, match="original"):
+        read_ply(data)
+
+
+@pytest.mark.parametrize("ptype, code", [(b"float", "<f"), (b"double", "<d"), (b"int", "<i"), (b"char", "<b")])
+def test_role_flag_must_be_uchar_binary(ptype, code):
+    head = ASCII_MIXED[:ASCII_MIXED.index(b"end_header\n") + 11]
+    head = head.replace(b"format ascii", b"format binary_little_endian").replace(b"uchar original", b"%s original" % ptype)
+    body = b"".join(struct.pack("<fff3B", x, x, x, 10, 20, 30) + struct.pack(code, flag) for x, flag in [(0, 1), (1, 0)])
+    with pytest.raises(ParseError, match="original"):
+        read_ply(head + body)
+
+
+@pytest.mark.parametrize("value", [b"1e39", b"-1e39", b"3.5e38"])
+def test_ascii_float_beyond_float32_range(value):
+    data = ASCII_ONE_RED.replace(b"0 0 0 255", b"0 %s 0 255" % value)
+    with pytest.raises(ParseError, match="float32"):
+        read_ply(data)
+    # a double property holds it
+    assert len(read_ply(data.replace(b"float y", b"double y"))) == 1
+
+
 def test_missing_magic():
     with pytest.raises(ParseError):
         read_ply(b"not a ply file")
 
 
 def test_write_ascii_row_format():
-    cloud = ColorPointCloud([ColorPoint(1, 2, 3, color=(4, 5, 6))])
+    cloud = ColorPointCloud([(1, 2, 3)], [(4, 5, 6)])
     data = write_ply(cloud, PlyFormat.ASCII)
     assert data.endswith(b"end_header\n1 2 3 4 5 6\n")
 
 
 def test_write_refuses_uncolored_by_default():
-    cloud = ColorPointCloud([ColorPoint(0, 0, 0, color=None, role=Role.RECONSTRUCT)])
+    cloud = ColorPointCloud([(0, 0, 0)], original=[False])
     with pytest.raises(MissingColor):
         write_ply(cloud, PlyFormat.ASCII)
     # positions-only output is an explicit opt-in
@@ -121,8 +165,8 @@ def test_write_refuses_uncolored_by_default():
 def test_binary_roundtrip_preserves_cloud():
     cloud = random_cloud(25, seed=7)
     back = read_ply(write_ply(cloud, PlyFormat.BINARY_LITTLE_ENDIAN))
-    assert [p.coords for p in back.points] == [p.coords for p in cloud.points]
-    assert [p.color for p in back.points] == [p.color for p in cloud.points]
+    assert back.positions.tolist() == cloud.positions.tolist()
+    assert back.colors.tolist() == cloud.colors.tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,13 +180,9 @@ def test_write_read_write_fixpoint(n, seed):
 
 
 def test_role_flag_roundtrip_for_mixed_clouds():
-    cloud = ColorPointCloud([
-        ColorPoint(0, 0, 0, color=(10, 20, 30)),
-        ColorPoint(1, 1, 1, color=None, role=Role.RECONSTRUCT),
-    ])
+    cloud = ColorPointCloud([(0, 0, 0), (1, 1, 1)], [(10, 20, 30), (0, 0, 0)], original=[True, False], colored=[True, False])
     for fmt in PlyFormat:
         back = read_ply(write_ply(cloud, fmt, include_roles=True))
-        assert back.points[0].role is Role.ORIGINAL
-        assert back.points[0].color == (10, 20, 30)
-        assert back.points[1].role is Role.RECONSTRUCT
-        assert back.points[1].color is None
+        assert back.original.tolist() == [True, False]
+        assert back.colors[0].tolist() == [10, 20, 30]
+        assert back.colored.tolist() == [True, False]

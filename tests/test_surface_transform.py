@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cloudcolor.core import ColorPoint, ColorPointCloud, partition_into_blocks
+from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptyBlock
 from cloudcolor.surface_transform import (
     _PRIM_MIN_POINTS, RootPolicy, _prim_tree, build_mst, flatten_block, fold_deltas,
@@ -14,7 +14,7 @@ from oracles import brute_force_mst_weight, fold_2d_oracle, kruskal_mst_oracle
 
 
 def single_block(coords):
-    cloud = ColorPointCloud([ColorPoint(x, y, z, color=(0, 0, 0)) for x, y, z in coords])
+    cloud = ColorPointCloud(coords, np.zeros((len(coords), 3), dtype=int))
     blocks = partition_into_blocks(cloud, 1e9)
     assert len(blocks) == 1
     return blocks[0], cloud
@@ -165,7 +165,7 @@ class TestFlattenBlock:
             block = partition_into_blocks(cloud, 1e9)[0]
             mesh = flatten_block(block, cloud)
             flat = {pid: (x, y) for pid, x, y in mesh.entries}
-            coords = [cloud.points[pid].coords for pid in block.point_ids]
+            coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
             edges = build_mst(coords, root=0)
             for e in edges:
                 dx, dy = fold_2d_oracle(coords[e.parent_id], coords[e.child_id])
