@@ -3,17 +3,18 @@ and Delaunay-barycentric linear interpolation in 2D.
 
 The 2D variants expect coordinates produced by the surface transform; the
 3D variants operate on raw point coordinates.  LIN2 deliberately refuses to
-extrapolate: queries outside the convex hull get no value.
+extrapolate: queries outside the convex hull get no value.  Every kernel
+takes ``(positions, colors, queries)`` and returns uint8 color rows.
 """
 from __future__ import annotations
 
+import math
 from enum import Enum
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .core import Color, nearest_ids
+from .core import nearest_ids, squared_distance_chunks
 from .errors import EmptySamples, InvalidConfig
 from .fsmmr import round_color_channel
 
@@ -34,65 +35,74 @@ class InterpolatorKind(Enum):
             raise InvalidConfig(f"unknown method {name!r}; expected one of: {valid}") from None
 
 
-def interpolate_nn3(positions: np.ndarray, colors: Sequence[Color], queries: np.ndarray) -> list[Color]:
+def check_idw_power(power: float) -> None:
+    if not (math.isfinite(power) and power > 0):
+        raise InvalidConfig(f"idw power must be positive and finite, got {power}")
+
+
+def interpolate_nn3(positions: np.ndarray, colors: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Each query takes the color of its nearest original; ties go to the
-    smaller point id."""
-    return [colors[i] for i in nearest_ids(positions, queries).tolist()]
+    smaller point id.  Returns (k, 3) uint8 colors."""
+    return np.asarray(colors, dtype=np.uint8).reshape(-1, 3)[nearest_ids(positions, queries)]
 
 
 def interpolate_idw(
-    positions: np.ndarray, colors: Sequence[Color], queries: np.ndarray, power: float = 2.0
-) -> list[Color]:
-    """Shepard interpolation with weights d^-power; a query coincident with
-    an original returns that original's color exactly."""
-    if power <= 0:
-        raise InvalidConfig("idw power must be positive")
+    positions: np.ndarray, colors: np.ndarray, queries: np.ndarray, power: float = 2.0
+) -> np.ndarray:
+    """Shepard interpolation with weights d^-power, as (k, 3) uint8 colors.
+
+    A query whose blend is not finite takes the color of its nearest
+    original, the lowest id among equals.  That covers a query coincident
+    with an original (d = 0) and weights that overflow or underflow; it is
+    the limit of the blend as d -> 0 or as the power grows.
+    """
+    check_idw_power(power)
     positions = np.asarray(positions, dtype=float)
-    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
     if len(positions) == 0:
         raise EmptySamples("idw interpolation needs at least one original")
-    color_arr = np.asarray(colors, dtype=float)
+    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
+    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+    color_arr = np.asarray(colors, dtype=float).reshape(-1, 3)
 
-    out: list[Color] = []
-    for q in queries:
-        d = np.sqrt(((positions - q) ** 2).sum(axis=1))
-        hits = np.flatnonzero(d == 0.0)
-        if hits.size:
-            out.append(tuple(int(c) for c in colors[int(hits[0])]))
-            continue
-        weights = d ** -power
-        blend = weights @ color_arr / weights.sum()
-        out.append(tuple(round_color_channel(v) for v in blend))
-    return out
+    blend = np.empty((len(queries), 3))
+    for rows, d2 in squared_distance_chunks(positions, queries):
+        with np.errstate(all="ignore"):
+            weights = np.sqrt(d2) ** -power
+            # one vector-matrix product per query: a single GEMM rounds differently
+            blend[rows] = np.matmul(weights[:, None, :], color_arr)[:, 0, :] / weights.sum(axis=1)[:, None]
+    unfinished = ~np.isfinite(blend).all(axis=1)
+    blend[unfinished] = color_arr[nearest_ids(positions, queries[unfinished])]
+    return round_color_channel(blend)
 
 
 def interpolate_lin2(
-    positions2d: np.ndarray, colors: Sequence[Color], queries2d: np.ndarray
-) -> list[Optional[Color]]:
+    positions2d: np.ndarray, colors: np.ndarray, queries2d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric interpolation over a Delaunay triangulation.
 
-    Queries outside the convex hull, and every query when the originals are
-    degenerate (fewer than 3 points or collinear), yield None.
+    Returns an `inside` mask over the queries and (inside.sum(), 3) uint8
+    colors for the queries inside.  Queries outside the convex hull, and
+    every query when the originals are degenerate (fewer than 3 points or
+    collinear), are not inside.
     """
     positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
     queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)
+    outside = np.zeros(len(queries2d), dtype=bool), np.empty((0, 3), dtype=np.uint8)
     if len(positions2d) < 3:
-        return [None] * len(queries2d)
+        return outside
     try:
         tri = Delaunay(positions2d)
     except QhullError:
-        return [None] * len(queries2d)
+        return outside
 
-    color_arr = np.asarray(colors, dtype=float)
     simplex_ids = tri.find_simplex(queries2d)
-    out: list[Optional[Color]] = []
-    for q, s in zip(queries2d, simplex_ids):
-        if s < 0:
-            out.append(None)
-            continue
-        transform = tri.transform[s]
-        bary = transform[:2] @ (q - transform[2])
-        weights = np.append(bary, 1.0 - bary.sum())
-        blend = weights @ color_arr[tri.simplices[s]]
-        out.append(tuple(round_color_channel(v) for v in blend))
-    return out
+    inside = simplex_ids >= 0
+    simplices = simplex_ids[inside]
+    transform = tri.transform[simplices]  # (m, 3, 2): the inverse matrix, then the offset
+    offsets = queries2d[inside] - transform[:, 2]
+    # stacked per-query matmuls round exactly as the per-query products do
+    bary = np.matmul(transform[:, :2], offsets[:, :, None])[:, :, 0]
+    weights = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
+    corner_colors = np.asarray(colors, dtype=float).reshape(-1, 3)[tri.simplices[simplices]]
+    blend = np.matmul(weights[:, None, :], corner_colors)[:, 0, :]
+    return inside, round_color_channel(blend)

@@ -149,7 +149,7 @@ def _cmd_flatten(args) -> int:
         raise CloudColorError(f"block index {args.block} out of range (0..{len(blocks) - 1})")
     mesh = flatten_block(blocks[args.block], cloud, _root_policy(args))
     lines = ["point_id,role,x_flat,y_flat"]
-    for pid, x, y in mesh.entries:
+    for pid, (x, y) in zip(blocks[args.block].point_ids.tolist(), mesh.coords.tolist()):
         role = "original" if cloud.original[pid] else "reconstruct"
         lines.append(f"{pid},{role},{x!r},{y!r}")
     args.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

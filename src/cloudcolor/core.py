@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from .errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
-
-Color = Tuple[int, int, int]
 
 
 def _rows(values, dtype, name: str) -> np.ndarray:
@@ -124,34 +122,46 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
 _NEAREST_CHUNK_VALUES = 1 << 14
 
 
-def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row index in `positions` of the nearest position to each query;
-    ties go to the lowest index.
+def squared_distance_chunks(positions: np.ndarray, queries: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Squared distances from (k, d) `queries` to (n >= 1, d) `positions`,
+    a chunk of queries at a time: yields ``(rows, d2)`` with `rows` a slice
+    of the queries and `d2` their (len, n) squared distances.
 
-    Squared distances are summed over x, y and z in that order, as
-    ``((positions - q) ** 2).sum(axis=1)`` would.  A query whose smallest
-    squared distance overflows to inf raises InvalidInput: every candidate
-    would tie.
+    The squares are summed axis by axis from zero, as
+    ``((positions - q) ** 2).sum(axis=1)`` would; sums that overflow read inf.
     """
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    if len(positions) == 0:
-        raise EmptySamples("a nearest-original lookup needs at least one original")
-    queries = np.asarray(queries, dtype=float).reshape(-1, 3)
     columns = np.ascontiguousarray(positions.T)
-    rows = max(1, _NEAREST_CHUNK_VALUES // len(positions))
-    out = np.empty(len(queries), dtype=np.intp)
-    for start in range(0, len(queries), rows):
-        chunk = queries[start:start + rows]
+    step = max(1, _NEAREST_CHUNK_VALUES // len(positions))
+    for start in range(0, len(queries), step):
+        chunk = queries[start:start + step]
         d2 = np.zeros((len(chunk), len(positions)))
         with np.errstate(over="ignore"):
             for column, q in zip(columns, chunk.T):
                 diff = column - q[:, None]
                 diff *= diff
                 d2 += diff
+        yield slice(start, start + len(chunk)), d2
+
+
+def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row index in `positions` of the nearest position to each query;
+    ties go to the lowest index.
+
+    Points are (x, y, z) unless `positions` is a 2D array of another width.
+    A query whose smallest squared distance overflows to inf raises
+    InvalidInput: every candidate would tie.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if len(positions) == 0:
+        raise EmptySamples("a nearest-original lookup needs at least one original")
+    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
+    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+    out = np.empty(len(queries), dtype=np.intp)
+    for rows, d2 in squared_distance_chunks(positions, queries):
         nearest = d2.argmin(axis=1)  # argmin returns the first minimum
-        if np.isinf(d2[np.arange(len(chunk)), nearest]).any():
+        if np.isinf(d2[np.arange(len(d2)), nearest]).any():
             raise InvalidInput("squared distances to the originals overflow float64")
-        out[start:start + rows] = nearest
+        out[rows] = nearest
     return out
 
 

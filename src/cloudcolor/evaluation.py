@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .baselines import InterpolatorKind
+from .baselines import InterpolatorKind, check_idw_power
 from .core import ColorPointCloud, check_block_size
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .fsmmr import FsmmrConfig, round_color_channel, round_half_away
@@ -42,6 +42,7 @@ class ExperimentSpec:
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
         check_block_size(self.block_size)
+        check_idw_power(self.idw_power)
 
 
 @dataclass(frozen=True)
@@ -218,18 +219,12 @@ def _score_method(
 
 # --- synthetic clouds -------------------------------------------------------
 
-def _cosine_color(x: float, y: float, z: float, extent: float) -> Tuple[int, int, int]:
-    # smooth low-frequency field; one half-period across the extent
-    r = 127.5 + 100.0 * math.cos(math.pi * x / extent)
-    g = 127.5 + 100.0 * math.cos(math.pi * y / extent + 1.0)
-    b = 127.5 + 100.0 * math.cos(math.pi * z / extent + 2.0)
-    return tuple(round_color_channel(v) for v in (r, g, b))
-
-
 def _cosine_colors(positions: np.ndarray, extent: float) -> np.ndarray:
+    # smooth low-frequency field; one half-period across the extent.
     # math.cos per point: numpy's vectorised cos may round differently
-    colors = [_cosine_color(x, y, z, extent) for x, y, z in positions.tolist()]
-    return np.array(colors, dtype=np.int64).reshape(-1, 3)
+    cosines = [(math.cos(math.pi * x / extent), math.cos(math.pi * y / extent + 1.0), math.cos(math.pi * z / extent + 2.0))
+               for x, y, z in positions.tolist()]
+    return round_color_channel(127.5 + 100.0 * np.array(cosines).reshape(-1, 3))
 
 
 def sphere_cloud(n_points: int = 1500, radius: float = 8.0, seed: int = 0) -> ColorPointCloud:

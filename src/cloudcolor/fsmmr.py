@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Color
 from .core import nearest_original_color  # noqa: F401  (kept importable from fsmmr)
 from .errors import DegenerateBasis, EmptySamples, InvalidConfig
 
@@ -41,7 +40,7 @@ class FsmmrConfig:
             raise InvalidConfig("gamma must lie in (0, 1]")
         if self.max_iterations < 1:
             raise InvalidConfig("max_iterations must be >= 1")
-        if self.energy_threshold < 0:
+        if not self.energy_threshold >= 0:  # NaN fails too
             raise InvalidConfig("energy_threshold must be non-negative")
 
     @property
@@ -205,19 +204,20 @@ def round_half_away(v: float) -> int:
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
-def round_color_channel(v: float) -> int:
-    """`round_half_away`, clamped to [0, 255]."""
-    return min(255, max(0, round_half_away(v)))
+def round_color_channel(values) -> np.ndarray:
+    """`round_half_away`, clamped to [0, 255], elementwise as uint8: both
+    round v >= 0 to floor(v + 0.5) and clamp every negative v to 0."""
+    return np.clip(np.floor(np.asarray(values, dtype=float) + 0.5), 0, 255).astype(np.uint8)
 
 
 def upsample_block(
     coords: np.ndarray,
     is_original: np.ndarray,
-    colors: Sequence[Color],
+    colors: np.ndarray,
     config: FsmmrConfig = FsmmrConfig(),
-) -> list[Color]:
-    """FSMMR on one flattened block: colors for the points that are not
-    original, in block order.
+) -> np.ndarray:
+    """FSMMR on one flattened block: (k, 3) uint8 colors for the points that
+    are not original, in block order.
 
     `coords` holds the 2D coordinates of all of the block's points, which
     are normalised to the model window together; `is_original` marks the
@@ -237,4 +237,4 @@ def upsample_block(
         model = generate_model(samples, config)
         channels.append(evaluate_model(model, r_coords))
 
-    return [tuple(round_color_channel(v) for v in rgb) for rgb in zip(*channels)]
+    return round_color_channel(np.column_stack(channels))

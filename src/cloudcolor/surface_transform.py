@@ -39,11 +39,11 @@ class MstEdge:
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlattenedMesh:
-    """Per-block 2D coordinates; entries align with the block's point order."""
+    """Per-block 2D coordinates: row i is the block's i-th point."""
 
-    entries: Tuple[Tuple[int, float, float], ...]  # (point_id, x~, y~)
+    coords: np.ndarray  # (n, 2) float64
     root_id: int
 
 
@@ -221,11 +221,9 @@ def flatten_block(
     root = _pick_root(block, root_policy)
     edges = build_mst(coords, root=root)
 
-    flat: dict[int, Tuple[float, float]] = {root: (0.0, 0.0)}
+    flat = [(0.0, 0.0)] * len(coords)  # the root stays at the origin
     for e in edges:  # BFS order guarantees the parent is already placed
         px, py = flat[e.parent_id]
         dx, dy = fold_deltas(coords[e.parent_id], coords[e.child_id])
         flat[e.child_id] = (px + dx, py + dy)
-
-    entries = tuple((pid, *flat[local]) for local, pid in enumerate(block.point_ids.tolist()))
-    return FlattenedMesh(entries=entries, root_id=int(block.point_ids[root]))
+    return FlattenedMesh(coords=np.array(flat, dtype=float), root_id=int(block.point_ids[root]))

@@ -135,3 +135,61 @@ def nearest_original_color_oracle(cloud, query):
         if best_d2 is None or d2 < best_d2:
             best_d2, best_color = d2, tuple(color)
     return best_color
+
+
+def _round_channel_oracle(v):
+    """The seed's scalar rounding: half away from zero, clamped to [0, 255]."""
+    rounded = math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
+    return min(255, max(0, rounded))
+
+
+def idw_oracle(positions, colors, queries, power=2.0, round_channel=_round_channel_oracle):
+    """The seed's per-query Shepard loop as a list of color tuples: a query
+    at distance 0 from an original takes the first such original's color.
+    `round_channel=float` keeps the blends unrounded."""
+    import numpy as np
+
+    positions = np.asarray(positions, dtype=float)
+    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+    color_arr = np.asarray(colors, dtype=float)
+    out = []
+    for q in queries:
+        d = np.sqrt(((positions - q) ** 2).sum(axis=1))
+        hits = np.flatnonzero(d == 0.0)
+        if hits.size:
+            out.append(tuple(int(c) for c in colors[int(hits[0])]))
+            continue
+        weights = d ** -power
+        blend = weights @ color_arr / weights.sum()
+        out.append(tuple(round_channel(v) for v in blend))
+    return out
+
+
+def lin2_oracle(positions2d, colors, queries2d, round_channel=_round_channel_oracle):
+    """The seed's per-query barycentric loop over scipy's Delaunay
+    triangulation: None outside the hull and for every query when the
+    originals are fewer than 3 or collinear.  `round_channel=float` keeps
+    the blends unrounded."""
+    import numpy as np
+    from scipy.spatial import Delaunay, QhullError
+
+    positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
+    queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)
+    if len(positions2d) < 3:
+        return [None] * len(queries2d)
+    try:
+        tri = Delaunay(positions2d)
+    except QhullError:
+        return [None] * len(queries2d)
+    color_arr = np.asarray(colors, dtype=float)
+    out = []
+    for q, s in zip(queries2d, tri.find_simplex(queries2d)):
+        if s < 0:
+            out.append(None)
+            continue
+        transform = tri.transform[s]
+        bary = transform[:2] @ (q - transform[2])
+        weights = np.append(bary, 1.0 - bary.sum())
+        blend = weights @ color_arr[tri.simplices[s]]
+        out.append(tuple(round_channel(v) for v in blend))
+    return out

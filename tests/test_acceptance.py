@@ -143,7 +143,7 @@ def test_flatten_consistency():
         cloud = ColorPointCloud(coords, np.zeros((n, 3), dtype=int))
         block = partition_into_blocks(cloud, 1e9)[0]
         mesh = flatten_block(block, cloud)
-        flat = {pid: (x, y) for pid, x, y in mesh.entries}
+        flat = dict(zip(block.point_ids.tolist(), map(tuple, mesh.coords.tolist())))
         local_coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
         for e in build_mst(local_coords, root=0):
             dx, dy = fold_2d_oracle(local_coords[e.parent_id], local_coords[e.child_id])
@@ -152,7 +152,7 @@ def test_flatten_consistency():
             assert child == (parent[0] + dx, parent[1] + dy), f"trial {trial}: fold identity broken"
         if planar:
             rx, ry, _ = local_coords[0]
-            for pid, fx, fy in mesh.entries:
+            for pid, (fx, fy) in flat.items():
                 x, y, _ = cloud.positions[pid].tolist()
                 assert abs(fx - (x - rx)) <= 1e-12 and abs(fy - (y - ry)) <= 1e-12
     print("\nPASS: flatten fold identity exact and equal-z fixpoint within 1e-12 (200 blocks)")

@@ -76,6 +76,16 @@ class TestEvaluate:
         raw.decode("utf-8")
 
 
+def double_x_ply(tmp_path, rows):
+    """An ASCII PLY of `rows` whose x is a double: beyond float32 range is a
+    read error under float, and a double keeps 1e-160 apart from 0."""
+    header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty float y\nproperty float z\n" \
+        "property uchar red\nproperty uchar green\nproperty uchar blue\nproperty uchar original\nend_header\n"
+    path = tmp_path / "in.ply"
+    path.write_text(header.format(len(rows)) + "".join(row + "\n" for row in rows))
+    return path
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
     @pytest.mark.parametrize("command, method_flag", [
@@ -91,6 +101,48 @@ class TestFlagValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2"])
+    @pytest.mark.parametrize("command, method_flag", [
+        ("upsample", "--method=idw3"), ("upsample", "--method=idw2"), ("upsample", "--method=nn3"),
+        ("evaluate", "--methods=idw3"),
+    ])
+    def test_bad_idw_power_is_data_error(self, command, method_flag, value, mixed_ply, colored_ply, tmp_path, capsys):
+        source = colored_ply if command == "evaluate" else mixed_ply
+        code = main([command, method_flag, f"--idw-power={value}", str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "idw power must be positive and finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, method_flag", [("upsample", "--method=fsmmr"), ("evaluate", "--methods=fsmmr")])
+    def test_nan_energy_threshold_is_data_error(self, command, method_flag, mixed_ply, colored_ply, tmp_path, capsys):
+        source = colored_ply if command == "evaluate" else mixed_ply
+        code = main([command, method_flag, "--energy-threshold=nan", str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "energy_threshold must be non-negative" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["idw3", "idw2"])
+    def test_huge_idw_power_takes_nearest_colors(self, method, mixed_ply, tmp_path, capsys):
+        out = tmp_path / "out.ply"
+        code = main(["upsample", f"--method={method}", "--idw-power=1000", str(mixed_ply), str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_ply(out.read_bytes()).fully_colored()
+
+    @pytest.mark.parametrize("method", ["idw3", "idw2"])
+    def test_idw_query_next_to_an_original_takes_its_color(self, method, tmp_path, capsys):
+        # the squared distance 1e-320 is subnormal, so d^-2 overflows to inf
+        source = double_x_ply(tmp_path, ["0 0 0 10 20 30 1", "1 0 0 200 100 50 1", "1e-160 0 0 0 0 0 0"])
+        out = tmp_path / "out.ply"
+        code = main(["upsample", "--ascii", f"--method={method}", str(source), str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_ply(out.read_bytes()).colors.tolist()[2] == [10, 20, 30]
+
     def test_threads_flag_is_usage_error(self, mixed_ply, tmp_path, capsys):
         code = main(["upsample", "--threads", "2", str(mixed_ply), str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -101,16 +153,8 @@ class TestFlagValidation:
 
 
 class TestOutOfRangeCoordinates:
-    def ascii_ply(self, tmp_path, rows):
-        # x is a double: beyond float32 range is a read error under float
-        header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty float y\nproperty float z\n" \
-            "property uchar red\nproperty uchar green\nproperty uchar blue\nproperty uchar original\nend_header\n"
-        path = tmp_path / "in.ply"
-        path.write_text(header.format(len(rows)) + "".join(row + "\n" for row in rows))
-        return path
-
     def test_coordinate_beyond_float32_in_binary_output(self, tmp_path, capsys):
-        source = self.ascii_ply(tmp_path, ["0 0 0 10 20 30 1", "1e39 0 0 0 0 0 0"])
+        source = double_x_ply(tmp_path, ["0 0 0 10 20 30 1", "1e39 0 0 0 0 0 0"])
         code = main(["upsample", "--method", "nn3", str(source), str(tmp_path / "out.ply")])
         err = capsys.readouterr().err
         assert code == 2
@@ -120,7 +164,7 @@ class TestOutOfRangeCoordinates:
 
     @pytest.mark.parametrize("method", ["fsmmr", "idw2", "lin2"])
     def test_cell_index_overflow(self, method, tmp_path, capsys):
-        source = self.ascii_ply(tmp_path, ["-1.7e308 0 0 10 20 30 1", "1.7e308 0 0 0 0 0 0"])
+        source = double_x_ply(tmp_path, ["-1.7e308 0 0 10 20 30 1", "1.7e308 0 0 0 0 0 0"])
         code = main(["upsample", "--ascii", "--method", method, str(source), str(tmp_path / "out.ply")])
         err = capsys.readouterr().err
         assert code == 2

@@ -8,7 +8,7 @@ from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, frequency_weight,
-    generate_model, normalize_to_window, round_color_channel, spatial_weight,
+    generate_model, normalize_to_window, round_color_channel, round_half_away, spatial_weight,
 )
 from cloudcolor.pipeline import block_colors
 
@@ -61,7 +61,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"sigma": 1.0}, {"rho": 1.0}, {"gamma": 0.0},
         {"gamma": 1.5}, {"max_iterations": 0}, {"model_width": 0},
-        {"energy_threshold": -1.0},
+        {"energy_threshold": -1.0}, {"energy_threshold": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -243,6 +243,17 @@ class TestUpsampleBlock:
         got = colors[0].tolist()
         assert abs(got[0] - expected) <= 8
         assert got[0] == got[1] == got[2]
+
+
+def test_round_color_channel_matches_scalar_rounding():
+    rng = np.random.default_rng(0)
+    values = np.concatenate([
+        rng.uniform(-300, 300, 2000), np.arange(-3, 260) + 0.5, [-1e300, -0.0, 1e300, np.inf, -np.inf],
+    ])
+    got = round_color_channel(values)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [min(255, max(0, round_half_away(v))) if math.isfinite(v) else (255 if v > 0 else 0)
+                            for v in values.tolist()]
 
 
 def test_round_color_channel():

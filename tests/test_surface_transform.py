@@ -136,25 +136,36 @@ class TestBuildMstMatchesKruskal:
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
 
+def flat_by_id(block, mesh):
+    """Flattened (x, y) keyed by point id."""
+    return dict(zip(block.point_ids.tolist(), map(tuple, mesh.coords.tolist())))
+
+
 class TestFlattenBlock:
+    def test_coords_are_an_n_by_2_float_array(self):
+        block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
+        mesh = flatten_block(block, cloud)
+        assert mesh.coords.shape == (3, 2) and mesh.coords.dtype == np.float64
+
+
     def test_single_point(self):
         block, cloud = single_block([(2, 3, 4)])
         mesh = flatten_block(block, cloud)
-        assert mesh.entries == ((0, 0.0, 0.0),)
+        assert mesh.coords.tolist() == [[0.0, 0.0]]
         assert mesh.root_id == 0
 
     def test_direct_fold_example(self):
         # root at origin, child at (3,0,4): folds to (5, 4) with sgn(0)=+1
         block, cloud = single_block([(0, 0, 0), (3, 0, 4)])
         mesh = flatten_block(block, cloud)
-        flat = {pid: (x, y) for pid, x, y in mesh.entries}
+        flat = flat_by_id(block, mesh)
         assert flat[0] == (0.0, 0.0)
         assert flat[1] == (5.0, 4.0)
 
     def test_chain_example(self):
         block, cloud = single_block([(0, 0, 0), (1, 0, 0), (1, -2, 0)])
         mesh = flatten_block(block, cloud)
-        flat = {pid: (x, y) for pid, x, y in mesh.entries}
+        flat = flat_by_id(block, mesh)
         assert flat[0] == (0.0, 0.0)
         assert flat[1] == (1.0, 0.0)
         assert flat[2] == (1.0, -2.0)
@@ -164,7 +175,7 @@ class TestFlattenBlock:
             cloud = random_cloud(12, seed=seed, extent=4.0)
             block = partition_into_blocks(cloud, 1e9)[0]
             mesh = flatten_block(block, cloud)
-            flat = {pid: (x, y) for pid, x, y in mesh.entries}
+            flat = flat_by_id(block, mesh)
             coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
             edges = build_mst(coords, root=0)
             for e in edges:
@@ -181,7 +192,7 @@ class TestFlattenBlock:
         block, cloud = single_block(coords)
         mesh = flatten_block(block, cloud)
         root_xy = coords[0][:2]
-        for pid, fx, fy in mesh.entries:
+        for pid, (fx, fy) in flat_by_id(block, mesh).items():
             x, y, _ = coords[pid]
             assert fx == pytest.approx(x - root_xy[0], abs=1e-12)
             assert fy == pytest.approx(y - root_xy[1], abs=1e-12)
@@ -195,7 +206,8 @@ class TestFlattenBlock:
         block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
         a = flatten_block(block, cloud, RootPolicy.seeded_random(42))
         b = flatten_block(block, cloud, RootPolicy.seeded_random(42))
-        assert a == b
+        assert a.root_id == b.root_id
+        assert a.coords.tolist() == b.coords.tolist()
 
     def test_fold_deltas_sign_convention(self):
         dx, dy = fold_deltas((0, 0, 0), (0, 0, 2))
