@@ -63,7 +63,7 @@ def build_parser() -> _Parser:
     ev.add_argument("input", type=Path)
     ev.add_argument("output", type=Path, help="CSV report path")
     ev.add_argument("--methods", default="fsmmr,nn3,idw3,idw2,lin2", help="comma list of methods (default all)")
-    ev.add_argument("--densities", default="10,50,80", help="comma list of sampling densities, percent 1-100 (default 10,50,80)")
+    ev.add_argument("--densities", default="10,50,80", help="comma list of sampling densities in percent, each in (0, 100] (default 10,50,80)")
     ev.add_argument("--runs", type=int, default=3, help="runs per density (default 3)")
     ev.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
     ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports)")
@@ -95,11 +95,6 @@ def _root_policy(args) -> RootPolicy:
     return RootPolicy.deterministic()
 
 
-def _parse_density(token: str) -> float:
-    value = float(token)
-    return value / 100.0 if value > 1.0 else value
-
-
 def _cmd_upsample(args) -> int:
     cloud = read_ply(args.input.read_bytes())
     method = InterpolatorKind.parse(args.method)
@@ -123,7 +118,7 @@ def _cmd_upsample(args) -> int:
 def _cmd_evaluate(args) -> int:
     cloud = read_ply(args.input.read_bytes())
     methods = tuple(InterpolatorKind.parse(t) for t in args.methods.split(",") if t)
-    densities = tuple(_parse_density(t) for t in args.densities.split(",") if t)
+    densities = tuple(float(t) / 100.0 for t in args.densities.split(",") if t)
     spec = ExperimentSpec(
         methods=methods,
         densities=densities,

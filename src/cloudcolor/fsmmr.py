@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Tuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ class FsmmrConfig:
     gamma: float = 0.5      # damping of each coefficient update
     max_iterations: int = 100
     energy_threshold: float = 0.0
-    candidates: Optional[Tuple[Tuple[int, int], ...]] = None  # default: full MxN grid
 
     def __post_init__(self):
         if self.model_width < 1 or self.model_height < 1:
@@ -47,14 +47,16 @@ class FsmmrConfig:
     def window(self) -> Tuple[int, int]:
         return (self.model_width, self.model_height)
 
-    def candidate_list(self) -> list[Tuple[int, int]]:
-        """Candidate frequencies ordered by the selection tie-break."""
-        if self.candidates is not None:
-            pairs = list(self.candidates)
-        else:
-            pairs = [(k, l) for k in range(self.model_width) for l in range(self.model_height)]
-        pairs.sort(key=lambda kl: (kl[0] * kl[0] + kl[1] * kl[1], kl[0], kl[1]))
-        return pairs
+    @cached_property
+    def frequencies(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The M*N candidate frequencies as (k, l) rows of an int array,
+        ordered by the selection tie-break (k^2 + l^2, then k, then l), and
+        their frequency weights; built once per config."""
+        k, l = np.divmod(np.arange(self.model_width * self.model_height), self.model_height)
+        kl = np.column_stack([k, l])[np.lexsort((l, k, k * k + l * l))]
+        wf = np.array([frequency_weight(k, l, self.sigma) for k, l in kl.tolist()])
+        kl.flags.writeable = wf.flags.writeable = False  # shared by every fit with this config
+        return kl, wf
 
 
 @dataclass
@@ -69,6 +71,8 @@ class ScatteredSamples:
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if not (len(self.coords) == len(self.values) == len(self.weights)):
             raise InvalidConfig("coords, values and weights must have equal lengths")
+        if not all(np.isfinite(a).all() for a in (self.coords, self.values, self.weights)):
+            raise InvalidConfig("sample coordinates, values and weights must be finite")
         if len(self.weights) and self.weights.min() <= 0:
             raise InvalidConfig("sample weights must be positive")
 
@@ -82,10 +86,10 @@ class SparseModel:
     energy_history: Tuple[float, ...] = ()     # energy after each iteration
     selection_history: Tuple[Tuple[int, int], ...] = ()
 
-
-def basis_value(k: int, l: int, x: float, y: float, window: Tuple[int, int]) -> float:
-    m, n = window
-    return math.cos(math.pi * k * (2 * x + 1) / (2 * m)) * math.cos(math.pi * l * (2 * y + 1) / (2 * n))
+    def __post_init__(self):
+        # evaluate_model reads row u of the x table and row v of the y table
+        if not all(0 <= u < self.window[0] and 0 <= v < self.window[1] for u, v, _ in self.terms):
+            raise InvalidConfig("model term frequencies must lie inside the window")
 
 
 def spatial_weight(x: float, y: float, window: Tuple[int, int], rho: float) -> float:
@@ -97,43 +101,38 @@ def frequency_weight(k: int, l: int, sigma: float) -> float:
     return sigma ** math.hypot(k, l)
 
 
-def _axis_cosine(freq, coord: np.ndarray, side: int) -> np.ndarray:
-    """One axis of the DCT-II basis, elementwise: cos(pi k (2x + 1) / 2M)."""
-    return np.cos(np.pi * freq * (2 * coord + 1) / (2 * side))
-
-
-def _basis_matrix(candidates: Sequence[Tuple[int, int]], coords: np.ndarray, window: Tuple[int, int]) -> np.ndarray:
-    m, n = window
-    ks = np.array([k for k, _ in candidates], dtype=float)[:, None]
-    ls = np.array([l for _, l in candidates], dtype=float)[:, None]
-    x = coords[:, 0][None, :]
-    y = coords[:, 1][None, :]
-    return _axis_cosine(ks, x, m) * _axis_cosine(ls, y, n)
+def _cosine_tables(coords: np.ndarray, window: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The DCT-II axis cosines of an M x N window at (n, 2) coordinates:
+    row k of the (M, n) x table is cos(pi k (2x + 1) / 2M), row l of the
+    (N, n) y table is cos(pi l (2y + 1) / 2N).  Basis function (k, l) is the
+    product of x row k and y row l."""
+    return tuple(
+        np.cos(np.pi * np.arange(side, dtype=float)[:, None] * (2 * coords[:, axis] + 1) / (2 * side))
+        for axis, side in enumerate(window)
+    )
 
 
 def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseModel:
     if len(samples.values) == 0:
         raise EmptySamples("cannot generate a model from zero samples")
 
-    candidates = config.candidate_list()
-    phi = _basis_matrix(candidates, samples.coords, config.window)  # (C, n)
+    kl, wf = config.frequencies
+    cos_x, cos_y = _cosine_tables(samples.coords, config.window)
+    phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
     w = samples.weights
     denominators = (phi * phi) @ w
     usable = denominators > 0
     if not usable.any():
         raise DegenerateBasis("every candidate basis function vanishes on the samples")
-    wf = np.array([frequency_weight(k, l, config.sigma) for k, l in candidates])
 
-    coefficients: dict[int, float] = {}
-    order: list[int] = []
-    selections: list[Tuple[int, int]] = []
+    coefficients: dict[int, float] = {}  # candidate index -> coefficient, in first-selection order
+    selections: list[int] = []
     energies: list[float] = []
     model_at_samples = np.zeros_like(samples.values)
+    residual = samples.values - model_at_samples
     safe_den = np.where(usable, denominators, 1.0)
 
-    iterations = 0
     for _ in range(config.max_iterations):
-        residual = samples.values - model_at_samples
         numerators = phi @ (w * residual)
         coeff = np.where(usable, numerators / safe_den, 0.0)
         decrease = coeff * coeff * denominators
@@ -142,29 +141,22 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
         if decrease[best] == 0.0:
             break
         step = config.gamma * coeff[best]
-        if best not in coefficients:
-            coefficients[best] = 0.0
-            order.append(best)
-        coefficients[best] += step
+        coefficients[best] = coefficients.get(best, 0.0) + step
         model_at_samples = model_at_samples + step * phi[best]
-        iterations += 1
-        selections.append(candidates[best])
+        selections.append(best)
         residual = samples.values - model_at_samples
-        energy = float(w @ (residual * residual))
-        energies.append(energy)
-        if energy <= config.energy_threshold:
+        energies.append(float(w @ (residual * residual)))
+        if energies[-1] <= config.energy_threshold:
             break
 
-    final_residual = samples.values - model_at_samples
-    final_energy = float(w @ (final_residual * final_residual))
-    terms = tuple((candidates[i][0], candidates[i][1], coefficients[i]) for i in order)
+    terms = zip(kl[list(coefficients)].tolist(), coefficients.values())
     return SparseModel(
-        terms=terms,
+        terms=tuple((k, l, c) for (k, l), c in terms),
         window=config.window,
-        iterations_run=iterations,
-        final_energy=final_energy,
+        iterations_run=len(selections),
+        final_energy=float(w @ (residual * residual)),
         energy_history=tuple(energies),
-        selection_history=tuple(selections),
+        selection_history=tuple(map(tuple, kl[selections].tolist())),
     )
 
 
@@ -172,11 +164,10 @@ def evaluate_model(model: SparseModel, queries: np.ndarray) -> np.ndarray:
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     m, n = model.window
     # tolerate normalization round-off marginally outside the window
-    x = np.clip(queries[:, 0], 0.0, m - 1)
-    y = np.clip(queries[:, 1], 0.0, n - 1)
+    cos_x, cos_y = _cosine_tables(np.clip(queries, 0.0, [m - 1, n - 1]), model.window)
     out = np.zeros(len(queries))
     for u, v, c in model.terms:
-        out += c * _axis_cosine(u, x, m) * _axis_cosine(v, y, n)
+        out += c * cos_x[u] * cos_y[v]
     return out
 
 

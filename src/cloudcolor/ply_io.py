@@ -132,7 +132,9 @@ def read_ply(data: bytes) -> ColorPointCloud:
 
     read_columns = _read_ascii_columns if fmt is PlyFormat.ASCII else _read_binary_columns
     columns = read_columns(data, body_start, vertex, list(required))
-    positions = np.column_stack([columns[axis] for axis in "xyz"])
+    # a signalling float32 NaN warns when widened; ColorPointCloud rejects it as non-finite
+    with np.errstate(invalid="ignore"):
+        positions = np.column_stack([columns[axis].astype(np.float64) for axis in "xyz"])
     colors = np.column_stack([columns[c] for c in _CHANNELS]) if has_color else None
     original = np.full(len(positions), has_color)
     if "original" in columns:
@@ -188,12 +190,6 @@ def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: l
     return {name: table[f"f{index[name]}"] for name in used}
 
 
-def _fmt_float(v: float) -> str:
-    # shortest round-trippable decimal; integers without the trailing ".0"
-    s = repr(float(v))
-    return s[:-2] if s.endswith(".0") else s
-
-
 def write_ply(
     cloud: ColorPointCloud,
     fmt: PlyFormat = PlyFormat.BINARY_LITTLE_ENDIAN,
@@ -217,9 +213,12 @@ def write_ply(
     if fmt is PlyFormat.ASCII:
         out = bytearray(head)
         for start in range(0, len(cloud), _ASCII_CHUNK_ROWS):  # chunks bound the memory held by strings
-            text = [map(_fmt_float if ptype == "float" else str, col[start:start + _ASCII_CHUNK_ROWS].tolist())
+            # floats as the shortest round-trippable decimal, integral ones without the
+            # trailing ".0"; only float tokens hold a "." at all
+            text = [map(repr if ptype == "float" else str, col[start:start + _ASCII_CHUNK_ROWS].tolist())
                     for _, ptype, col in fields]
-            out += "".join(" ".join(row) + "\n" for row in zip(*text)).encode("ascii")
+            chunk = "".join(" ".join(row) + "\n" for row in zip(*text))
+            out += chunk.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")
         return bytes(out)
 
     table = np.empty(len(cloud), dtype=[(name, "<" + _SCALAR_TYPES[ptype]) for name, ptype, _ in fields])

@@ -193,3 +193,74 @@ def lin2_oracle(positions2d, colors, queries2d, round_channel=_round_channel_ora
         blend = weights @ color_arr[tri.simplices[s]]
         out.append(tuple(round_channel(v) for v in blend))
     return out
+
+
+def _axis_cosine_oracle(freq, coord, side):
+    import numpy as np
+
+    return np.cos(np.pi * freq * (2 * coord + 1) / (2 * side))
+
+
+def generate_model_oracle(samples, config):
+    """The seed's greedy fit as a `SparseModel`: the candidate list and the
+    frequency weights rebuilt in Python, and every one of the M*N candidate
+    basis rows computed along both axes."""
+    import numpy as np
+    from cloudcolor.fsmmr import SparseModel
+
+    m, n = config.window
+    candidates = sorted(((k, l) for k in range(m) for l in range(n)), key=lambda kl: (kl[0] ** 2 + kl[1] ** 2, *kl))
+    ks = np.array([k for k, _ in candidates], dtype=float)[:, None]
+    ls = np.array([l for _, l in candidates], dtype=float)[:, None]
+    phi = _axis_cosine_oracle(ks, samples.coords[:, 0][None, :], m) * _axis_cosine_oracle(ls, samples.coords[:, 1][None, :], n)
+    w = samples.weights
+    denominators = (phi * phi) @ w
+    usable = denominators > 0
+    wf = np.array([config.sigma ** math.hypot(k, l) for k, l in candidates])
+
+    coefficients, order, selections, energies = {}, [], [], []
+    model_at_samples = np.zeros_like(samples.values)
+    safe_den = np.where(usable, denominators, 1.0)
+    for _ in range(config.max_iterations):
+        residual = samples.values - model_at_samples
+        numerators = phi @ (w * residual)
+        coeff = np.where(usable, numerators / safe_den, 0.0)
+        decrease = coeff * coeff * denominators
+        best = int(np.argmax(np.where(usable, decrease * wf, -1.0)))
+        if decrease[best] == 0.0:
+            break
+        step = config.gamma * coeff[best]
+        if best not in coefficients:
+            coefficients[best] = 0.0
+            order.append(best)
+        coefficients[best] += step
+        model_at_samples = model_at_samples + step * phi[best]
+        selections.append(candidates[best])
+        residual = samples.values - model_at_samples
+        energies.append(float(w @ (residual * residual)))
+        if energies[-1] <= config.energy_threshold:
+            break
+
+    final_residual = samples.values - model_at_samples
+    return SparseModel(
+        terms=tuple((*candidates[i], coefficients[i]) for i in order),
+        window=config.window,
+        iterations_run=len(selections),
+        final_energy=float(w @ (final_residual * final_residual)),
+        energy_history=tuple(energies),
+        selection_history=tuple(selections),
+    )
+
+
+def evaluate_model_oracle(model, queries):
+    """The seed's per-term evaluation: two axis cosines computed per term."""
+    import numpy as np
+
+    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+    m, n = model.window
+    x = np.clip(queries[:, 0], 0.0, m - 1)
+    y = np.clip(queries[:, 1], 0.0, n - 1)
+    out = np.zeros(len(queries))
+    for u, v, c in model.terms:
+        out += c * _axis_cosine_oracle(u, x, m) * _axis_cosine_oracle(v, y, n)
+    return out

@@ -16,14 +16,14 @@ from cloudcolor.evaluation import (
     random_downsample, run_experiment, sphere_cloud,
 )
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, generate_model,
+    FsmmrConfig, ScatteredSamples, evaluate_model, generate_model,
 )
 from cloudcolor.pipeline import block_colors, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
 from conftest import random_cloud
-from oracles import brute_force_mst_weight, fold_2d_oracle
+from oracles import brute_force_mst_weight, dct2_basis_oracle, fold_2d_oracle
 
 # the stated sweep configuration for the trend criteria
 SWEEP_CONFIG = FsmmrConfig(model_width=8, model_height=8, sigma=0.5, rho=0.7, max_iterations=50)
@@ -100,7 +100,7 @@ def test_grid_orthogonality_recovery():
         }
         values = np.zeros(len(coords))
         for (k, l), a in amplitudes.items():
-            values += a * np.array([basis_value(k, l, x, y, (m, n)) for x, y in coords])
+            values += a * np.array([dct2_basis_oracle(k, l, x, y, m, n) for x, y in coords])
 
         config = FsmmrConfig(
             model_width=m, model_height=n, sigma=0.999, rho=0.7, gamma=1.0,

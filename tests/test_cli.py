@@ -68,6 +68,16 @@ class TestEvaluate:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 3 * 3 * 2
 
+    @pytest.mark.parametrize("token, density", [("1", "0.01"), ("2", "0.02"), ("0.5", "0.005"), ("100", "1")])
+    def test_densities_are_percentages(self, token, density, colored_ply, tmp_path):
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--densities", token, "--runs", "1", "--methods", "nn3", str(colored_ply), str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == [density]
+        # 100% leaves nothing to reconstruct, so only that row is skipped
+        assert (rows[0][-1] == "skipped") == (token == "100")
+
     def test_csv_is_lf_and_utf8(self, colored_ply, tmp_path):
         out = tmp_path / "report.csv"
         main(["evaluate", "--densities", "50", "--runs", "1", "--methods", "nn3", str(colored_ply), str(out)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, basis_value, evaluate_model, frequency_weight,
+    FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, frequency_weight,
     generate_model, normalize_to_window, round_color_channel, round_half_away, spatial_weight,
 )
 from cloudcolor.pipeline import block_colors
 
-from oracles import dct2_basis_oracle, grid_least_squares_projection
+from oracles import dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle, grid_least_squares_projection
 
 
 def uniform_samples(coords, values):
@@ -21,17 +22,32 @@ def uniform_samples(coords, values):
 
 
 class TestBasisValue:
+    """The DCT-II basis functions as products of `_cosine_tables` rows."""
+
     def test_dc_is_one(self):
-        for x, y in [(0.0, 0.0), (3.3, 7.7), (15.0, 2.0)]:
-            assert basis_value(0, 0, x, y, (16, 16)) == 1.0
+        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0), (3.3, 7.7), (15.0, 2.0)]), (16, 16))
+        assert (cos_x[0] * cos_y[0]).tolist() == [1.0, 1.0, 1.0]
 
     def test_analytic_zero(self):
-        assert basis_value(1, 0, 1.5, 0.0, (4, 4)) == pytest.approx(0.0, abs=1e-15)
+        cos_x, cos_y = _cosine_tables(np.array([(1.5, 0.0)]), (4, 4))
+        assert cos_x[1, 0] * cos_y[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_direct_evaluation(self):
+        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0)]), (8, 8))
         expected = dct2_basis_oracle(1, 1, 0.0, 0.0, 8, 8)
-        assert basis_value(1, 1, 0.0, 0.0, (8, 8)) == pytest.approx(expected, abs=1e-15)
+        assert cos_x[1, 0] * cos_y[1, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(math.cos(math.pi / 16) ** 2, abs=1e-15)
+
+    @pytest.mark.parametrize("window", [(5, 11), (16, 3), (1, 7)])
+    def test_every_basis_function_matches_the_oracle(self, window):
+        m, n = window
+        coords = np.random.default_rng(m * n).uniform(0, 1, size=(25, 2)) * [m - 1, n - 1]
+        cos_x, cos_y = _cosine_tables(coords, window)
+        assert cos_x.shape == (m, len(coords)) and cos_y.shape == (n, len(coords))
+        for k in range(m):
+            for l in range(n):
+                expected = [dct2_basis_oracle(k, l, x, y, m, n) for x, y in coords]
+                assert cos_x[k] * cos_y[l] == pytest.approx(expected, abs=1e-15)
 
 
 class TestWeights:
@@ -68,10 +84,30 @@ class TestConfigValidation:
             FsmmrConfig(**kwargs)
 
     def test_candidates_ordered_by_tie_break(self):
-        order = FsmmrConfig(model_width=3, model_height=3).candidate_list()
-        assert order[0] == (0, 0)
-        radii = [k * k + l * l for k, l in order]
-        assert radii == sorted(radii)
+        kl, wf = FsmmrConfig(model_width=3, model_height=5, sigma=0.6).frequencies
+        order = [tuple(pair) for pair in kl.tolist()]
+        assert order == sorted(((k, l) for k in range(3) for l in range(5)), key=lambda p: (p[0] ** 2 + p[1] ** 2, *p))
+        assert wf.tolist() == [frequency_weight(k, l, 0.6) for k, l in order]
+
+    def test_frequencies_built_once_per_config(self):
+        config = FsmmrConfig()
+        assert config.frequencies is config.frequencies
+
+
+class TestScatteredSamplesValidation:
+    @pytest.mark.parametrize("field, index, bad, message", [
+        ("weights", 1, math.nan, "finite"), ("weights", 0, math.inf, "finite"), ("weights", 2, -math.inf, "finite"),
+        ("coords", (0, 0), math.nan, "finite"), ("coords", (2, 1), math.inf, "finite"),
+        ("coords", (1, 1), -math.inf, "finite"),
+        ("values", 0, math.nan, "finite"), ("values", 2, math.inf, "finite"), ("values", 1, -math.inf, "finite"),
+        ("weights", 1, 0.0, "positive"), ("weights", 2, -1.0, "positive"),
+    ])
+    def test_rejects_bad_input(self, field, index, bad, message):
+        arrays = {"coords": np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]),
+                  "values": np.array([10.0, 20.0, 30.0]), "weights": np.array([0.5, 1.0, 0.25])}
+        arrays[field][index] = bad
+        with pytest.raises(InvalidConfig, match=message):
+            ScatteredSamples(**arrays)
 
 
 class TestGenerateModel:
@@ -120,9 +156,9 @@ class TestGenerateModel:
             assert after <= before * (1 + 1e-9)
 
         # replay the greedy scan and confirm each selection attains the max score
-        candidates = config.candidate_list()
+        candidates = [tuple(kl) for kl in config.frequencies[0].tolist()]
         phi = np.array([
-            [basis_value(k, l, x, y, config.window) for x, y in coords]
+            [dct2_basis_oracle(k, l, x, y, *config.window) for x, y in coords]
             for k, l in candidates
         ])
         den = (phi * phi) @ weights
@@ -163,6 +199,12 @@ class TestEvaluateModel:
         out = evaluate_model(model, [[0.0, 0.0], [9.0, 13.5]])
         assert np.allclose(out, 42.0)
 
+    @pytest.mark.parametrize("u, v", [(16, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_term_outside_the_window_is_rejected(self, u, v):
+        from cloudcolor.fsmmr import SparseModel
+        with pytest.raises(InvalidConfig, match="inside the window"):
+            SparseModel(terms=((0, 0, 1.0), (u, v, 2.0)), window=(16, 4), iterations_run=2, final_energy=0.0)
+
     def test_reproduces_single_basis_signal(self):
         m = n = 8
         xs, ys = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
@@ -172,6 +214,83 @@ class TestEvaluateModel:
         model = generate_model(uniform_samples(coords, values), config)
         out = evaluate_model(model, coords)
         assert np.abs(out - values).max() < 1e-6
+
+
+def float_bits(values):
+    """Floats as hex strings, so a comparison tells -0.0 from 0.0 and any ulp apart."""
+    return [float(v).hex() for v in np.asarray(values, dtype=float).reshape(-1)]
+
+
+def model_bits(model):
+    return (
+        [(u, v, c.hex()) for u, v, c in model.terms], model.window, model.iterations_run,
+        model.final_energy.hex(), float_bits(model.energy_history), model.selection_history,
+    )
+
+
+def scattered_case(window, seed):
+    rng = np.random.default_rng(seed)
+    m, n = window
+    size = int(rng.integers(1, 60))
+    coords = rng.uniform(0, 1, size=(size, 2)) * [m - 1, n - 1]
+    return coords, rng.uniform(0, 255, size), rng.uniform(0.05, 1.0, size)
+
+
+def grid_case(window, seed):
+    """Every integer point of the window, some duplicated: exact zeros of the
+    basis and equal scores, so the tie-break decides."""
+    rng = np.random.default_rng(seed)
+    m, n = window
+    xs, ys = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+    coords = np.column_stack([xs.reshape(-1), ys.reshape(-1)]).astype(float)
+    coords = np.concatenate([coords, coords[rng.integers(0, len(coords), 3)]])
+    values = rng.integers(0, 4, len(coords)) * 64.0
+    return coords, values, np.ones(len(coords))
+
+
+class TestFitMatchesSeedOracle:
+    """The table-backed fit and evaluation against the seed's per-candidate
+    basis and per-term evaluation, bit for bit.  The windows are not square,
+    so a swap of the x and y tables fails."""
+
+    @pytest.mark.parametrize("window", [(5, 11), (16, 3), (1, 7), (7, 1), (16, 16)])
+    @pytest.mark.parametrize("make_case", [scattered_case, grid_case])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fit_and_evaluation(self, window, make_case, seed):
+        coords, values, weights = make_case(window, seed)
+        config = FsmmrConfig(model_width=window[0], model_height=window[1], gamma=0.5 + 0.25 * seed,
+                             sigma=0.8, max_iterations=60)
+        samples = ScatteredSamples(coords, values, weights)
+        model = generate_model(samples, config)
+        assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
+
+        # queries inside the window, on its grid and just outside it (clipped)
+        rng = np.random.default_rng(seed + 100)
+        m, n = window
+        queries = np.concatenate([
+            rng.uniform(0, 1, size=(40, 2)) * [m - 1, n - 1], coords,
+            [[-0.5, -0.5], [m - 1 + 1e-9, n - 1 + 0.5]],
+        ])
+        assert float_bits(evaluate_model(model, queries)) == float_bits(evaluate_model_oracle(model, queries))
+
+    @pytest.mark.parametrize("stop", ["energy threshold", "zero decrease at once", "constant signal"])
+    def test_early_stops(self, stop):
+        coords, values, weights = scattered_case((5, 11), 7)
+        config = FsmmrConfig(model_width=5, model_height=11, gamma=1.0)
+        if stop == "energy threshold":
+            unstopped = generate_model_oracle(ScatteredSamples(coords, values, weights), config)
+            config = dataclasses.replace(config, energy_threshold=unstopped.energy_history[9])
+        elif stop == "zero decrease at once":
+            values = np.zeros_like(values)
+        else:
+            values = np.full_like(values, 42.0)
+        samples = ScatteredSamples(coords, values, weights)
+        model = generate_model(samples, config)
+        if stop == "constant signal":
+            assert model.final_energy == 0.0 and model.iterations_run < config.max_iterations
+        else:
+            assert model.iterations_run == {"energy threshold": 10, "zero decrease at once": 0}[stop]
+        assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
 
 
 class TestNormalizeToWindow:

@@ -12,7 +12,9 @@ original point, so its CSV pins the nearest-original fallback of FSMMR and
 IDW2 and LIN2's uncolored blocks, as well as LIN2's holes outside the hull.
 A second sweep runs the four baselines (nn3, idw3, idw2, lin2) at 10, 50
 and 80% on the same sphere, pinning their kernels at the densities where
-most blocks have originals.
+most blocks have originals.  A third sweep is the full default `evaluate`
+run (all five methods at 10, 50 and 80%, 3 runs): the only digest that
+covers FSMMR at 50 and 80%.
 
 Three more outputs pin the paths that turn a cloud into bytes and back:
 `upsample --ascii` of an ASCII mixed-role input (the ASCII reader and the
@@ -43,6 +45,8 @@ GOLDEN_UPSAMPLE_SHA256 = {
 GOLDEN_SWEEP_CSV_SHA256 = "d06e88841d3eafa4ebff4d189f7c23189b2d9f0c3b50ef0e3d7f79a684bb88e1"
 
 GOLDEN_BASELINE_SWEEP_CSV_SHA256 = "68f5c48cc712cffb462a43e153cffb162fec68d5c38d71c048b3f2ed5d927db5"
+
+GOLDEN_DEFAULT_SWEEP_CSV_SHA256 = "a115fb92c80697217d68a19cfa1a9bcee80bccecf0631d057fd58bef294e74db"
 
 GOLDEN_ASCII_UPSAMPLE_SHA256 = "06c292770e728d1625306d9b7439aef150f95249715060d1d82ce9a0b0e6e77a"
 
@@ -94,6 +98,14 @@ def test_baseline_sweep_csv_digest(tmp_path):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_BASELINE_SWEEP_CSV_SHA256
+
+
+def test_default_sweep_csv_digest(tmp_path):
+    colored = tmp_path / "sphere1500.ply"
+    colored.write_bytes(write_ply(sphere_cloud(n_points=1500, seed=0)))
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", str(colored), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DEFAULT_SWEEP_CSV_SHA256
 
 
 def test_ascii_upsample_digest(tmp_path):

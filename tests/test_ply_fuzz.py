@@ -3,7 +3,7 @@ checked cloud or raises a `CloudColorError`, never another exception."""
 import struct
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cloudcolor.core import ColorPointCloud
@@ -73,5 +73,8 @@ def ply_files(draw):
 
 @FUZZ
 @given(data=ply_files())
+# a signalling float32 NaN as x, widened next to a double z
+@example(data=b"ply\nformat binary_little_endian 1.0\nelement vertex 1\nproperty float x\nproperty float y\n"
+              b"property double z\nend_header\n\x00\x00\x81\x7f" + bytes(12))
 def test_random_header_types_count_and_body(data):
     read_or_domain_error(data)
