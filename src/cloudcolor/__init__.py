@@ -11,14 +11,14 @@ from .evaluation import ExperimentReport, ExperimentSpec, random_downsample, rec
 from .fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, generate_model, upsample_block
 from .pipeline import upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
-from .surface_transform import FlattenedMesh, MstEdge, RootPolicy, build_mst, flatten_block
+from .surface_transform import build_mst, flatten_block
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Block", "ColorPointCloud", "partition_into_blocks",
     "PlyFormat", "read_ply", "write_ply",
-    "FlattenedMesh", "MstEdge", "RootPolicy", "build_mst", "flatten_block",
+    "build_mst", "flatten_block",
     "FsmmrConfig", "ScatteredSamples", "SparseModel",
     "generate_model", "evaluate_model", "upsample_block",
     "InterpolatorKind", "upsample_cloud",

@@ -23,7 +23,7 @@ from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
 from .pipeline import upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
-from .surface_transform import RootPolicy, flatten_block
+from .surface_transform import flatten_block
 
 
 class _UsageError(Exception):
@@ -35,16 +35,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_block_flags(p: argparse.ArgumentParser):
     p.add_argument("--block-size", type=float, default=4.0, help="edge length of the cubic partition cells (default 4.0)")
+    p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default deterministic)")
+    p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default 0)")
+
+
+def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--model-size", type=int, default=16, help="DCT model window side M=N (default 16)")
     p.add_argument("--sigma", type=float, default=0.8, help="frequency-weight decay in (0,1) (default 0.8)")
     p.add_argument("--rho", type=float, default=0.7, help="spatial-weight decay in (0,1) (default 0.7)")
     p.add_argument("--gamma", type=float, default=0.5, help="coefficient update damping in (0,1] (default 0.5)")
     p.add_argument("--max-iters", type=int, default=100, help="iteration cap per model (default 100)")
     p.add_argument("--energy-threshold", type=float, default=0.0, help="stop once weighted residual energy falls to this (default 0)")
-    p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default deterministic)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default 0)")
 
 
 def build_parser() -> _Parser:
@@ -57,7 +60,8 @@ def build_parser() -> _Parser:
     up.add_argument("--method", default="fsmmr", help="fsmmr, nn3, idw3, idw2 or lin2 (default fsmmr)")
     up.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
     up.add_argument("--ascii", action="store_true", help="write ASCII PLY instead of binary little-endian")
-    _add_common_flags(up)
+    _add_block_flags(up)
+    _add_model_flags(up)
 
     ev = sub.add_parser("evaluate", help="run the density sweep on a fully colored PLY")
     ev.add_argument("input", type=Path)
@@ -67,13 +71,14 @@ def build_parser() -> _Parser:
     ev.add_argument("--runs", type=int, default=3, help="runs per density (default 3)")
     ev.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
     ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports)")
-    _add_common_flags(ev)
+    _add_block_flags(ev)
+    _add_model_flags(ev)
 
     fl = sub.add_parser("flatten", help="dump one block's flattened 2D coordinates as CSV")
     fl.add_argument("input", type=Path)
     fl.add_argument("output", type=Path, help="CSV path")
     fl.add_argument("--block", type=int, default=0, help="ordinal index into the block list (default 0)")
-    _add_common_flags(fl)
+    _add_block_flags(fl)
     return parser
 
 
@@ -89,10 +94,8 @@ def _fsmmr_config(args) -> FsmmrConfig:
     )
 
 
-def _root_policy(args) -> RootPolicy:
-    if args.root == "random":
-        return RootPolicy.seeded_random(args.seed)
-    return RootPolicy.deterministic()
+def _root_seed(args) -> int | None:
+    return args.seed if args.root == "random" else None
 
 
 def _cmd_upsample(args) -> int:
@@ -102,7 +105,7 @@ def _cmd_upsample(args) -> int:
         cloud, method,
         block_size=args.block_size,
         fsmmr_config=_fsmmr_config(args),
-        root_policy=_root_policy(args),
+        root_seed=_root_seed(args),
         idw_power=args.idw_power,
     )
     if uncolored:
@@ -126,7 +129,7 @@ def _cmd_evaluate(args) -> int:
         base_seed=args.seed,
         fsmmr_config=_fsmmr_config(args),
         block_size=args.block_size,
-        root_policy=_root_policy(args),
+        root_seed=_root_seed(args),
         idw_power=args.idw_power,
         measure_time=args.timing,
     )
@@ -142,9 +145,9 @@ def _cmd_flatten(args) -> int:
     blocks = partition_into_blocks(cloud, args.block_size)
     if not 0 <= args.block < len(blocks):
         raise CloudColorError(f"block index {args.block} out of range (0..{len(blocks) - 1})")
-    mesh = flatten_block(blocks[args.block], cloud, _root_policy(args))
+    flat = flatten_block(blocks[args.block], cloud, _root_seed(args))
     lines = ["point_id,role,x_flat,y_flat"]
-    for pid, (x, y) in zip(blocks[args.block].point_ids.tolist(), mesh.coords.tolist()):
+    for pid, (x, y) in zip(blocks[args.block].point_ids.tolist(), flat.tolist()):
         role = "original" if cloud.original[pid] else "reconstruct"
         lines.append(f"{pid},{role},{x!r},{y!r}")
     args.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -17,7 +17,6 @@ from .core import ColorPointCloud, check_block_size
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .fsmmr import FsmmrConfig, round_color_channel, round_half_away
 from .pipeline import upsample_cloud
-from .surface_transform import RootPolicy
 
 PEAK = 255.0
 
@@ -32,7 +31,7 @@ class ExperimentSpec:
     base_seed: int = 0
     fsmmr_config: FsmmrConfig = FsmmrConfig()
     block_size: float = 4.0
-    root_policy: RootPolicy = RootPolicy.deterministic()
+    root_seed: int | None = None  # None: lowest-id MST roots
     idw_power: float = 2.0
     measure_time: bool = False  # real timings break byte-identical reports
 
@@ -196,7 +195,7 @@ def _score_method(
             downsampled, method,
             block_size=spec.block_size,
             fsmmr_config=spec.fsmmr_config,
-            root_policy=spec.root_policy,
+            root_seed=spec.root_seed,
             idw_power=spec.idw_power,
         )
         elapsed_ms = int((time.perf_counter() - started) * 1000) if spec.measure_time else 0

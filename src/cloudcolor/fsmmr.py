@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import nearest_original_color  # noqa: F401  (kept importable from fsmmr)
+from .core import nearest_original_color  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import DegenerateBasis, EmptySamples, InvalidConfig
 
 

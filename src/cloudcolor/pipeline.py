@@ -9,7 +9,7 @@ from .baselines import InterpolatorKind, check_idw_power, interpolate_idw, inter
 from .core import Block, ColorPointCloud, check_block_size, nearest_original_color, partition_into_blocks
 from .errors import EmptySamples
 from .fsmmr import FsmmrConfig, upsample_block
-from .surface_transform import RootPolicy, flatten_block
+from .surface_transform import flatten_block
 
 
 def block_colors(
@@ -17,7 +17,7 @@ def block_colors(
     cloud: ColorPointCloud,
     method: InterpolatorKind,
     fsmmr_config: FsmmrConfig = FsmmrConfig(),
-    root_policy: RootPolicy = RootPolicy.deterministic(),
+    root_seed: int | None = None,
     idw_power: float = 2.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Colors for the block's Reconstruct points by a 2D method: FSMMR,
@@ -37,7 +37,7 @@ def block_colors(
     if not is_original.any():
         return r_ids, nearest_original_color(cloud, cloud.positions[r_ids])
 
-    coords = flatten_block(block, cloud, root_policy).coords
+    coords = flatten_block(block, cloud, root_seed)
     o_colors = cloud.colors[ids[is_original]]
     if method is InterpolatorKind.FSMMR:
         return r_ids, upsample_block(coords, is_original, o_colors, fsmmr_config)
@@ -52,7 +52,7 @@ def upsample_cloud(
     method: InterpolatorKind,
     block_size: float = 4.0,
     fsmmr_config: FsmmrConfig = FsmmrConfig(),
-    root_policy: RootPolicy = RootPolicy.deterministic(),
+    root_seed: int | None = None,
     idw_power: float = 2.0,
 ) -> tuple[ColorPointCloud, int]:
     """Color every Reconstruct point (where the method can) and return the
@@ -75,7 +75,7 @@ def upsample_cloud(
         ids = r_ids
     else:
         parts = [
-            block_colors(block, cloud, method, fsmmr_config, root_policy, idw_power)
+            block_colors(block, cloud, method, fsmmr_config, root_seed, idw_power)
             for block in partition_into_blocks(cloud, block_size)
         ]
         ids = np.concatenate([part_ids for part_ids, _ in parts])

@@ -193,17 +193,14 @@ def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: l
 def write_ply(
     cloud: ColorPointCloud,
     fmt: PlyFormat = PlyFormat.BINARY_LITTLE_ENDIAN,
-    allow_uncolored: bool = False,
     include_roles: bool = False,
 ) -> bytes:
     uncolored = len(cloud) - int(cloud.colored.sum())
-    if uncolored and not (allow_uncolored or include_roles):
-        raise MissingColor(f"{uncolored} points lack color; pass allow_uncolored to drop colors")
+    if uncolored and not include_roles:
+        raise MissingColor(f"{uncolored} points lack color; only a PLY with roles (include_roles) can hold them")
 
-    position_only = allow_uncolored and not include_roles
     fields = [(axis, "float", cloud.positions[:, i]) for i, axis in enumerate("xyz")]
-    if not position_only:
-        fields += [(c, "uchar", cloud.colors[:, i]) for i, c in enumerate(_CHANNELS)]
+    fields += [(c, "uchar", cloud.colors[:, i]) for i, c in enumerate(_CHANNELS)]
     if include_roles:
         fields.append(("original", "uchar", cloud.original.astype(np.uint8)))
     header = ["ply", f"format {fmt.value} 1.0", f"element vertex {len(cloud)}"]

@@ -6,14 +6,13 @@ at the parent's 2D position plus sign-preserving distances computed in the
 Euclidean graph with candidate edges ordered by (weight, smaller id, larger
 id), so results are fully deterministic.
 
-Blocks of at least ``_PRIM_MIN_POINTS`` points take a vectorised path: a
-numpy distance matrix and an array-based Prim.  It returns the same tree
-whenever every candidate weight is separated from every other by more than
-a relative ``_TIE_RTOL`` (and none is zero): numpy's weights then differ
-from ``math.dist`` by far less than that gap, so both order the edges
-identically, the MST is unique, and Prim finds exactly the Kruskal tree.
-Blocks that fail the check (ties, duplicate points) and small blocks use
-the pure-Python Kruskal.
+Every block first tries a vectorised path: a numpy distance matrix and an
+array-based Prim.  It returns the same tree whenever every candidate weight
+is separated from every other by more than a relative ``_TIE_RTOL`` (and
+none is zero): numpy's weights then differ from ``math.dist`` by far less
+than that gap, so both order the edges identically, the MST is unique, and
+Prim finds exactly the Kruskal tree.  Blocks that fail the check (ties,
+duplicate points) take the pure-Python Kruskal.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ import math
 import random
 import zlib
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,42 +30,6 @@ from .errors import EmptyBlock
 Coord3 = Tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class MstEdge:
-    parent_id: int
-    child_id: int
-    weight: float
-
-
-@dataclass(frozen=True, eq=False)
-class FlattenedMesh:
-    """Per-block 2D coordinates: row i is the block's i-th point."""
-
-    coords: np.ndarray  # (n, 2) float64
-    root_id: int
-
-
-@dataclass(frozen=True)
-class RootPolicy:
-    """Root selection: lowest point id (default) or a seeded random pick."""
-
-    kind: str = "deterministic"
-    seed: int = 0
-
-    @staticmethod
-    def deterministic() -> "RootPolicy":
-        return RootPolicy("deterministic")
-
-    @staticmethod
-    def seeded_random(seed: int) -> "RootPolicy":
-        return RootPolicy("random", seed)
-
-
-# Smallest block sent to the numpy path.  On float32 sphere blocks (2-core
-# x86 VM, CPython 3.11, numpy 2.4) build_mst breaks even between 24 and
-# 32 points; at 40 it is 1.3-1.7x faster, so a block that fails the tie
-# check and pays for both paths loses little.
-_PRIM_MIN_POINTS = 40
 # numpy and math.dist weights differ by at most ~2e-16 relative; candidate
 # weights closer than this are treated as a possible tie.
 _TIE_RTOL = 1e-12
@@ -147,19 +109,19 @@ def _prim_tree(points: Sequence[Coord3]) -> Optional[list[tuple[int, int]]]:
     return tree
 
 
-def build_mst(points: Sequence[Coord3], root: int = 0) -> list[MstEdge]:
-    """Kruskal MST of the complete graph, oriented parent->child from `root`.
+def build_mst(points: Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
+    """Kruskal MST of the complete graph as (parent, child) id pairs,
+    oriented from `root`.
 
-    Candidate edges are ordered by (weight, smaller id, larger id); the
-    orientation comes from a breadth-first walk visiting children in
-    ascending id.  Edge weights are ``math.dist`` of the endpoints.
+    Candidate edges are ordered by (``math.dist`` weight, smaller id, larger
+    id); the pairs come in the order of a breadth-first walk visiting
+    children in ascending id, so every parent precedes its children.
 
-    Blocks of ``_PRIM_MIN_POINTS`` or more points first try the array Prim
-    of ``_prim_tree``.  It runs only when all candidate weights are nonzero
-    and pairwise more than a relative ``_TIE_RTOL`` apart.  Then the MST is
-    unique and numpy's rounding (within ~2e-16 of ``math.dist``) cannot
-    reorder two edges, so Prim's tree is exactly the Kruskal tree.  Other
-    blocks fall back to the Kruskal.
+    Every block first tries the array Prim of ``_prim_tree``.  It runs only
+    when all candidate weights are nonzero and pairwise more than a relative
+    ``_TIE_RTOL`` apart.  Then the MST is unique and numpy's rounding (within
+    ~2e-16 of ``math.dist``) cannot reorder two edges, so Prim's tree is
+    exactly the Kruskal tree.  Other blocks fall back to the Kruskal.
     """
     n = len(points)
     if n == 0:
@@ -167,24 +129,23 @@ def build_mst(points: Sequence[Coord3], root: int = 0) -> list[MstEdge]:
     if n == 1:
         return []
 
-    tree = _prim_tree(points) if n >= _PRIM_MIN_POINTS else None
+    tree = _prim_tree(points)
     if tree is None:
         tree = _kruskal_tree(points)
-    adjacency: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
+    adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, j in tree:
-        w = math.dist(points[i], points[j])
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
+        adjacency[i].append(j)
+        adjacency[j].append(i)
 
-    oriented: list[MstEdge] = []
+    oriented: list[tuple[int, int]] = []
     seen = {root}
     queue = deque([root])
     while queue:
         node = queue.popleft()
-        for child, w in sorted(adjacency[node]):
+        for child in sorted(adjacency[node]):
             if child not in seen:
                 seen.add(child)
-                oriented.append(MstEdge(parent_id=node, child_id=child, weight=w))
+                oriented.append((node, child))
                 queue.append(child)
     return oriented
 
@@ -202,28 +163,28 @@ def fold_deltas(parent: Coord3, child: Coord3) -> Tuple[float, float]:
     )
 
 
-def _pick_root(block: Block, policy: RootPolicy) -> int:
-    n = len(block.point_ids)
-    if policy.kind == "deterministic":
+def _pick_root(block: Block, root_seed: Optional[int]) -> int:
+    if root_seed is None:
         return 0  # point_ids are ascending, so local 0 is the lowest point id
     salt = zlib.crc32(repr(block.cell_index).encode())
-    return random.Random(policy.seed ^ salt).randrange(n)
+    return random.Random(root_seed ^ salt).randrange(len(block.point_ids))
 
 
-def flatten_block(
-    block: Block, cloud: ColorPointCloud, root_policy: RootPolicy = RootPolicy.deterministic()
-) -> FlattenedMesh:
+def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int] = None) -> np.ndarray:
+    """The block's points flattened to 2D as an (n, 2) float64 array; row i
+    is the block's i-th point and the root sits at the origin.
+
+    The root is the lowest point id, or with `root_seed` a pick seeded by
+    it and salted by the block's cell index.
+    """
     if not len(block.point_ids):
         raise EmptyBlock("cannot flatten an empty block")
 
     # tuples of Python floats: math.dist converts any other sequence on every call
     coords = list(map(tuple, cloud.positions[block.point_ids].tolist()))
-    root = _pick_root(block, root_policy)
-    edges = build_mst(coords, root=root)
-
-    flat = [(0.0, 0.0)] * len(coords)  # the root stays at the origin
-    for e in edges:  # BFS order guarantees the parent is already placed
-        px, py = flat[e.parent_id]
-        dx, dy = fold_deltas(coords[e.parent_id], coords[e.child_id])
-        flat[e.child_id] = (px + dx, py + dy)
-    return FlattenedMesh(coords=np.array(flat, dtype=float), root_id=int(block.point_ids[root]))
+    flat = [(0.0, 0.0)] * len(coords)
+    for parent, child in build_mst(coords, root=_pick_root(block, root_seed)):
+        px, py = flat[parent]  # BFS order: the parent is already placed
+        dx, dy = fold_deltas(coords[parent], coords[child])
+        flat[child] = (px + dx, py + dy)
+    return np.array(flat, dtype=float)

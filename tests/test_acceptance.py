@@ -124,7 +124,7 @@ def test_mst_brute_force_oracle():
     for trial in range(200):
         n = int(rng.integers(2, 8))
         points = [tuple(map(float, c)) for c in rng.uniform(0, 5, size=(n, 3))]
-        weight = sum(e.weight for e in build_mst(points))
+        weight = sum(math.dist(points[p], points[c]) for p, c in build_mst(points))
         oracle = brute_force_mst_weight(points)
         assert weight == pytest.approx(oracle, rel=1e-12), f"trial {trial}"
     print("\nPASS: MST weight equals brute-force enumeration on 200 random sets (n <= 7)")
@@ -142,13 +142,12 @@ def test_flatten_consistency():
             coords[:, 2] = coords[0, 2]
         cloud = ColorPointCloud(coords, np.zeros((n, 3), dtype=int))
         block = partition_into_blocks(cloud, 1e9)[0]
-        mesh = flatten_block(block, cloud)
-        flat = dict(zip(block.point_ids.tolist(), map(tuple, mesh.coords.tolist())))
+        flat = dict(zip(block.point_ids.tolist(), map(tuple, flatten_block(block, cloud).tolist())))
         local_coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
-        for e in build_mst(local_coords, root=0):
-            dx, dy = fold_2d_oracle(local_coords[e.parent_id], local_coords[e.child_id])
-            parent = flat[block.point_ids[e.parent_id]]
-            child = flat[block.point_ids[e.child_id]]
+        for p, c in build_mst(local_coords, root=0):
+            dx, dy = fold_2d_oracle(local_coords[p], local_coords[c])
+            parent = flat[block.point_ids[p]]
+            child = flat[block.point_ids[c]]
             assert child == (parent[0] + dx, parent[1] + dy), f"trial {trial}: fold identity broken"
         if planar:
             rx, ry, _ = local_coords[0]

@@ -78,6 +78,19 @@ class TestEvaluate:
         # 100% leaves nothing to reconstruct, so only that row is skipped
         assert (rows[0][-1] == "skipped") == (token == "100")
 
+    def test_timing_changes_only_wall_time(self, colored_ply, tmp_path):
+        untimed, timed = tmp_path / "untimed.csv", tmp_path / "timed.csv"
+        flags = ["evaluate", "--densities", "10,50", "--runs", "1", "--methods", "fsmmr,nn3,lin2", str(colored_ply)]
+        assert main([*flags, str(untimed)]) == 0
+        assert main([*flags, "--timing", str(timed)]) == 0
+        header, *untimed_rows = [line.split(",") for line in untimed.read_text().splitlines()]
+        timed_header, *timed_rows = [line.split(",") for line in timed.read_text().splitlines()]
+        assert timed_header == header and len(timed_rows) == len(untimed_rows) == 6
+        wall = header.index("wall_time_ms")
+        for a, b in zip(untimed_rows, timed_rows):
+            assert a[:wall] + a[wall + 1:] == b[:wall] + b[wall + 1:]
+            assert a[wall] == "0" and b[wall].isdigit()  # a non-negative int
+
     def test_csv_is_lf_and_utf8(self, colored_ply, tmp_path):
         out = tmp_path / "report.csv"
         main(["evaluate", "--densities", "50", "--runs", "1", "--methods", "nn3", str(colored_ply), str(out)])
@@ -195,6 +208,17 @@ class TestFlatten:
     def test_block_out_of_range(self, mixed_ply, tmp_path):
         code = main(["flatten", "--block", "99999", str(mixed_ply), str(tmp_path / "f.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [
+        "--model-size=16", "--sigma=5", "--rho=0.7", "--gamma=0.5", "--max-iters=0", "--energy-threshold=0",
+    ])
+    def test_model_flags_are_usage_errors(self, flag, mixed_ply, tmp_path, capsys):
+        # flatten fits no model, so it takes none of the model's flags
+        code = main(["flatten", flag, str(mixed_ply), str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "unrecognized arguments" in err and "usage" in err
+        assert not (tmp_path / "f.csv").exists()
 
 
 def test_help_lists_pinned_defaults(capsys):

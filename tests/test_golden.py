@@ -2,9 +2,9 @@
 `evaluate` CSV.
 
 The fsmmr/idw2/lin2 upsample digests were recorded before the vectorised
-MST path existed, so they pin the output of the seed's pure-Python Kruskal.
-The 6k-point sphere at block size 4 has blocks of about 107 points, above
-the crossover where `build_mst` switches to the numpy path.  The lin2
+MST path existed, so they pin the output of the seed's pure-Python Kruskal,
+which the guarded numpy Prim of `build_mst` must reproduce on every block
+(about 107 points each on the 6k-point sphere at block size 4).  The lin2
 digest also pins the CLI's nearest-original hole fill.
 
 The sweep on a 1.5k sphere at density 10% has 9 blocks without any

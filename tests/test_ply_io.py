@@ -157,9 +157,6 @@ def test_write_refuses_uncolored_by_default():
     cloud = ColorPointCloud([(0, 0, 0)], original=[False])
     with pytest.raises(MissingColor):
         write_ply(cloud, PlyFormat.ASCII)
-    # positions-only output is an explicit opt-in
-    data = write_ply(cloud, PlyFormat.ASCII, allow_uncolored=True)
-    assert b"property uchar red" not in data
 
 
 def test_binary_roundtrip_preserves_cloud():

@@ -5,12 +5,14 @@ import pytest
 
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptyBlock
-from cloudcolor.surface_transform import (
-    _PRIM_MIN_POINTS, RootPolicy, _prim_tree, build_mst, flatten_block, fold_deltas,
-)
+from cloudcolor.surface_transform import _prim_tree, build_mst, flatten_block, fold_deltas
 
 from conftest import random_cloud
 from oracles import brute_force_mst_weight, fold_2d_oracle, kruskal_mst_oracle
+
+
+def mst_weight(points, pairs):
+    return sum(math.dist(points[p], points[c]) for p, c in pairs)
 
 
 def single_block(coords):
@@ -29,15 +31,14 @@ class TestBuildMst:
             build_mst([])
 
     def test_collinear_chain(self):
-        edges = build_mst([(0, 0, 0), (1, 0, 0), (3, 0, 0)])
-        pairs = {(min(e.parent_id, e.child_id), max(e.parent_id, e.child_id)): e.weight for e in edges}
-        assert pairs == {(0, 1): 1.0, (1, 2): 2.0}
-        assert sum(pairs.values()) == brute_force_mst_weight([(0, 0, 0), (1, 0, 0), (3, 0, 0)])
+        points = [(0, 0, 0), (1, 0, 0), (3, 0, 0)]
+        assert build_mst(points) == [(0, 1), (1, 2)]
+        assert mst_weight(points, build_mst(points)) == brute_force_mst_weight(points) == 3.0
 
     def test_four_random_points_minimal(self):
         rng = np.random.default_rng(11)
         points = [tuple(c) for c in rng.uniform(0, 5, size=(4, 3))]
-        weight = sum(e.weight for e in build_mst(points))
+        weight = mst_weight(points, build_mst(points))
         assert weight == pytest.approx(brute_force_mst_weight(points), abs=1e-12)
 
     def test_tree_shape(self):
@@ -45,7 +46,7 @@ class TestBuildMst:
         points = [tuple(c) for c in rng.uniform(0, 5, size=(9, 3))]
         edges = build_mst(points, root=0)
         assert len(edges) == len(points) - 1
-        reached = {0} | {e.child_id for e in edges}
+        reached = {0} | {child for _, child in edges}
         assert reached == set(range(len(points)))
 
     def test_duplicate_coordinates_are_legal(self):
@@ -79,18 +80,18 @@ def planar_block(n, seed, float32):
 
 
 def mst_triples(points, root):
-    return [(e.parent_id, e.child_id, e.weight) for e in build_mst(points, root=root)]
+    return [(p, c, math.dist(points[p], points[c])) for p, c in build_mst(points, root=root)]
 
 
 class TestBuildMstMatchesKruskal:
-    """build_mst against the pure-Python Kruskal reference on blocks large
-    enough for the vectorised path, and on blocks that must fall back."""
+    """build_mst against the pure-Python Kruskal reference on blocks the
+    vectorised path takes, and on blocks that must fall back."""
 
     @pytest.mark.parametrize("make, n, float32", [
-        (sphere_block, _PRIM_MIN_POINTS, True),
+        (sphere_block, 40, True),
         (sphere_block, 107, False),
         (sphere_block, 500, True),
-        (planar_block, _PRIM_MIN_POINTS, False),
+        (planar_block, 40, False),
         (planar_block, 200, True),
         (planar_block, 500, False),
     ])
@@ -98,6 +99,21 @@ class TestBuildMstMatchesKruskal:
         points = make(n, seed=n, float32=float32)
         assert _prim_tree(points) is not None  # the fast path runs
         for root in (0, n // 2, n - 1):
+            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+
+    @pytest.mark.parametrize("float32", [True, False])
+    @pytest.mark.parametrize("make", [sphere_block, planar_block])
+    def test_small_blocks_are_exact(self, make, float32):
+        # the sizes of eval-sweep's blocks (mean 27 points on the 1.5k sphere)
+        for n in range(2, 40):
+            points = make(n, seed=n, float32=float32)
+            for root in sorted({0, n // 2, n - 1}):
+                assert mst_triples(points, root) == kruskal_mst_oracle(points, root), (n, root)
+
+    def test_unit_square_tie_falls_back(self):
+        points = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]
+        assert _prim_tree(points) is None
+        for root in range(4):
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
     def test_exact_tie_lattice_falls_back(self):
@@ -136,36 +152,31 @@ class TestBuildMstMatchesKruskal:
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
 
-def flat_by_id(block, mesh):
+def flat_by_id(block, flat):
     """Flattened (x, y) keyed by point id."""
-    return dict(zip(block.point_ids.tolist(), map(tuple, mesh.coords.tolist())))
+    return dict(zip(block.point_ids.tolist(), map(tuple, flat.tolist())))
 
 
 class TestFlattenBlock:
     def test_coords_are_an_n_by_2_float_array(self):
         block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
-        mesh = flatten_block(block, cloud)
-        assert mesh.coords.shape == (3, 2) and mesh.coords.dtype == np.float64
-
+        flat = flatten_block(block, cloud)
+        assert flat.shape == (3, 2) and flat.dtype == np.float64
 
     def test_single_point(self):
         block, cloud = single_block([(2, 3, 4)])
-        mesh = flatten_block(block, cloud)
-        assert mesh.coords.tolist() == [[0.0, 0.0]]
-        assert mesh.root_id == 0
+        assert flatten_block(block, cloud).tolist() == [[0.0, 0.0]]
 
     def test_direct_fold_example(self):
         # root at origin, child at (3,0,4): folds to (5, 4) with sgn(0)=+1
         block, cloud = single_block([(0, 0, 0), (3, 0, 4)])
-        mesh = flatten_block(block, cloud)
-        flat = flat_by_id(block, mesh)
+        flat = flat_by_id(block, flatten_block(block, cloud))
         assert flat[0] == (0.0, 0.0)
         assert flat[1] == (5.0, 4.0)
 
     def test_chain_example(self):
         block, cloud = single_block([(0, 0, 0), (1, 0, 0), (1, -2, 0)])
-        mesh = flatten_block(block, cloud)
-        flat = flat_by_id(block, mesh)
+        flat = flat_by_id(block, flatten_block(block, cloud))
         assert flat[0] == (0.0, 0.0)
         assert flat[1] == (1.0, 0.0)
         assert flat[2] == (1.0, -2.0)
@@ -174,14 +185,12 @@ class TestFlattenBlock:
         for seed in range(30):
             cloud = random_cloud(12, seed=seed, extent=4.0)
             block = partition_into_blocks(cloud, 1e9)[0]
-            mesh = flatten_block(block, cloud)
-            flat = flat_by_id(block, mesh)
+            flat = flat_by_id(block, flatten_block(block, cloud))
             coords = [tuple(c) for c in cloud.positions[block.point_ids].tolist()]
-            edges = build_mst(coords, root=0)
-            for e in edges:
-                dx, dy = fold_2d_oracle(coords[e.parent_id], coords[e.child_id])
-                pid_parent = block.point_ids[e.parent_id]
-                pid_child = block.point_ids[e.child_id]
+            for parent, child in build_mst(coords, root=0):
+                dx, dy = fold_2d_oracle(coords[parent], coords[child])
+                pid_parent = block.point_ids[parent]
+                pid_child = block.point_ids[child]
                 assert flat[pid_child][0] - flat[pid_parent][0] == pytest.approx(dx, abs=1e-12)
                 assert flat[pid_child][1] - flat[pid_parent][1] == pytest.approx(dy, abs=1e-12)
 
@@ -190,24 +199,25 @@ class TestFlattenBlock:
         rng = np.random.default_rng(9)
         coords = [(float(x), float(y), 1.5) for x, y in rng.uniform(0, 4, size=(15, 2))]
         block, cloud = single_block(coords)
-        mesh = flatten_block(block, cloud)
         root_xy = coords[0][:2]
-        for pid, (fx, fy) in flat_by_id(block, mesh).items():
+        for pid, (fx, fy) in flat_by_id(block, flatten_block(block, cloud)).items():
             x, y, _ = coords[pid]
             assert fx == pytest.approx(x - root_xy[0], abs=1e-12)
             assert fy == pytest.approx(y - root_xy[1], abs=1e-12)
 
     def test_deterministic_root_is_lowest_id(self):
         block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
-        mesh = flatten_block(block, cloud, RootPolicy.deterministic())
-        assert mesh.root_id == 0
+        flat = flatten_block(block, cloud, root_seed=None)
+        assert flat[0].tolist() == [0.0, 0.0]  # point 0 is the root
+        assert flat[1].tolist() != [0.0, 0.0]
 
     def test_seeded_random_root_is_reproducible(self):
         block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
-        a = flatten_block(block, cloud, RootPolicy.seeded_random(42))
-        b = flatten_block(block, cloud, RootPolicy.seeded_random(42))
-        assert a.root_id == b.root_id
-        assert a.coords.tolist() == b.coords.tolist()
+        a = flatten_block(block, cloud, root_seed=42)
+        b = flatten_block(block, cloud, root_seed=42)
+        assert a.tolist() == b.tolist()
+        roots = {int(np.flatnonzero(~flatten_block(block, cloud, root_seed=s).any(axis=1))[0]) for s in range(20)}
+        assert len(roots) > 1  # the seed picks the root
 
     def test_fold_deltas_sign_convention(self):
         dx, dy = fold_deltas((0, 0, 0), (0, 0, 2))
