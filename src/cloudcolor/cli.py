@@ -32,7 +32,17 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
-        raise _UsageError(message)
+        print(f"error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)  # the usage line of the (sub)command that failed
+        raise _UsageError
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand rejects the arguments it does not know itself; left to
+        # the top level, the error would come with the top-level usage line
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _add_block_flags(p: argparse.ArgumentParser):
@@ -158,9 +168,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+    except _UsageError:
         return 1
     try:
         if args.command == "upsample":

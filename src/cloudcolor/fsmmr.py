@@ -121,23 +121,24 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
     phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
     w = samples.weights
     denominators = (phi * phi) @ w
-    usable = denominators > 0
-    if not usable.any():
+    vanishing = denominators == 0
+    if vanishing.all():
         raise DegenerateBasis("every candidate basis function vanishes on the samples")
+    # zeroed with denominator 1, a vanishing row scores 0 and never beats the DC row (first,
+    # never vanishing); kept, not dropped: a gemv over fewer rows rounds the others differently
+    phi[vanishing] = 0.0
+    denominators[vanishing] = 1.0
 
     coefficients: dict[int, float] = {}  # candidate index -> coefficient, in first-selection order
     selections: list[int] = []
     energies: list[float] = []
     model_at_samples = np.zeros_like(samples.values)
     residual = samples.values - model_at_samples
-    safe_den = np.where(usable, denominators, 1.0)
 
     for _ in range(config.max_iterations):
-        numerators = phi @ (w * residual)
-        coeff = np.where(usable, numerators / safe_den, 0.0)
+        coeff = (phi @ (w * residual)) / denominators
         decrease = coeff * coeff * denominators
-        scores = np.where(usable, decrease * wf, -1.0)
-        best = int(np.argmax(scores))  # first max wins: candidates are tie-break ordered
+        best = int(np.argmax(decrease * wf))  # first max wins: candidates are tie-break ordered
         if decrease[best] == 0.0:
             break
         step = config.gamma * coeff[best]

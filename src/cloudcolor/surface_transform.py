@@ -9,10 +9,10 @@ id), so results are fully deterministic.
 Every block first tries a vectorised path: a numpy distance matrix and an
 array-based Prim.  It returns the same tree whenever every candidate weight
 is separated from every other by more than a relative ``_TIE_RTOL`` (and
-none is zero): numpy's weights then differ from ``math.dist`` by far less
-than that gap, so both order the edges identically, the MST is unique, and
-Prim finds exactly the Kruskal tree.  Blocks that fail the check (ties,
-duplicate points) take the pure-Python Kruskal.
+none is zero or overflows): numpy's weights then differ from ``math.dist``
+by far less than that gap, so both order the edges identically, the MST is
+unique, and Prim finds exactly the Kruskal tree.  Blocks that fail the
+check (ties, duplicate or far-apart points) take the pure-Python Kruskal.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, ColorPointCloud
-from .errors import EmptyBlock
+from .core import Block, ColorPointCloud, squared_distance_chunks
+from .errors import EmptyBlock, InvalidInput
 
 Coord3 = Tuple[float, float, float]
 
@@ -73,23 +73,17 @@ def _kruskal_tree(points: Sequence[Coord3]) -> list[tuple[int, int]]:
     return tree
 
 
-def _prim_tree(points: Sequence[Coord3]) -> Optional[list[tuple[int, int]]]:
-    """Array Prim over the dense distance matrix, or None when two candidate
-    weights lie within ``_TIE_RTOL`` of each other, one is (near) zero or
-    one is not finite; the tree is then not provably the Kruskal tree."""
-    coords = np.array(points, dtype=np.float64)
-    n = len(coords)
-    dist = np.zeros((n, n))
-    step = np.empty((n, n))
-    for axis in coords.T:
-        np.subtract.outer(axis, axis, out=step)
-        step *= step
-        dist += step
-    np.sqrt(dist, out=dist)
+def _prim_tree(points: np.ndarray) -> Optional[list[tuple[int, int]]]:
+    """Array Prim over the distance matrix of (n, 3) `points`, or None when two
+    candidate weights lie within ``_TIE_RTOL`` of each other, one is (near)
+    zero or one is not finite; the tree is then not provably the Kruskal tree."""
+    n = len(points)
+    dist = np.sqrt(np.concatenate([d2 for _, d2 in squared_distance_chunks(points, points)]))
 
     weights = np.sort(dist[np.tri(n, k=-1, dtype=bool)])  # dist is exactly symmetric
-    # NaN and inf fail both comparisons
-    if not (weights[0] >= _MIN_WEIGHT and np.all(np.diff(weights) > _TIE_RTOL * weights[1:])):
+    # an overflowed weight is inf; np.diff over it would warn, so it is tested first
+    if not (weights[0] >= _MIN_WEIGHT and weights[-1] < np.inf
+            and np.all(np.diff(weights) > _TIE_RTOL * weights[1:])):
         return None
 
     # dist[:, v] = inf once v joins, so rows never offer in-tree nodes again
@@ -109,20 +103,22 @@ def _prim_tree(points: Sequence[Coord3]) -> Optional[list[tuple[int, int]]]:
     return tree
 
 
-def build_mst(points: Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
-    """Kruskal MST of the complete graph as (parent, child) id pairs,
-    oriented from `root`.
+def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
+    """Kruskal MST of the complete graph over `points`, an (n, 3) array or a
+    sequence of (x, y, z) triples, as (parent, child) id pairs oriented from
+    `root`.
 
     Candidate edges are ordered by (``math.dist`` weight, smaller id, larger
     id); the pairs come in the order of a breadth-first walk visiting
     children in ascending id, so every parent precedes its children.
 
     Every block first tries the array Prim of ``_prim_tree``.  It runs only
-    when all candidate weights are nonzero and pairwise more than a relative
-    ``_TIE_RTOL`` apart.  Then the MST is unique and numpy's rounding (within
-    ~2e-16 of ``math.dist``) cannot reorder two edges, so Prim's tree is
-    exactly the Kruskal tree.  Other blocks fall back to the Kruskal.
+    when all candidate weights are finite, nonzero and pairwise more than a
+    relative ``_TIE_RTOL`` apart.  Then the MST is unique and numpy's rounding
+    (within ~2e-16 of ``math.dist``) cannot reorder two edges, so Prim's tree
+    is exactly the Kruskal tree.  Other blocks fall back to the Kruskal.
     """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
     if n == 0:
         raise EmptyBlock("cannot build an MST over zero points")
@@ -131,7 +127,8 @@ def build_mst(points: Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
 
     tree = _prim_tree(points)
     if tree is None:
-        tree = _kruskal_tree(points)
+        # tuples of Python floats: math.dist converts any other sequence on every call
+        tree = _kruskal_tree(list(map(tuple, points.tolist())))
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for i, j in tree:
         adjacency[i].append(j)
@@ -150,17 +147,13 @@ def build_mst(points: Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
     return oriented
 
 
-def _sgn(d: float) -> float:
-    # sgn(0) := +1 so a zero planar difference still carries the z fold
-    return 1.0 if d >= 0 else -1.0
-
-
-def fold_deltas(parent: Coord3, child: Coord3) -> Tuple[float, float]:
-    dx, dy, dz = (child[0] - parent[0], child[1] - parent[1], child[2] - parent[2])
-    return (
-        _sgn(dx) * math.sqrt(dx * dx + dz * dz),
-        _sgn(dy) * math.sqrt(dy * dy + dz * dz),
-    )
+def fold_deltas(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """(e, 2) planar steps of the (e, 3) tree edges from `parents` to
+    `children`: per axis a in (x, y), sgn(da) * sqrt(da^2 + dz^2), with
+    sgn(0) = +1 so a zero planar difference still carries the z fold."""
+    with np.errstate(over="ignore"):  # an overflow reads inf; flatten_block rejects it
+        d = children - parents
+        return np.where(d[:, :2] >= 0, 1.0, -1.0) * np.sqrt(d[:, :2] * d[:, :2] + d[:, 2:] * d[:, 2:])
 
 
 def _pick_root(block: Block, root_seed: Optional[int]) -> int:
@@ -175,16 +168,21 @@ def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int]
     is the block's i-th point and the root sits at the origin.
 
     The root is the lowest point id, or with `root_seed` a pick seeded by
-    it and salted by the block's cell index.
+    it and salted by the block's cell index.  A block so wide that a 2D
+    coordinate overflows raises InvalidInput.
     """
     if not len(block.point_ids):
         raise EmptyBlock("cannot flatten an empty block")
 
-    # tuples of Python floats: math.dist converts any other sequence on every call
-    coords = list(map(tuple, cloud.positions[block.point_ids].tolist()))
-    flat = [(0.0, 0.0)] * len(coords)
-    for parent, child in build_mst(coords, root=_pick_root(block, root_seed)):
-        px, py = flat[parent]  # BFS order: the parent is already placed
-        dx, dy = fold_deltas(coords[parent], coords[child])
-        flat[child] = (px + dx, py + dy)
-    return np.array(flat, dtype=float)
+    positions = cloud.positions[block.point_ids]
+    pairs = build_mst(positions, root=_pick_root(block, root_seed))
+    parents, children = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    deltas = fold_deltas(positions[parents], positions[children])
+    xy = [(0.0, 0.0)] * len(positions)
+    for (parent, child), (dx, dy) in zip(pairs, deltas.tolist()):
+        px, py = xy[parent]  # BFS order: the parent is already placed
+        xy[child] = (px + dx, py + dy)
+    flat = np.array(xy)
+    if not np.isfinite(flat).all():
+        raise InvalidInput("the block is too wide to flatten: a 2D coordinate overflows float64")
+    return flat

@@ -38,7 +38,7 @@ class TestUpsample:
     def test_unknown_flag_exit_1(self, mixed_ply, tmp_path, capsys):
         code = main(["upsample", "--frobnicate", str(mixed_ply), str(tmp_path / "o.ply")])
         assert code == 1
-        assert "usage" in capsys.readouterr().err
+        assert "usage: cloudcolor upsample" in capsys.readouterr().err
 
     def test_missing_input_exit_2(self, tmp_path):
         code = main(["upsample", str(tmp_path / "nope.ply"), str(tmp_path / "o.ply")])
@@ -99,10 +99,12 @@ class TestEvaluate:
         raw.decode("utf-8")
 
 
-def double_x_ply(tmp_path, rows):
-    """An ASCII PLY of `rows` whose x is a double: beyond float32 range is a
-    read error under float, and a double keeps 1e-160 apart from 0."""
-    header = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty float y\nproperty float z\n" \
+def double_x_ply(tmp_path, rows, double_axes="x"):
+    """An ASCII PLY of `rows` whose x (or each axis in `double_axes`) is a
+    double: beyond float32 range is a read error under float, and a double
+    keeps 1e-160 apart from 0."""
+    axes = "".join(f"property {'double' if a in double_axes else 'float'} {a}\n" for a in "xyz")
+    header = "ply\nformat ascii 1.0\nelement vertex {}\n" + axes + \
         "property uchar red\nproperty uchar green\nproperty uchar blue\nproperty uchar original\nend_header\n"
     path = tmp_path / "in.ply"
     path.write_text(header.format(len(rows)) + "".join(row + "\n" for row in rows))
@@ -195,6 +197,27 @@ class TestOutOfRangeCoordinates:
         assert "Traceback" not in err
         assert not (tmp_path / "out.ply").exists()
 
+    # every pairwise dx or dy is at least 1e199, so each fold step overflows
+    WIDE = ["0 0 0 10 20 30 1", "1e200 0 0 200 100 50 1", "0 3e200 0 0 0 255 1", "1e199 1e199 0 0 0 0 {}"]
+
+    @pytest.mark.parametrize("command", [["upsample", "--method=fsmmr"], ["upsample", "--method=idw2"], ["flatten"]])
+    def test_block_too_wide_to_flatten(self, command, tmp_path, capsys):
+        source = double_x_ply(tmp_path, [row.format(0) for row in self.WIDE], double_axes="xyz")
+        code = main([*command, "--block-size=1e300", str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "too wide to flatten" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_records_a_block_too_wide_to_flatten(self, tmp_path):
+        source = double_x_ply(tmp_path, [row.format(1) for row in self.WIDE], double_axes="xyz")
+        out = tmp_path / "report.csv"
+        args = ["--methods=fsmmr,idw2", "--densities=50", "--runs=1", "--block-size=1e300"]
+        assert main(["evaluate", *args, str(source), str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith("error:InvalidInput") for row in rows)
+
 
 class TestFlatten:
     def test_dump_csv(self, mixed_ply, tmp_path):
@@ -217,7 +240,7 @@ class TestFlatten:
         code = main(["flatten", flag, str(mixed_ply), str(tmp_path / "f.csv")])
         err = capsys.readouterr().err
         assert code == 1
-        assert "unrecognized arguments" in err and "usage" in err
+        assert "unrecognized arguments" in err and "usage: cloudcolor flatten" in err
         assert not (tmp_path / "f.csv").exists()
 
 

@@ -292,6 +292,22 @@ class TestFitMatchesSeedOracle:
             assert model.iterations_run == {"energy threshold": 10, "zero decrease at once": 0}[stop]
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
 
+    @pytest.mark.parametrize("window, x", [((2, 7), 0.5), ((6, 5), 1.0)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vanishing_candidates(self, window, x, seed):
+        # cos_x[k] is about 6e-17 at this x (k = 1 for M = 2, k = 2 for M = 6),
+        # so with weights near 1e-300 those rows' phi^2 . w underflow to 0
+        rng = np.random.default_rng(seed)
+        m, n = window
+        size = int(rng.integers(3, 40))
+        coords = np.column_stack([np.full(size, x), rng.uniform(0, n - 1, size)])
+        samples = ScatteredSamples(coords, rng.uniform(0, 255, size), rng.uniform(0.5, 2.0, size) * 1e-300)
+        config = FsmmrConfig(model_width=m, model_height=n, gamma=0.5 + 0.25 * seed, max_iterations=60)
+        kl, _ = config.frequencies
+        cos_x, cos_y = _cosine_tables(samples.coords, window)
+        assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
+        assert model_bits(generate_model(samples, config)) == model_bits(generate_model_oracle(samples, config))
+
 
 class TestNormalizeToWindow:
     def test_corners(self):

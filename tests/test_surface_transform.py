@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
-from cloudcolor.errors import EmptyBlock
+from cloudcolor.errors import EmptyBlock, InvalidInput
 from cloudcolor.surface_transform import _prim_tree, build_mst, flatten_block, fold_deltas
 
 from conftest import random_cloud
@@ -58,6 +58,13 @@ class TestBuildMst:
         points = [tuple(c) for c in rng.uniform(0, 5, size=(12, 3))]
         assert build_mst(points, root=3) == build_mst(points, root=3)
 
+    def test_far_apart_points_take_the_kruskal_without_warnings(self):
+        # squared distances overflow to inf: the Prim guard must refuse them
+        # before np.diff sees inf - inf (warnings are errors in this suite)
+        points = [(0, 0, 0), (1e200, 0, 0), (0, 3e200, 0)]
+        assert _prim_tree(np.array(points, dtype=float)) is None
+        assert build_mst(points) == [(0, 1), (0, 2)]
+
 
 def _as_points(array, float32):
     if float32:
@@ -97,7 +104,7 @@ class TestBuildMstMatchesKruskal:
     ])
     def test_vectorised_path_is_exact(self, make, n, float32):
         points = make(n, seed=n, float32=float32)
-        assert _prim_tree(points) is not None  # the fast path runs
+        assert _prim_tree(np.array(points)) is not None  # the fast path runs
         for root in (0, n // 2, n - 1):
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
@@ -112,7 +119,7 @@ class TestBuildMstMatchesKruskal:
 
     def test_unit_square_tie_falls_back(self):
         points = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]
-        assert _prim_tree(points) is None
+        assert _prim_tree(np.array(points)) is None
         for root in range(4):
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
@@ -121,7 +128,7 @@ class TestBuildMstMatchesKruskal:
         # from the (weight, i, j) order
         grid = [(float(x), float(y), 2.0) for x in range(8) for y in range(8)]
         points = [grid[i] for i in np.random.default_rng(3).permutation(len(grid))]
-        assert _prim_tree(points) is None
+        assert _prim_tree(np.array(points)) is None
         for root in (0, 27, 63):
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
@@ -131,7 +138,7 @@ class TestBuildMstMatchesKruskal:
         rng = np.random.default_rng(4)
         grid = np.array([(x, y, z) for x in range(4) for y in range(4) for z in range(4)], float)
         points = _as_points(grid + rng.uniform(-1e-14, 1e-14, size=grid.shape), False)
-        assert _prim_tree(points) is None
+        assert _prim_tree(np.array(points)) is None
         assert mst_triples(points, 5) == kruskal_mst_oracle(points, 5)
 
     def test_weights_within_tolerance_fall_back(self):
@@ -139,7 +146,7 @@ class TestBuildMstMatchesKruskal:
         points = sphere_block(100, seed=8, float32=False)
         a, b, c = (np.array(points[i]) for i in (0, 1, 2))
         points[3] = tuple(float(v) for v in c + (b - a) * (1.0 + 1e-13))
-        assert _prim_tree(points) is None
+        assert _prim_tree(np.array(points)) is None
         assert mst_triples(points, 0) == kruskal_mst_oracle(points, 0)
 
     def test_duplicate_points_fall_back(self):
@@ -147,7 +154,7 @@ class TestBuildMstMatchesKruskal:
         points[30] = points[10]
         points[99] = points[10]
         points[100] = points[55]
-        assert _prim_tree(points) is None
+        assert _prim_tree(np.array(points)) is None
         for root in (0, 10, 99):
             assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
 
@@ -220,7 +227,15 @@ class TestFlattenBlock:
         assert len(roots) > 1  # the seed picks the root
 
     def test_fold_deltas_sign_convention(self):
-        dx, dy = fold_deltas((0, 0, 0), (0, 0, 2))
+        dx, dy = fold_deltas(np.array([(0, 0, 0)]), np.array([(0, 0, 2)]))[0]
         assert (dx, dy) == (2.0, 2.0)  # sgn(0) = +1 keeps the z fold
-        dx, dy = fold_deltas((0, 0, 0), (-3, -4, 0))
+        dx, dy = fold_deltas(np.array([(0, 0, 0)]), np.array([(-3, -4, 0)]))[0]
         assert (dx, dy) == (-3.0, -4.0)
+
+    def test_block_too_wide_to_flatten(self):
+        # dx * dx overflows: the fold would write inf and nan coordinates
+        cloud = ColorPointCloud([(0, 0, 0), (1e200, 0, 0), (0, 3e200, 0), (1e199, 1e199, 0)], np.zeros((4, 3), int))
+        block = partition_into_blocks(cloud, 1e300)[0]
+        assert len(block.point_ids) == 4
+        with pytest.raises(InvalidInput, match="too wide"):
+            flatten_block(block, cloud)
