@@ -17,10 +17,6 @@ class EmptySamples(CloudColorError):
     pass
 
 
-class DegenerateBasis(CloudColorError):
-    pass
-
-
 class InvalidConfig(CloudColorError):
     pass
 

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import nearest_original_color  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
-from .errors import DegenerateBasis, EmptySamples, InvalidConfig
+from .errors import EmptySamples, InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,6 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
     w = samples.weights
     denominators = (phi * phi) @ w
     vanishing = denominators == 0
-    if vanishing.all():
-        raise DegenerateBasis("every candidate basis function vanishes on the samples")
     # zeroed with denominator 1, a vanishing row scores 0 and never beats the DC row (first,
     # never vanishing); kept, not dropped: a gemv over fewer rows rounds the others differently
     phi[vanishing] = 0.0

@@ -3,29 +3,31 @@
 Each MST edge folds the z difference into both planar axes: the child lands
 at the parent's 2D position plus sign-preserving distances computed in the
 (x,z) and (y,z) planes.  The tree is the Kruskal tree of the complete
-Euclidean graph with candidate edges ordered by (weight, smaller id, larger
-id), so results are fully deterministic.
+Euclidean graph with candidate edges ordered by (``math.dist`` weight,
+smaller id, larger id), so results are fully deterministic.
 
-Every block first tries a vectorised path: a numpy distance matrix and an
-array-based Prim.  It returns the same tree whenever every candidate weight
-is separated from every other by more than a relative ``_TIE_RTOL`` (and
-none is zero or overflows): numpy's weights then differ from ``math.dist``
-by far less than that gap, so both order the edges identically, the MST is
-unique, and Prim finds exactly the Kruskal tree.  Blocks that fail the
-check (ties, duplicate or far-apart points) take the pure-Python Kruskal.
+One array Prim over the block's distance matrix builds it.  Under a strict
+total order of the edges the MST is unique, so Prim finds exactly the
+Kruskal tree whenever its keys order the edges as (``math.dist``, i, j)
+does.  When every candidate weight is separated from every other by more
+than a relative ``_TIE_RTOL`` (and none is tiny or overflows), numpy's
+weights differ from ``math.dist`` by far less than that gap and serve as the
+keys.  Otherwise each edge's key is its exact rank: numpy's order, with
+every run of near ties re-sorted by (``math.dist``, i, j).  Prim grows
+the tree from the root, so its (parent, child) pairs come in join order,
+every parent before its children.
 """
 from __future__ import annotations
 
 import math
 import random
 import zlib
-from collections import deque
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Block, ColorPointCloud, squared_distance_chunks
-from .errors import EmptyBlock, InvalidInput
+from .errors import EmptyBlock, InvalidConfig, InvalidInput
 
 Coord3 = Tuple[float, float, float]
 
@@ -38,113 +40,85 @@ _TIE_RTOL = 1e-12
 _MIN_WEIGHT = math.sqrt(np.finfo(np.float64).tiny)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+def _near_ties(ordered: np.ndarray) -> np.ndarray:
+    """One flag per neighbouring pair of the sorted weights `ordered`: True
+    where numpy may order the pair differently from ``math.dist``, because
+    the two lie within ``_TIE_RTOL``, the lower is below ``_MIN_WEIGHT`` or
+    the upper overflowed."""
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, and neither it nor inf > inf holds
+        near = ~(np.diff(ordered) > _TIE_RTOL * ordered[1:])
+    near[:np.searchsorted(ordered, _MIN_WEIGHT)] = True
+    return near
 
 
-def _kruskal_tree(points: Sequence[Coord3]) -> list[tuple[int, int]]:
-    """Exact (weight, i, j) Kruskal over every pair; ties need no guard."""
-    n = len(points)
-    edges = sorted(
-        (math.dist(points[i], points[j]), i, j)
-        for i in range(n) for j in range(i + 1, n)
-    )
-    uf = _UnionFind(n)
-    tree: list[tuple[int, int]] = []
-    for _, i, j in edges:
-        if uf.union(i, j):
-            tree.append((i, j))
-            if len(tree) == n - 1:
-                break
-    return tree
+def _prim_keys(points: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(n, n) Prim keys over the candidate edges of (n >= 2, 3) `points`,
+    and whether they are exact ranks rather than numpy's distances.
 
+    Numpy's distances serve when the sorted weights show no near tie, none
+    is below ``_MIN_WEIGHT`` and none overflowed.  Otherwise each edge's key
+    is its rank, as float64, in the (``math.dist``, smaller id, larger id)
+    order: numpy's order with every run of near ties re-sorted exactly.
+    """
+    keys = np.sqrt(np.concatenate([d2 for _, d2 in squared_distance_chunks(points, points)]))
+    lower = np.tri(len(points), k=-1, dtype=bool)
+    ordered = np.sort(keys[lower])  # keys is exactly symmetric
+    near = _near_ties(ordered)
+    if ordered[0] >= _MIN_WEIGHT and ordered[-1] < np.inf and not near.any():
+        return keys, False
 
-def _prim_tree(points: np.ndarray) -> Optional[list[tuple[int, int]]]:
-    """Array Prim over the distance matrix of (n, 3) `points`, or None when two
-    candidate weights lie within ``_TIE_RTOL`` of each other, one is (near)
-    zero or one is not finite; the tree is then not provably the Kruskal tree."""
-    n = len(points)
-    dist = np.sqrt(np.concatenate([d2 for _, d2 in squared_distance_chunks(points, points)]))
-
-    weights = np.sort(dist[np.tri(n, k=-1, dtype=bool)])  # dist is exactly symmetric
-    # an overflowed weight is inf; np.diff over it would warn, so it is tested first
-    if not (weights[0] >= _MIN_WEIGHT and weights[-1] < np.inf
-            and np.all(np.diff(weights) > _TIE_RTOL * weights[1:])):
-        return None
-
-    # dist[:, v] = inf once v joins, so rows never offer in-tree nodes again
-    dist[:, 0] = np.inf
-    best = dist[0].copy()
-    nearest = np.zeros(n, dtype=np.intp)
-    tree: list[tuple[int, int]] = []
-    for _ in range(n - 1):
-        v = int(best.argmin())
-        tree.append((int(nearest[v]), v))
-        dist[:, v] = np.inf
-        best[v] = np.inf
-        row = dist[v]
-        closer = row < best
-        np.copyto(best, row, where=closer)
-        nearest[closer] = v
-    return tree
+    order = np.argsort(keys[lower])  # edge (i, j) with i > j, row-major
+    # the runs are more than _TIE_RTOL apart, so sorting all their members at
+    # once re-sorts each run in place
+    member = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
+    larger, smaller = (index[order[member]] for index in np.nonzero(lower))
+    xyz = points.tolist()
+    exact = [math.dist(xyz[i], xyz[j]) for i, j in zip(larger.tolist(), smaller.tolist())]
+    order[member] = order[member][np.lexsort((larger, smaller, exact))]
+    ranks = np.empty(len(order))
+    ranks[order] = np.arange(len(order))
+    keys[lower] = ranks
+    keys.T[lower] = ranks
+    return keys, True
 
 
 def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
     """Kruskal MST of the complete graph over `points`, an (n, 3) array or a
     sequence of (x, y, z) triples, as (parent, child) id pairs oriented from
-    `root`.
+    `root`, an int in [0, n).
 
     Candidate edges are ordered by (``math.dist`` weight, smaller id, larger
-    id); the pairs come in the order of a breadth-first walk visiting
-    children in ascending id, so every parent precedes its children.
-
-    Every block first tries the array Prim of ``_prim_tree``.  It runs only
-    when all candidate weights are finite, nonzero and pairwise more than a
-    relative ``_TIE_RTOL`` apart.  Then the MST is unique and numpy's rounding
-    (within ~2e-16 of ``math.dist``) cannot reorder two edges, so Prim's tree
-    is exactly the Kruskal tree.  Other blocks fall back to the Kruskal.
+    id).  One array Prim grows the tree from `root` and emits each point
+    with its nearest tree point as it joins, so every parent precedes its
+    children.  Its keys are numpy's distances when all candidate weights are
+    at least ``_MIN_WEIGHT``, finite and pairwise more than a relative
+    ``_TIE_RTOL`` apart, and exact ranks in the edge order otherwise.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
     if n == 0:
         raise EmptyBlock("cannot build an MST over zero points")
+    if not isinstance(root, (int, np.integer)) or not 0 <= root < n:
+        raise InvalidConfig(f"MST root must be a point index in [0, {n}), got {root!r}")
     if n == 1:
         return []
 
-    tree = _prim_tree(points)
-    if tree is None:
-        # tuples of Python floats: math.dist converts any other sequence on every call
-        tree = _kruskal_tree(list(map(tuple, points.tolist())))
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in tree:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-
-    oriented: list[tuple[int, int]] = []
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for child in sorted(adjacency[node]):
-            if child not in seen:
-                seen.add(child)
-                oriented.append((node, child))
-                queue.append(child)
-    return oriented
+    keys, _ = _prim_keys(points)
+    # keys[:, v] = inf once v joins, so rows never offer in-tree points again
+    keys[:, root] = np.inf
+    best = keys[root].copy()
+    nearest = np.full(n, int(root))
+    pairs: list[tuple[int, int]] = []
+    for _ in range(n - 1):
+        v = int(best.argmin())
+        pairs.append((int(nearest[v]), v))
+        keys[:, v] = np.inf
+        best[v] = np.inf
+        row = keys[v]
+        closer = row < best
+        np.copyto(best, row, where=closer)
+        nearest[closer] = v
+    return pairs
 
 
 def fold_deltas(parents: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -180,7 +154,7 @@ def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int]
     deltas = fold_deltas(positions[parents], positions[children])
     xy = [(0.0, 0.0)] * len(positions)
     for (parent, child), (dx, dy) in zip(pairs, deltas.tolist()):
-        px, py = xy[parent]  # BFS order: the parent is already placed
+        px, py = xy[parent]  # the parent is placed before its children
         xy[child] = (px + dx, py + dy)
     flat = np.array(xy)
     if not np.isfinite(flat).all():

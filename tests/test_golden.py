@@ -3,7 +3,7 @@
 
 The fsmmr/idw2/lin2 upsample digests were recorded before the vectorised
 MST path existed, so they pin the output of the seed's pure-Python Kruskal,
-which the guarded numpy Prim of `build_mst` must reproduce on every block
+which the array Prim of `build_mst` must reproduce on every block
 (about 107 points each on the 6k-point sphere at block size 4).  The lin2
 digest also pins the CLI's nearest-original hole fill.
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
-from cloudcolor.errors import EmptyBlock, InvalidInput
-from cloudcolor.surface_transform import _prim_tree, build_mst, flatten_block, fold_deltas
+from cloudcolor.errors import EmptyBlock, InvalidConfig, InvalidInput
+from cloudcolor.surface_transform import _prim_keys, build_mst, flatten_block, fold_deltas
 
 from conftest import random_cloud
 from oracles import brute_force_mst_weight, fold_2d_oracle, kruskal_mst_oracle
@@ -59,11 +61,19 @@ class TestBuildMst:
         assert build_mst(points, root=3) == build_mst(points, root=3)
 
     def test_far_apart_points_take_the_kruskal_without_warnings(self):
-        # squared distances overflow to inf: the Prim guard must refuse them
-        # before np.diff sees inf - inf (warnings are errors in this suite)
+        # squared distances overflow to inf: the separation test must refuse
+        # them without warning on inf - inf (warnings are errors in this suite)
         points = [(0, 0, 0), (1e200, 0, 0), (0, 3e200, 0)]
-        assert _prim_tree(np.array(points, dtype=float)) is None
+        assert rank_keyed(points)
         assert build_mst(points) == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("root", [-1, 3, 1.0, "0", None])
+    def test_root_must_be_a_point_index(self, root):
+        with pytest.raises(InvalidConfig, match="MST root"):
+            build_mst([(0, 0, 0), (1, 0, 0), (3, 0, 0)], root=root)
+
+    def test_numpy_integer_root(self):
+        assert build_mst([(0, 0, 0), (1, 0, 0), (3, 0, 0)], root=np.int64(2)) == [(2, 1), (1, 0)]
 
 
 def _as_points(array, float32):
@@ -86,13 +96,30 @@ def planar_block(n, seed, float32):
     return _as_points(np.column_stack([xy, z]), float32)
 
 
+def rank_keyed(points):
+    """Whether `points` fail the separation test, so that build_mst keys
+    its Prim by exact ranks rather than numpy's distances."""
+    return _prim_keys(np.array(points, dtype=float))[1]
+
+
 def mst_triples(points, root):
-    return [(p, c, math.dist(points[p], points[c])) for p, c in build_mst(points, root=root)]
+    """build_mst's tree as sorted (parent, child, math.dist) triples, after
+    checking that every parent is placed before its children."""
+    pairs = build_mst(points, root=root)
+    placed = {root}
+    for parent, child in pairs:
+        assert parent in placed and child not in placed
+        placed.add(child)
+    return sorted((p, c, math.dist(points[p], points[c])) for p, c in pairs)
+
+
+def oracle_triples(points, root):
+    return sorted(kruskal_mst_oracle(points, root))
 
 
 class TestBuildMstMatchesKruskal:
-    """build_mst against the pure-Python Kruskal reference on blocks the
-    vectorised path takes, and on blocks that must fall back."""
+    """build_mst against the pure-Python Kruskal reference on blocks whose
+    Prim keys are numpy's distances, and on blocks that need exact ranks."""
 
     @pytest.mark.parametrize("make, n, float32", [
         (sphere_block, 40, True),
@@ -104,9 +131,9 @@ class TestBuildMstMatchesKruskal:
     ])
     def test_vectorised_path_is_exact(self, make, n, float32):
         points = make(n, seed=n, float32=float32)
-        assert _prim_tree(np.array(points)) is not None  # the fast path runs
+        assert not rank_keyed(points)  # numpy's distances are the keys
         for root in (0, n // 2, n - 1):
-            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+            assert mst_triples(points, root) == oracle_triples(points, root)
 
     @pytest.mark.parametrize("float32", [True, False])
     @pytest.mark.parametrize("make", [sphere_block, planar_block])
@@ -115,22 +142,22 @@ class TestBuildMstMatchesKruskal:
         for n in range(2, 40):
             points = make(n, seed=n, float32=float32)
             for root in sorted({0, n // 2, n - 1}):
-                assert mst_triples(points, root) == kruskal_mst_oracle(points, root), (n, root)
+                assert mst_triples(points, root) == oracle_triples(points, root), (n, root)
 
     def test_unit_square_tie_falls_back(self):
         points = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]
-        assert _prim_tree(np.array(points)) is None
+        assert rank_keyed(points)
         for root in range(4):
-            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+            assert mst_triples(points, root) == oracle_triples(points, root)
 
     def test_exact_tie_lattice_falls_back(self):
         # shuffled so that Prim's growth order would break ties differently
         # from the (weight, i, j) order
         grid = [(float(x), float(y), 2.0) for x in range(8) for y in range(8)]
         points = [grid[i] for i in np.random.default_rng(3).permutation(len(grid))]
-        assert _prim_tree(np.array(points)) is None
+        assert rank_keyed(points)
         for root in (0, 27, 63):
-            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+            assert mst_triples(points, root) == oracle_triples(points, root)
 
     def test_near_tie_lattice_falls_back(self):
         # jitter far below the tie tolerance: numpy and math.dist may order
@@ -138,25 +165,55 @@ class TestBuildMstMatchesKruskal:
         rng = np.random.default_rng(4)
         grid = np.array([(x, y, z) for x in range(4) for y in range(4) for z in range(4)], float)
         points = _as_points(grid + rng.uniform(-1e-14, 1e-14, size=grid.shape), False)
-        assert _prim_tree(np.array(points)) is None
-        assert mst_triples(points, 5) == kruskal_mst_oracle(points, 5)
+        assert rank_keyed(points)
+        assert mst_triples(points, 5) == oracle_triples(points, 5)
 
     def test_weights_within_tolerance_fall_back(self):
         # two distinct weights 1e-13 apart: distinct, yet too close to trust
         points = sphere_block(100, seed=8, float32=False)
         a, b, c = (np.array(points[i]) for i in (0, 1, 2))
         points[3] = tuple(float(v) for v in c + (b - a) * (1.0 + 1e-13))
-        assert _prim_tree(np.array(points)) is None
-        assert mst_triples(points, 0) == kruskal_mst_oracle(points, 0)
+        assert rank_keyed(points)
+        assert mst_triples(points, 0) == oracle_triples(points, 0)
 
     def test_duplicate_points_fall_back(self):
         points = sphere_block(120, seed=7, float32=True)
         points[30] = points[10]
         points[99] = points[10]
         points[100] = points[55]
-        assert _prim_tree(np.array(points)) is None
+        assert rank_keyed(points)
         for root in (0, 10, 99):
-            assert mst_triples(points, root) == kruskal_mst_oracle(points, root)
+            assert mst_triples(points, root) == oracle_triples(points, root)
+
+
+def tie_heavy_block(kind, n, rng):
+    """n points of a kind whose candidate weights tie or nearly tie."""
+    if kind == "sphere copies":
+        directions = rng.normal(size=(n, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        array = (directions * 8.0).astype(np.float32).astype(float)
+    elif kind == "tenths":
+        array = rng.integers(0, 6, size=(n, 3)) * 0.1
+    elif kind == "subnormal":
+        # squared distances below the smallest normal float64: numpy may
+        # order these weights wrongly by far more than the tie tolerance
+        array = rng.uniform(0.0, 4.0, size=(n, 3)) * 1e-162
+    else:
+        array = rng.integers(0, 3, size=(n, 3)) * {"lattice": 1.0, "jitter": 1.0, "tiny": 1e-160, "huge": 1e200}[kind]
+        if kind == "jitter":
+            array += rng.uniform(-1e-14, 1e-14, size=array.shape)
+    copies = int(rng.integers(0, n))
+    array[rng.integers(0, n, size=copies)] = array[rng.integers(0, n, size=copies)]
+    return [tuple(float(c) for c in row) for row in array]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["lattice", "tenths", "jitter", "sphere copies", "tiny", "subnormal", "huge"]),
+       n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), root_share=st.floats(0.0, 1.0, exclude_max=True))
+def test_tie_heavy_blocks_match_kruskal(kind, n, seed, root_share):
+    points = tie_heavy_block(kind, n, np.random.default_rng(seed))
+    root = int(root_share * n)
+    assert mst_triples(points, root) == oracle_triples(points, root)
 
 
 def flat_by_id(block, flat):
