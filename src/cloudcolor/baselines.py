@@ -12,7 +12,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .core import nearest_ids, squared_distance_chunks
 from .errors import EmptySamples, InvalidConfig
@@ -85,6 +84,10 @@ def interpolate_lin2(
     every query when the originals are degenerate (fewer than 3 points or
     collinear), are not inside.
     """
+    # imported here, not at module load: no other method needs scipy, and
+    # loading it more than doubles the start-up time and memory of a run
+    from scipy.spatial import Delaunay, QhullError
+
     positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
     queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)
     outside = np.zeros(len(queries2d), dtype=bool), np.empty((0, 3), dtype=np.uint8)

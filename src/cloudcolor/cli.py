@@ -6,7 +6,7 @@ Subcommands:
   evaluate  read a fully colored PLY, run the density sweep, write a CSV
   flatten   dump one block's 2D coordinates as CSV for inspection
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--densities", default="10,50,80", help="comma list of sampling densities in percent, each in (0, 100] (default 10,50,80)")
     ev.add_argument("--runs", type=int, default=3, help="runs per density (default 3)")
     ev.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
-    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports)")
+    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; the first lin2 row also includes loading scipy)")
     _add_block_flags(ev)
     _add_model_flags(ev)
 
@@ -178,6 +178,9 @@ def main(argv=None) -> int:
         return _cmd_flatten(args)
     except (CloudColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a flag value asked for more memory than there is
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

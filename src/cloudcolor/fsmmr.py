@@ -136,7 +136,7 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
     for _ in range(config.max_iterations):
         coeff = (phi @ (w * residual)) / denominators
         decrease = coeff * coeff * denominators
-        best = int(np.argmax(decrease * wf))  # first max wins: candidates are tie-break ordered
+        best = int((decrease * wf).argmax())  # first max wins: candidates are tie-break ordered
         if decrease[best] == 0.0:
             break
         step = config.gamma * coeff[best]

@@ -168,6 +168,19 @@ class TestFlagValidation:
         assert "Traceback" not in capsys.readouterr().err
         assert read_ply(out.read_bytes()).colors.tolist()[2] == [10, 20, 30]
 
+    @pytest.mark.parametrize("command, method_flag", [("upsample", "--method=fsmmr"), ("evaluate", "--methods=fsmmr")])
+    def test_memory_error_is_data_error(self, command, method_flag, mixed_ply, colored_ply, tmp_path, capsys):
+        # 10^16 candidate frequencies (71 PiB) exceed any address space: numpy
+        # refuses them without allocating
+        source = colored_ply if command == "evaluate" else mixed_ply
+        code = main([command, method_flag, "--model-size", "100000000", "--rho", "0.9999999",
+                     str(source), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_flag_is_usage_error(self, mixed_ply, tmp_path, capsys):
         code = main(["upsample", "--threads", "2", str(mixed_ply), str(tmp_path / "out")])
         err = capsys.readouterr().err

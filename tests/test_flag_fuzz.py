@@ -4,8 +4,10 @@ prints no traceback.
 
 Float flags get arbitrary tokens: NaN, +-inf, huge, subnormal, negative
 and any float hypothesis draws.  `--model-size`, `--max-iters` and
-`--runs` draw only up to 32, 200 and 2: larger values are valid and only
-cost memory and time, so they stay unfuzzed.
+`--runs` draw only up to 32, 200 and 2 to keep each example fast.  Larger
+values are valid but cost time and memory; a model size whose tables exceed
+the address space ends in `MemoryError`, which `main` answers with exit code
+2 (`test_cli.py` checks that case).
 """
 import contextlib
 import io
