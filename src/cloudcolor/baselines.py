@@ -13,9 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import nearest_ids, squared_distance_chunks
+from .core import nearest_ids, round_color_channel, squared_distance_chunks
 from .errors import EmptySamples, InvalidConfig
-from .fsmmr import round_color_channel
 
 
 class InterpolatorKind(Enum):

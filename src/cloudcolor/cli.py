@@ -14,10 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import InterpolatorKind
-from .core import nearest_original_color, partition_into_blocks
+from .core import ColorPointCloud, nearest_original_color, partition_into_blocks
 from .errors import CloudColorError
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
@@ -111,18 +109,20 @@ def _root_seed(args) -> int | None:
 def _cmd_upsample(args) -> int:
     cloud = read_ply(args.input.read_bytes())
     method = InterpolatorKind.parse(args.method)
-    upsampled, uncolored = upsample_cloud(
+    upsampled = upsample_cloud(
         cloud, method,
         block_size=args.block_size,
         fsmmr_config=_fsmmr_config(args),
         root_seed=_root_seed(args),
         idw_power=args.idw_power,
     )
-    if uncolored:
+    holes = ~upsampled.colored
+    if holes.any():
         # keep the output total: fill the method's holes from the nearest original
-        print(f"{uncolored} points left uncolored by {method.value}; filled from nearest originals", file=sys.stderr)
-        holes = np.flatnonzero(~upsampled.colored)
-        upsampled = upsampled.with_colors(holes, nearest_original_color(cloud, upsampled.positions[holes]))
+        print(f"{holes.sum()} points left uncolored by {method.value}; filled from nearest originals", file=sys.stderr)
+        colors = upsampled.colors.copy()
+        colors[holes] = nearest_original_color(cloud, upsampled.positions[holes])
+        upsampled = ColorPointCloud(upsampled.positions, colors, upsampled.original)
     fmt = PlyFormat.ASCII if args.ascii else PlyFormat.BINARY_LITTLE_ENDIAN
     args.output.write_bytes(write_ply(upsampled, fmt))
     return 0

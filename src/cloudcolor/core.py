@@ -2,7 +2,7 @@
 
 All local computation (flattening, resampling) is scoped to one block of
 the partition.  The nearest-original lookup that every method falls back
-on lives here too.
+on and the 8-bit rounding of interpolated colors live here too.
 """
 from __future__ import annotations
 
@@ -13,6 +13,13 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from .errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
+
+
+def round_color_channel(values) -> np.ndarray:
+    """Each value rounded to the nearest integer, ties away from zero, and
+    clamped to [0, 255], as uint8: for v >= 0 that is floor(v + 0.5), and
+    every negative v clamps to 0."""
+    return np.clip(np.floor(np.asarray(values, dtype=float) + 0.5), 0, 255).astype(np.uint8)
 
 
 def _rows(values, dtype, name: str) -> np.ndarray:
@@ -58,23 +65,6 @@ class ColorPointCloud:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def original_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.original)
-
-    def reconstruct_ids(self) -> np.ndarray:
-        return np.flatnonzero(~self.original)
-
-    def fully_colored(self) -> bool:
-        return bool(self.colored.all())
-
-    def with_colors(self, ids: np.ndarray, colors: np.ndarray) -> "ColorPointCloud":
-        """A copy in which the points `ids` carry `colors`; roles unchanged."""
-        new_colors = self.colors.copy()
-        new_colors[ids] = colors
-        colored = self.colored.copy()
-        colored[ids] = True
-        return ColorPointCloud(self.positions, new_colors, self.original, colored)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,5 +158,5 @@ def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> np.ndarray:
     """(k, 3) colors of the Original point nearest to each (x, y, z) query
     in 3D; ties go to the lowest point id."""
-    o_ids = cloud.original_ids()
+    o_ids = np.flatnonzero(cloud.original)
     return cloud.colors[o_ids[nearest_ids(cloud.positions[o_ids], queries)]]

@@ -13,9 +13,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind, check_idw_power
-from .core import ColorPointCloud, check_block_size
+from .core import ColorPointCloud, check_block_size, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
-from .fsmmr import FsmmrConfig, round_color_channel, round_half_away
+from .fsmmr import FsmmrConfig
 from .pipeline import upsample_cloud
 
 PEAK = 255.0
@@ -36,6 +36,12 @@ class ExperimentSpec:
     measure_time: bool = False  # real timings break byte-identical reports
 
     def __post_init__(self):
+        if not (self.methods and self.densities):
+            raise InvalidConfig("the method and density lists must not be empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise InvalidConfig("each method may be listed only once")
+        if len(set(map(_fmt_density, self.densities))) < len(self.densities):
+            raise InvalidConfig("each density may be listed only once, and no two may share a report label")
         if any(not (0.0 < d <= 1.0) for d in self.densities):
             raise InvalidConfig("densities must lie in (0, 1]")
         if self.runs < 1:
@@ -94,14 +100,14 @@ def derive_seed(base_seed: int, density: float, run: int) -> int:
 
 
 def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> ColorPointCloud:
-    """Keep round(density*N) points as Original; the rest lose their color
-    but keep their coordinates as Reconstruct points."""
+    """Keep round(density*N) points, halves rounded up, as Original; the rest
+    lose their color but keep their coordinates as Reconstruct points."""
     if not (0.0 < density <= 1.0):
         raise InvalidConfig(f"density must lie in (0, 1], got {density}")
-    if not cloud.fully_colored():
+    if not cloud.colored.all():
         raise InvalidInput("downsampling requires a fully colored cloud")
     n = len(cloud)
-    n_keep = min(n, round_half_away(density * n))
+    n_keep = math.floor(density * n + 0.5)
     rng = np.random.default_rng(seed)
     keep = np.zeros(n, dtype=bool)
     keep[rng.permutation(n)[:n_keep]] = True
@@ -155,21 +161,21 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
 def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentReport:
     """Sweep densities x runs x methods; per (density, run) every method
     receives the same downsampled cloud."""
-    if not cloud.fully_colored():
+    if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
 
     report = ExperimentReport()
     for density in sorted(spec.densities):
         for run in range(1, spec.runs + 1):
             seed = derive_seed(spec.base_seed, density, run)
-            if round_half_away(density * len(cloud)) >= len(cloud):
+            downsampled = random_downsample(cloud, density, seed)
+            if downsampled.original.all():  # nothing to reconstruct
                 for method in spec.methods:
                     report.records.append(ExperimentRecord(
                         method=method.value, density=density, run=run, seed=seed,
                         flags="skipped",
                     ))
                 continue
-            downsampled = random_downsample(cloud, density, seed)
             for method in spec.methods:
                 report.records.append(_score_method(cloud, downsampled, method, density, run, seed, spec))
 
@@ -191,7 +197,7 @@ def _score_method(
 ) -> ExperimentRecord:
     try:
         started = time.perf_counter()
-        upsampled, uncolored = upsample_cloud(
+        upsampled = upsample_cloud(
             downsampled, method,
             block_size=spec.block_size,
             fsmmr_config=spec.fsmmr_config,

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import nearest_original_color  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import EmptySamples, InvalidConfig
 
 
@@ -187,17 +187,6 @@ def normalize_to_window(coords: np.ndarray, window: Tuple[int, int]) -> np.ndarr
         else:
             out[:, axis] = (side - 1) / 2
     return out
-
-
-def round_half_away(v: float) -> int:
-    """Nearest integer, ties away from zero."""
-    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-
-
-def round_color_channel(values) -> np.ndarray:
-    """`round_half_away`, clamped to [0, 255], elementwise as uint8: both
-    round v >= 0 to floor(v + 0.5) and clamp every negative v to 0."""
-    return np.clip(np.floor(np.asarray(values, dtype=float) + 0.5), 0, 255).astype(np.uint8)
 
 
 def upsample_block(

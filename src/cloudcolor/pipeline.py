@@ -54,17 +54,19 @@ def upsample_cloud(
     fsmmr_config: FsmmrConfig = FsmmrConfig(),
     root_seed: int | None = None,
     idw_power: float = 2.0,
-) -> tuple[ColorPointCloud, int]:
-    """Color every Reconstruct point (where the method can) and return the
-    resulting cloud plus the count of points the method left uncolored."""
+) -> ColorPointCloud:
+    """The cloud with its Reconstruct points colored where the method can
+    color them.  A Reconstruct point of the result is colored exactly when
+    the method colored it, whatever the input says: its uncolored points are
+    the method's holes."""
     check_block_size(block_size)
     check_idw_power(idw_power)
-    o_ids = cloud.original_ids()
+    o_ids = np.flatnonzero(cloud.original)
     if not o_ids.size:
         raise EmptySamples("upsampling requires at least one original point")
-    r_ids = cloud.reconstruct_ids()
+    r_ids = np.flatnonzero(~cloud.original)
     if not r_ids.size:
-        return cloud, 0
+        return cloud
 
     if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
         o_pos, o_colors, queries = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
@@ -80,4 +82,6 @@ def upsample_cloud(
         ]
         ids = np.concatenate([part_ids for part_ids, _ in parts])
         rows = np.concatenate([part_rows for _, part_rows in parts])
-    return cloud.with_colors(ids, rows), len(r_ids) - len(ids)
+    colors, colored = cloud.colors.copy(), cloud.original.copy()
+    colors[ids], colored[ids] = rows, True
+    return ColorPointCloud(cloud.positions, colors, cloud.original, colored)

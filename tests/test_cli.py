@@ -1,7 +1,9 @@
 import pytest
 
+from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.cli import main
 from cloudcolor.evaluation import sphere_cloud, random_downsample
+from cloudcolor.pipeline import upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
 from conftest import random_cloud
@@ -28,7 +30,7 @@ class TestUpsample:
         code = main(["upsample", "--method", "fsmmr", "--block-size", "4", str(mixed_ply), str(out)])
         assert code == 0
         cloud = read_ply(out.read_bytes())
-        assert cloud.fully_colored()
+        assert cloud.colored.all()
 
     def test_unknown_method_is_usage_style_error(self, mixed_ply, tmp_path, capsys):
         code = main(["upsample", "--method", "spline", str(mixed_ply), str(tmp_path / "o.ply")])
@@ -48,7 +50,15 @@ class TestUpsample:
         out = tmp_path / "out.ply"
         code = main(["upsample", "--method", "lin2", str(mixed_ply), str(out)])
         assert code == 0
-        assert read_ply(out.read_bytes()).fully_colored()
+        assert read_ply(out.read_bytes()).colored.all()
+
+    def test_fill_line_counts_the_holes(self, mixed_ply, tmp_path, capsys):
+        holes = (~upsample_cloud(read_ply(mixed_ply.read_bytes()), InterpolatorKind.LIN2_DELAUNAY).colored).sum()
+        assert holes > 0
+        assert main(["upsample", "--method", "lin2", str(mixed_ply), str(tmp_path / "lin2.ply")]) == 0
+        assert f"{holes} points left uncolored by lin2; filled from nearest originals\n" in capsys.readouterr().err
+        assert main(["upsample", "--method", "fsmmr", str(mixed_ply), str(tmp_path / "fsmmr.ply")]) == 0
+        assert "left uncolored" not in capsys.readouterr().err
 
     def test_identical_invocations_byte_identical(self, mixed_ply, tmp_path):
         out1, out2 = tmp_path / "a.ply", tmp_path / "b.ply"
@@ -77,6 +87,18 @@ class TestEvaluate:
         assert [row[1] for row in rows] == [density]
         # 100% leaves nothing to reconstruct, so only that row is skipped
         assert (rows[0][-1] == "skipped") == (token == "100")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--methods", ","), ("--densities", ","), ("--methods", "nn3,nn3"),
+        ("--densities", "10,10"), ("--densities", "10,10.00000001"),
+    ])
+    def test_empty_or_repeated_sweep_list_is_data_error(self, flag, value, colored_ply, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        args = {"--methods": "nn3", "--densities": "50", flag: value}
+        code = main(["evaluate", *(f"{k}={v}" for k, v in args.items()), "--runs", "1", str(colored_ply), str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_timing_changes_only_wall_time(self, colored_ply, tmp_path):
         untimed, timed = tmp_path / "untimed.csv", tmp_path / "timed.csv"
@@ -156,7 +178,7 @@ class TestFlagValidation:
         code = main(["upsample", f"--method={method}", "--idw-power=1000", str(mixed_ply), str(out)])
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
-        assert read_ply(out.read_bytes()).fully_colored()
+        assert read_ply(out.read_bytes()).colored.all()
 
     @pytest.mark.parametrize("method", ["idw3", "idw2"])
     def test_idw_query_next_to_an_original_takes_its_color(self, method, tmp_path, capsys):

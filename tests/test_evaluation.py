@@ -11,6 +11,8 @@ from cloudcolor.evaluation import (
     random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud,
 )
 
+from cloudcolor.pipeline import upsample_cloud
+
 from conftest import random_cloud
 
 
@@ -23,13 +25,13 @@ class TestRandomDownsample:
     def test_half_density_counts(self):
         cloud = random_cloud(10, seed=0)
         down = random_downsample(cloud, 0.5, seed=5)
-        assert len(down.original_ids()) == 5
-        assert len(down.reconstruct_ids()) == 5
+        assert down.original.sum() == 5
+        assert (~down.original).sum() == 5
 
     def test_rounds_half_away_from_zero(self):
         cloud = random_cloud(5, seed=0)
         down = random_downsample(cloud, 0.5, seed=1)
-        assert len(down.original_ids()) == 3  # round(2.5) away from zero
+        assert down.original.sum() == 3  # round(2.5) away from zero
 
     def test_deterministic(self):
         cloud = random_cloud(30, seed=2)
@@ -127,6 +129,23 @@ class TestReconstructionPsnr:
             reconstruction_color_psnr(uncolored_ref, up)
 
 
+    def test_stale_input_colors_are_not_scored(self):
+        """Points to reconstruct that the input marks colored: LIN2's holes
+        still come out uncolored and are left out of the score."""
+        reference = sphere_cloud(n_points=1500, seed=0)
+        keep = random_downsample(reference, 0.1, seed=3).original
+        stale = ColorPointCloud(reference.positions, reference.colors, original=keep)
+        clean = ColorPointCloud(reference.positions, reference.colors, original=keep, colored=keep)
+        assert stale.colored.all()
+        stale_up = upsample_cloud(stale, InterpolatorKind.LIN2_DELAUNAY)
+        clean_up = upsample_cloud(clean, InterpolatorKind.LIN2_DELAUNAY)
+        holes = ~stale_up.colored
+        assert holes.any() and not keep[holes].any()
+        assert (stale_up.colors[holes] == 0).all()
+        assert stale_up.colored.tolist() == clean_up.colored.tolist()
+        assert reconstruction_color_psnr(reference, stale_up) == reconstruction_color_psnr(reference, clean_up)
+
+
 class TestDeriveSeed:
     def test_stable(self):
         assert derive_seed(7, 0.5, 1) == derive_seed(7, 0.5, 1)
@@ -187,7 +206,7 @@ class TestSyntheticClouds:
         b = factory(n_points=50, seed=9)
         assert a.positions.tolist() == b.positions.tolist()
         assert a.colors.tolist() == b.colors.tolist()
-        assert a.fully_colored() and a.original.all()
+        assert a.colored.all() and a.original.all()
 
     def test_sphere_points_on_radius(self):
         cloud = sphere_cloud(n_points=40, radius=5.0, seed=1)

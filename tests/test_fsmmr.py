@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPointCloud, partition_into_blocks
+from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, frequency_weight,
-    generate_model, normalize_to_window, round_color_channel, round_half_away, spatial_weight,
+    generate_model, normalize_to_window, spatial_weight,
 )
 from cloudcolor.pipeline import block_colors
 
-from oracles import dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle, grid_least_squares_projection
+from oracles import _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle, grid_least_squares_projection
 
 
 def uniform_samples(coords, values):
@@ -387,7 +387,7 @@ def test_round_color_channel_matches_scalar_rounding():
     ])
     got = round_color_channel(values)
     assert got.dtype == np.uint8
-    assert got.tolist() == [min(255, max(0, round_half_away(v))) if math.isfinite(v) else (255 if v > 0 else 0)
+    assert got.tolist() == [_round_channel_oracle(v) if math.isfinite(v) else (255 if v > 0 else 0)
                             for v in values.tolist()]
 
 
