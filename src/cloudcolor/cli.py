@@ -19,7 +19,7 @@ from .core import ColorPointCloud, nearest_original_color, partition_into_blocks
 from .errors import CloudColorError
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
-from .pipeline import upsample_cloud
+from .pipeline import UpsampleConfig, upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
 from .surface_transform import flatten_block
 
@@ -44,18 +44,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_block_flags(p: argparse.ArgumentParser):
-    p.add_argument("--block-size", type=float, default=4.0, help="edge length of the cubic partition cells (default 4.0)")
-    p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default deterministic)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default 0)")
+    p.add_argument("--block-size", type=float, default=UpsampleConfig.block_size, help="edge length of the cubic partition cells (default %(default)s)")
+    p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default %(default)s)")
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--model-size", type=int, default=16, help="DCT model window side M=N (default 16)")
-    p.add_argument("--sigma", type=float, default=0.8, help="frequency-weight decay in (0,1) (default 0.8)")
-    p.add_argument("--rho", type=float, default=0.7, help="spatial-weight decay in (0,1) (default 0.7)")
-    p.add_argument("--gamma", type=float, default=0.5, help="coefficient update damping in (0,1] (default 0.5)")
-    p.add_argument("--max-iters", type=int, default=100, help="iteration cap per model (default 100)")
-    p.add_argument("--energy-threshold", type=float, default=0.0, help="stop once weighted residual energy falls to this (default 0)")
+def _add_method_flags(p: argparse.ArgumentParser):
+    p.add_argument("--idw-power", type=float, default=UpsampleConfig.idw_power, help="Shepard weight exponent (default %(default)s)")
+    p.add_argument("--model-size", type=int, default=FsmmrConfig.model_width, help="DCT model window side M=N (default %(default)s)")
+    p.add_argument("--sigma", type=float, default=FsmmrConfig.sigma, help="frequency-weight decay in (0,1) (default %(default)s)")
+    p.add_argument("--rho", type=float, default=FsmmrConfig.rho, help="spatial-weight decay in (0,1) (default %(default)s)")
+    p.add_argument("--gamma", type=float, default=FsmmrConfig.gamma, help="coefficient update damping in (0,1] (default %(default)s)")
+    p.add_argument("--max-iters", type=int, default=FsmmrConfig.max_iterations, help="iteration cap per model (default %(default)s)")
+    p.add_argument("--energy-threshold", type=float, default=FsmmrConfig.energy_threshold, help="stop once weighted residual energy falls to this (default %(default)s)")
 
 
 def build_parser() -> _Parser:
@@ -66,21 +67,19 @@ def build_parser() -> _Parser:
     up.add_argument("input", type=Path)
     up.add_argument("output", type=Path)
     up.add_argument("--method", default="fsmmr", help="fsmmr, nn3, idw3, idw2 or lin2 (default fsmmr)")
-    up.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
     up.add_argument("--ascii", action="store_true", help="write ASCII PLY instead of binary little-endian")
     _add_block_flags(up)
-    _add_model_flags(up)
+    _add_method_flags(up)
 
     ev = sub.add_parser("evaluate", help="run the density sweep on a fully colored PLY")
     ev.add_argument("input", type=Path)
     ev.add_argument("output", type=Path, help="CSV report path")
     ev.add_argument("--methods", default="fsmmr,nn3,idw3,idw2,lin2", help="comma list of methods (default all)")
     ev.add_argument("--densities", default="10,50,80", help="comma list of sampling densities in percent, each in (0, 100] (default 10,50,80)")
-    ev.add_argument("--runs", type=int, default=3, help="runs per density (default 3)")
-    ev.add_argument("--idw-power", type=float, default=2.0, help="Shepard weight exponent (default 2.0)")
+    ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
     ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; the first lin2 row also includes loading scipy)")
     _add_block_flags(ev)
-    _add_model_flags(ev)
+    _add_method_flags(ev)
 
     fl = sub.add_parser("flatten", help="dump one block's flattened 2D coordinates as CSV")
     fl.add_argument("input", type=Path)
@@ -90,8 +89,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fsmmr_config(args) -> FsmmrConfig:
-    return FsmmrConfig(
+def _upsample_config(args) -> UpsampleConfig:
+    fsmmr = FsmmrConfig(
         model_width=args.model_size,
         model_height=args.model_size,
         sigma=args.sigma,
@@ -100,6 +99,7 @@ def _fsmmr_config(args) -> FsmmrConfig:
         max_iterations=args.max_iters,
         energy_threshold=args.energy_threshold,
     )
+    return UpsampleConfig(args.block_size, _root_seed(args), args.idw_power, fsmmr)
 
 
 def _root_seed(args) -> int | None:
@@ -109,13 +109,7 @@ def _root_seed(args) -> int | None:
 def _cmd_upsample(args) -> int:
     cloud = read_ply(args.input.read_bytes())
     method = InterpolatorKind.parse(args.method)
-    upsampled = upsample_cloud(
-        cloud, method,
-        block_size=args.block_size,
-        fsmmr_config=_fsmmr_config(args),
-        root_seed=_root_seed(args),
-        idw_power=args.idw_power,
-    )
+    upsampled = upsample_cloud(cloud, method, _upsample_config(args))
     holes = ~upsampled.colored
     if holes.any():
         # keep the output total: fill the method's holes from the nearest original
@@ -137,10 +131,7 @@ def _cmd_evaluate(args) -> int:
         densities=densities,
         runs=args.runs,
         base_seed=args.seed,
-        fsmmr_config=_fsmmr_config(args),
-        block_size=args.block_size,
-        root_seed=_root_seed(args),
-        idw_power=args.idw_power,
+        upsample=_upsample_config(args),
         measure_time=args.timing,
     )
     report = run_experiment(cloud, spec)

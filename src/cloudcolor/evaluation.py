@@ -12,11 +12,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .baselines import InterpolatorKind, check_idw_power
-from .core import ColorPointCloud, check_block_size, round_color_channel
+from .baselines import InterpolatorKind
+from .core import ColorPointCloud, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
-from .fsmmr import FsmmrConfig
-from .pipeline import upsample_cloud
+from .pipeline import UpsampleConfig, upsample_cloud
 
 PEAK = 255.0
 
@@ -29,15 +28,14 @@ class ExperimentSpec:
     densities: Tuple[float, ...] = (0.1, 0.5, 0.8)
     runs: int = 3
     base_seed: int = 0
-    fsmmr_config: FsmmrConfig = FsmmrConfig()
-    block_size: float = 4.0
-    root_seed: int | None = None  # None: lowest-id MST roots
-    idw_power: float = 2.0
+    upsample: UpsampleConfig = UpsampleConfig()
     measure_time: bool = False  # real timings break byte-identical reports
 
     def __post_init__(self):
         if not (self.methods and self.densities):
             raise InvalidConfig("the method and density lists must not be empty")
+        if not all(isinstance(method, InterpolatorKind) for method in self.methods):
+            raise InvalidConfig("each method must be an InterpolatorKind")
         if len(set(self.methods)) < len(self.methods):
             raise InvalidConfig("each method may be listed only once")
         if len(set(map(_fmt_density, self.densities))) < len(self.densities):
@@ -46,8 +44,6 @@ class ExperimentSpec:
             raise InvalidConfig("densities must lie in (0, 1]")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
-        check_block_size(self.block_size)
-        check_idw_power(self.idw_power)
 
 
 @dataclass(frozen=True)
@@ -197,13 +193,7 @@ def _score_method(
 ) -> ExperimentRecord:
     try:
         started = time.perf_counter()
-        upsampled = upsample_cloud(
-            downsampled, method,
-            block_size=spec.block_size,
-            fsmmr_config=spec.fsmmr_config,
-            root_seed=spec.root_seed,
-            idw_power=spec.idw_power,
-        )
+        upsampled = upsample_cloud(downsampled, method, spec.upsample)
         elapsed_ms = int((time.perf_counter() - started) * 1000) if spec.measure_time else 0
         result = reconstruction_color_psnr(reference, upsampled)
     except CloudColorError as exc:

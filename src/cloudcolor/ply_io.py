@@ -158,25 +158,23 @@ def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: li
             rows.append([parse(token) for parse, token in zip(parsers, tokens)])
         except ValueError as exc:
             raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
-    values = dict(zip([name for name, _ in vertex.properties], zip(*rows)))
-
-    # a value must fit its declared type, as it does in a binary file
-    types = dict(vertex.properties)
+    # every value must fit its declared type, used or not, as it does in a
+    # binary file; columns go by position, so a repeated name reads its last
     columns = {}
-    for name in used:
-        column = values.get(name, [])
-        if types[name] in _UCHAR_TYPES:
-            if column and not 0 <= min(column) <= max(column) <= 255:
-                raise ParseError(f"a value of property {name!r} is outside the uchar range", body_start)
-            columns[name] = np.array(column, dtype=np.uint8)
+    for (name, ptype), column in zip(vertex.properties, list(zip(*rows)) or [()] * len(parsers)):
+        if ptype in _FLOAT_TYPES:
+            columns[name] = np.array(column, dtype=np.float64)
+            if ptype in ("float", "float32"):
+                with np.errstate(over="ignore"):
+                    beyond = np.isinf(columns[name].astype(np.float32)) & np.isfinite(columns[name])
+                if beyond.any():
+                    raise ParseError(f"a value of property {name!r} is beyond float32 range", body_start)
             continue
-        columns[name] = np.array(column, dtype=np.float64)
-        if types[name] in ("float", "float32"):
-            with np.errstate(over="ignore"):
-                beyond = np.isinf(columns[name].astype(np.float32)) & np.isfinite(columns[name])
-            if beyond.any():
-                raise ParseError(f"a value of property {name!r} is beyond float32 range", body_start)
-    return columns
+        limits = np.iinfo(_SCALAR_TYPES[ptype])
+        if column and not limits.min <= min(column) <= max(column) <= limits.max:
+            raise ParseError(f"a value of property {name!r} is outside the {ptype} range", body_start)
+        columns[name] = np.array(column, dtype=_SCALAR_TYPES[ptype])
+    return {name: columns[name] for name in used}
 
 
 def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:

@@ -20,6 +20,7 @@ every parent before its children.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import zlib
 from typing import Optional, Sequence, Tuple
@@ -134,7 +135,7 @@ def _pick_root(block: Block, root_seed: Optional[int]) -> int:
     if root_seed is None:
         return 0  # point_ids are ascending, so local 0 is the lowest point id
     salt = zlib.crc32(repr(block.cell_index).encode())
-    return random.Random(root_seed ^ salt).randrange(len(block.point_ids))
+    return random.Random(operator.index(root_seed) ^ salt).randrange(len(block.point_ids))
 
 
 def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int] = None) -> np.ndarray:

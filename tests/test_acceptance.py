@@ -18,7 +18,7 @@ from cloudcolor.evaluation import (
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, evaluate_model, generate_model,
 )
-from cloudcolor.pipeline import block_colors, upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
@@ -76,7 +76,7 @@ def test_dc_exactness():
                 original[i] = False
         cloud = ColorPointCloud(positions, [color] * n, original=original, colored=original)
         block = partition_into_blocks(cloud, 1e9)[0]
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
         assert ids.tolist() == np.flatnonzero(~cloud.original).tolist(), f"trial {trial} left points uncolored"
         assert all(tuple(c) == color for c in colors.tolist()), f"trial {trial} not exact"
     print("\nPASS: DC exactness on 100 constant-color random blocks (integer exact)")
@@ -173,13 +173,11 @@ def test_totality():
         for percent in range(10, 90, 10):
             density = percent / 100.0
             down = random_downsample(cloud, density, derive_seed(1, density, 1))
-            upsampled = upsample_cloud(
-                down, InterpolatorKind.FSMMR, block_size=4.0, fsmmr_config=SWEEP_CONFIG,
-            )
+            upsampled = upsample_cloud(down, InterpolatorKind.FSMMR, UpsampleConfig(block_size=4.0, fsmmr=SWEEP_CONFIG))
             uncolored = (~upsampled.colored).sum()
             assert uncolored == 0, f"{name}@{percent}%: FSMMR left {uncolored} holes"
             if percent == 50:
-                lin2 = upsample_cloud(down, InterpolatorKind.LIN2_DELAUNAY, block_size=4.0)
+                lin2 = upsample_cloud(down, InterpolatorKind.LIN2_DELAUNAY, UpsampleConfig(block_size=4.0))
                 lin2_holes += (~lin2.colored).sum()
     assert lin2_holes > 0, "LIN2 unexpectedly colored everything"
     print(f"\nPASS: FSMMR total on 3 clouds x 8 densities; LIN2 left {lin2_holes} hull-exterior holes")
@@ -191,7 +189,7 @@ def test_qualitative_ordering():
     cloud = sphere_cloud(n_points=1500, radius=8.0, seed=0)
     spec = ExperimentSpec(
         methods=(InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.NN3),
-        densities=(0.5,), runs=3, base_seed=11, block_size=4.0, fsmmr_config=SWEEP_CONFIG,
+        densities=(0.5,), runs=3, base_seed=11, upsample=UpsampleConfig(block_size=4.0, fsmmr=SWEEP_CONFIG),
     )
     agg = run_experiment(cloud, spec).aggregates
     fsmmr, idw2, nn3 = agg[("fsmmr", 0.5)], agg[("idw2", 0.5)], agg[("nn3", 0.5)]
@@ -208,7 +206,7 @@ def test_density_trend():
     densities = tuple(p / 100.0 for p in range(10, 90, 10))
     spec = ExperimentSpec(
         methods=(InterpolatorKind.FSMMR,), densities=densities, runs=3,
-        base_seed=11, block_size=4.0, fsmmr_config=SWEEP_CONFIG,
+        base_seed=11, upsample=UpsampleConfig(block_size=4.0, fsmmr=SWEEP_CONFIG),
     )
     agg = run_experiment(cloud, spec).aggregates
     means = [agg[("fsmmr", d)] for d in densities]

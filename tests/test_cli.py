@@ -1,9 +1,9 @@
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.cli import main
+from cloudcolor.cli import _upsample_config, build_parser, main
 from cloudcolor.evaluation import sphere_cloud, random_downsample
-from cloudcolor.pipeline import upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
 from conftest import random_cloud
@@ -277,6 +277,11 @@ class TestFlatten:
         assert code == 1
         assert "unrecognized arguments" in err and "usage: cloudcolor flatten" in err
         assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["upsample", "evaluate"])
+def test_flag_defaults_are_the_config_defaults(command):
+    assert _upsample_config(build_parser().parse_args([command, "in", "out"])) == UpsampleConfig()
 
 
 def test_help_lists_pinned_defaults(capsys):

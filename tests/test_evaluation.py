@@ -11,7 +11,7 @@ from cloudcolor.evaluation import (
     random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud,
 )
 
-from cloudcolor.pipeline import upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 
 from conftest import random_cloud
 
@@ -159,10 +159,15 @@ class TestRunExperiment:
     def spec(self, **kwargs):
         defaults = dict(
             methods=(InterpolatorKind.NN3, InterpolatorKind.IDW3),
-            densities=(0.5,), runs=2, base_seed=3, block_size=6.0,
+            densities=(0.5,), runs=2, base_seed=3, upsample=UpsampleConfig(block_size=6.0),
         )
         defaults.update(kwargs)
         return ExperimentSpec(**defaults)
+
+    @pytest.mark.parametrize("methods", [("nn3",), (InterpolatorKind.NN3, "fsmmr")])
+    def test_method_must_be_a_member(self, methods):
+        with pytest.raises(InvalidConfig, match="InterpolatorKind"):
+            self.spec(methods=methods)
 
     def test_density_one_marked_skipped(self):
         report = run_experiment(random_cloud(12, seed=0), self.spec(densities=(1.0,)))

@@ -342,7 +342,7 @@ class TestUpsampleBlock:
         positions = rng.uniform(0, 4, size=(20, 3))
         colors = [None if i % 3 == 0 else (100, 150, 200) for i in range(20)]
         block, cloud = self.build(positions, colors)
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
         assert ids.tolist() == list(range(0, 20, 3))
         assert all(tuple(c) == (100, 150, 200) for c in colors.tolist())
 
@@ -354,14 +354,14 @@ class TestUpsampleBlock:
         cloud = mixed_cloud([(100.0, 0, 0), (0.0, 0, 0), (0.5, 0, 0)], [(9, 9, 9), None, None])
         blocks = partition_into_blocks(cloud, 4.0)
         lonely = next(b for b in blocks if 1 in b.point_ids)
-        ids, colors = block_colors(lonely, cloud, method, FsmmrConfig())
+        ids, colors = block_colors(lonely, cloud, method)
         # LIN2 leaves both points uncolored, and uncolored points are left out
         colored = {pid: tuple(c) for pid, c in zip(ids.tolist(), colors.tolist())}
         assert colored == ({} if expected is None else {1: expected, 2: expected})
 
     def test_no_reconstruct_points_returns_empty(self):
         block, cloud = self.build([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
         assert ids.size == 0 and colors.shape == (0, 3)
 
     def test_linear_ramp_midpoint(self):
@@ -372,7 +372,7 @@ class TestUpsampleBlock:
         positions = [(float(x), 0.0, 0.0) for x in xs] + [(2.07, 0.0, 0.0)]
         colors = [(int(round(40 + 40 * x)),) * 3 for x in xs] + [None]
         block, cloud = self.build(positions, colors)
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR, FsmmrConfig())
+        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
         expected = 40 + 40 * 2.07
         assert ids.tolist() == [len(positions) - 1]
         got = colors[0].tolist()

@@ -142,6 +142,24 @@ def test_ascii_float_beyond_float32_range(value):
     assert len(read_ply(data.replace(b"float y", b"double y"))) == 1
 
 
+@pytest.mark.parametrize("prop, value, kind", [
+    (b"property uchar alpha", b"300", b"uchar"),
+    (b"property uchar alpha", b"-1", b"uchar"),
+    (b"property char w", b"-1000", b"char"),
+    (b"property ushort w", b"65536", b"ushort"),
+    (b"property int w", b"2147483648", b"int"),
+    (b"property float w", b"1e39", b"float32"),
+    (b"property uchar red", b"256", b"uchar"),  # the first of two red columns
+])
+def test_ascii_unused_value_outside_its_type(prop, value, kind):
+    data = ASCII_ONE_RED.replace(b"property uchar red", prop + b"\nproperty uchar red").replace(b"0 0 0 255", b"0 0 0 %s 255" % value)
+    with pytest.raises(ParseError, match=kind.decode()):
+        read_ply(data)
+    # a value at the edge of its type reads
+    fits = {b"uchar": b"255", b"char": b"-128", b"ushort": b"65535", b"int": b"2147483647", b"float32": b"3.4e38"}[kind]
+    assert read_ply(data.replace(b"0 0 0 %s 255" % value, b"0 0 0 %s 255" % fits)).colors.tolist() == [[255, 0, 0]]
+
+
 def test_missing_magic():
     with pytest.raises(ParseError):
         read_ply(b"not a ply file")
