@@ -17,12 +17,12 @@ from .core import nearest_ids, round_color_channel, squared_distance_chunks
 from .errors import EmptySamples, InvalidConfig
 
 
-class InterpolatorKind(Enum):
+class InterpolatorKind(Enum):  # declared in the default sweep's row order
+    FSMMR = "fsmmr"
     NN3 = "nn3"
     IDW3 = "idw3"
     IDW2 = "idw2"
     LIN2_DELAUNAY = "lin2"
-    FSMMR = "fsmmr"
 
     @staticmethod
     def parse(name: str) -> "InterpolatorKind":

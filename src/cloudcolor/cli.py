@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .baselines import InterpolatorKind
 from .core import ColorPointCloud, nearest_original_color, partition_into_blocks
-from .errors import CloudColorError
+from .errors import CloudColorError, InvalidConfig
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
 from .pipeline import UpsampleConfig, upsample_cloud
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_block_flags(p: argparse.ArgumentParser):
     p.add_argument("--block-size", type=float, default=UpsampleConfig.block_size, help="edge length of the cubic partition cells (default %(default)s)")
     p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random root selection / experiment splits (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="seed for random root selection / experiment splits (default %(default)s)")
 
 
 def _add_method_flags(p: argparse.ArgumentParser):
@@ -66,7 +66,7 @@ def build_parser() -> _Parser:
     up = sub.add_parser("upsample", parents=[], help="color the reconstruct points of a PLY file")
     up.add_argument("input", type=Path)
     up.add_argument("output", type=Path)
-    up.add_argument("--method", default="fsmmr", help="fsmmr, nn3, idw3, idw2 or lin2 (default fsmmr)")
+    up.add_argument("--method", default="fsmmr", help=f"one of {', '.join(k.value for k in InterpolatorKind)} (default %(default)s)")
     up.add_argument("--ascii", action="store_true", help="write ASCII PLY instead of binary little-endian")
     _add_block_flags(up)
     _add_method_flags(up)
@@ -74,8 +74,8 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("evaluate", help="run the density sweep on a fully colored PLY")
     ev.add_argument("input", type=Path)
     ev.add_argument("output", type=Path, help="CSV report path")
-    ev.add_argument("--methods", default="fsmmr,nn3,idw3,idw2,lin2", help="comma list of methods (default all)")
-    ev.add_argument("--densities", default="10,50,80", help="comma list of sampling densities in percent, each in (0, 100] (default 10,50,80)")
+    ev.add_argument("--methods", default=",".join(k.value for k in ExperimentSpec.methods), help="comma list of methods (default %(default)s)")
+    ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
     ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; the first lin2 row also includes loading scipy)")
     _add_block_flags(ev)
@@ -122,19 +122,22 @@ def _cmd_upsample(args) -> int:
     return 0
 
 
+def _experiment_spec(args) -> ExperimentSpec:
+    methods = _comma_list(args.methods, InterpolatorKind.parse)
+    densities = tuple(percent / 100.0 for percent in _comma_list(args.densities, float))
+    return ExperimentSpec(methods, densities, args.runs, args.seed, _upsample_config(args), args.timing)
+
+
+def _comma_list(text: str, parse_token) -> tuple:
+    try:
+        return tuple(parse_token(token) for token in text.split(",") if token)
+    except ValueError as exc:  # a token that float() cannot read
+        raise InvalidConfig(f"cannot read {text!r} as a comma list: {exc}") from None
+
+
 def _cmd_evaluate(args) -> int:
     cloud = read_ply(args.input.read_bytes())
-    methods = tuple(InterpolatorKind.parse(t) for t in args.methods.split(",") if t)
-    densities = tuple(float(t) / 100.0 for t in args.densities.split(",") if t)
-    spec = ExperimentSpec(
-        methods=methods,
-        densities=densities,
-        runs=args.runs,
-        base_seed=args.seed,
-        upsample=_upsample_config(args),
-        measure_time=args.timing,
-    )
-    report = run_experiment(cloud, spec)
+    report = run_experiment(cloud, _experiment_spec(args))
     args.output.write_text(report.to_csv(), encoding="utf-8", newline="\n")
     for (method, density), mean in sorted(report.aggregates.items()):
         print(f"{method} @ density {density:g}: mean color PSNR {mean:.3f} dB", file=sys.stderr)

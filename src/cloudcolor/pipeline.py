@@ -13,6 +13,8 @@ from .errors import EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, upsample_block
 from .surface_transform import flatten_block
 
+_WHOLE_CLOUD_METHODS = (InterpolatorKind.NN3, InterpolatorKind.IDW3)  # 3D, over all originals of the cloud, not per block
+
 
 @dataclass(frozen=True)
 class UpsampleConfig:
@@ -44,6 +46,8 @@ def block_colors(
     block is flattened once and the method interpolates its originals'
     colors in 2D; the points it leaves uncolored are left out.
     """
+    if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
+        raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {method!r}")
     ids = block.point_ids
     is_original = cloud.original[ids]
     r_ids = ids[~is_original]
@@ -78,7 +82,7 @@ def upsample_cloud(
     if not r_ids.size:
         return cloud
 
-    if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
+    if method in _WHOLE_CLOUD_METHODS:
         o_pos, o_colors, queries = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
         if method is InterpolatorKind.NN3:
             rows = interpolate_nn3(o_pos, o_colors, queries)

@@ -1,8 +1,8 @@
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.cli import _upsample_config, build_parser, main
-from cloudcolor.evaluation import sphere_cloud, random_downsample
+from cloudcolor.cli import _experiment_spec, _upsample_config, build_parser, main
+from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
@@ -99,6 +99,22 @@ class TestEvaluate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "10,x", "0x10", " "])
+    def test_density_that_is_not_a_number_is_data_error(self, value, colored_ply, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", f"--densities={value}", "--methods=nn3", str(colored_ply), str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_default_sweep_is_the_library_default(self, colored_ply, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["evaluate", str(colored_ply), str(out)]) == 0
+        expected = run_experiment(read_ply(colored_ply.read_bytes()), ExperimentSpec()).to_csv()
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_timing_changes_only_wall_time(self, colored_ply, tmp_path):
         untimed, timed = tmp_path / "untimed.csv", tmp_path / "timed.csv"
@@ -281,7 +297,10 @@ class TestFlatten:
 
 @pytest.mark.parametrize("command", ["upsample", "evaluate"])
 def test_flag_defaults_are_the_config_defaults(command):
-    assert _upsample_config(build_parser().parse_args([command, "in", "out"])) == UpsampleConfig()
+    args = build_parser().parse_args([command, "in", "out"])
+    assert _upsample_config(args) == UpsampleConfig()
+    if command == "evaluate":  # methods, densities, runs and seed as well
+        assert _experiment_spec(args) == ExperimentSpec()
 
 
 def test_help_lists_pinned_defaults(capsys):

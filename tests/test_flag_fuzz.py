@@ -1,6 +1,6 @@
 """Fuzz tests of the command line: whatever values the numeric flags of
-`upsample` and `evaluate` take, `main` returns exit code 0, 1 or 2 and
-prints no traceback.
+`upsample` and `evaluate` and the comma lists `--methods` and `--densities`
+take, `main` returns exit code 0, 1 or 2 and prints no traceback.
 
 Float flags get arbitrary tokens: NaN, +-inf, huge, subnormal, negative
 and any float hypothesis draws.  `--model-size`, `--max-iters` and
@@ -8,6 +8,10 @@ and any float hypothesis draws.  `--model-size`, `--max-iters` and
 values are valid but cost time and memory; a model size whose tables exceed
 the address space ends in `MemoryError`, which `main` answers with exit code
 2 (`test_cli.py` checks that case).
+
+The lists get arbitrary text: tokens that are neither numbers nor method
+names (`abc`, `0x10`, a space), tokens Python reads as numbers in unusual
+ways (`1_0`, `nan`), bare commas and any text hypothesis draws.
 """
 import contextlib
 import io
@@ -34,6 +38,11 @@ FLAGS = st.tuples(
 ).map(lambda drawn: [f"{flag}={value}" for flag, value in [
     *drawn[0].items(), ("--model-size", drawn[1]), ("--max-iters", drawn[2]),
 ] if value is not None])
+
+LIST_TEXT = st.one_of(
+    st.sampled_from(["abc", "0x10", "1_0", "nan", " ", ",", "", "10,x", "-10", "1e-320", "fsmmr,FSMMR", "nn3,,idw2"]),
+    st.text(),
+)
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -69,5 +78,14 @@ def test_upsample_flags_end_in_an_exit_code(plys, method, flags, ascii_out):
 def test_evaluate_flags_end_in_an_exit_code(plys, methods, flags, runs):
     run_main([
         "evaluate", f"--methods={','.join(methods)}", "--densities=30,70", f"--runs={runs}", *flags,
+        str(plys / "colored.ply"), str(plys / "report.csv"),
+    ])
+
+
+@FUZZ
+@given(methods=st.one_of(st.just("nn3,idw2"), LIST_TEXT), densities=st.one_of(st.just("30,70"), LIST_TEXT))
+def test_evaluate_lists_end_in_an_exit_code(plys, methods, densities):
+    run_main([
+        "evaluate", f"--methods={methods}", f"--densities={densities}", "--runs=1",
         str(plys / "colored.ply"), str(plys / "report.csv"),
     ])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
+from cloudcolor.core import partition_into_blocks
 from cloudcolor.errors import InvalidConfig
 from cloudcolor.evaluation import random_downsample, sphere_cloud
-from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import write_ply
 
 
@@ -45,3 +46,11 @@ def test_method_must_be_a_member(mixed_cloud, method):
     # a string used to fall through the block dispatch into LIN2
     with pytest.raises(InvalidConfig, match="InterpolatorKind"):
         upsample_cloud(mixed_cloud, method)
+
+
+@pytest.mark.parametrize("method", [InterpolatorKind.NN3, InterpolatorKind.IDW3, "fsmmr"])
+def test_block_colors_takes_only_the_block_methods(mixed_cloud, method):
+    # NN3 and IDW3 run over the whole cloud in 3D; per block they used to fall through to LIN2
+    for block in partition_into_blocks(mixed_cloud, UpsampleConfig.block_size):
+        with pytest.raises(InvalidConfig, match="block_colors takes FSMMR, IDW2 or LIN2"):
+            block_colors(block, mixed_cloud, method)
