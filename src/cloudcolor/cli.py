@@ -7,6 +7,7 @@ Subcommands:
   flatten   dump one block's 2D coordinates as CSV for inspection
 
 Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
+Each subcommand checks its flags before it reads the input.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def _add_block_flags(p: argparse.ArgumentParser):
 
 def _add_method_flags(p: argparse.ArgumentParser):
     p.add_argument("--idw-power", type=float, default=UpsampleConfig.idw_power, help="Shepard weight exponent (default %(default)s)")
-    p.add_argument("--model-size", type=int, default=FsmmrConfig.model_width, help="DCT model window side M=N (default %(default)s)")
+    p.add_argument("--model-size", type=int, default=FsmmrConfig.model_size, help="DCT model window side M=N (default %(default)s)")
     p.add_argument("--sigma", type=float, default=FsmmrConfig.sigma, help="frequency-weight decay in (0,1) (default %(default)s)")
     p.add_argument("--rho", type=float, default=FsmmrConfig.rho, help="spatial-weight decay in (0,1) (default %(default)s)")
     p.add_argument("--gamma", type=float, default=FsmmrConfig.gamma, help="coefficient update damping in (0,1] (default %(default)s)")
@@ -91,8 +92,7 @@ def build_parser() -> _Parser:
 
 def _upsample_config(args) -> UpsampleConfig:
     fsmmr = FsmmrConfig(
-        model_width=args.model_size,
-        model_height=args.model_size,
+        model_size=args.model_size,
         sigma=args.sigma,
         rho=args.rho,
         gamma=args.gamma,
@@ -107,9 +107,9 @@ def _root_seed(args) -> int | None:
 
 
 def _cmd_upsample(args) -> int:
+    method, config = InterpolatorKind.parse(args.method), _upsample_config(args)
     cloud = read_ply(args.input.read_bytes())
-    method = InterpolatorKind.parse(args.method)
-    upsampled = upsample_cloud(cloud, method, _upsample_config(args))
+    upsampled = upsample_cloud(cloud, method, config)
     holes = ~upsampled.colored
     if holes.any():
         # keep the output total: fill the method's holes from the nearest original
@@ -136,8 +136,8 @@ def _comma_list(text: str, parse_token) -> tuple:
 
 
 def _cmd_evaluate(args) -> int:
-    cloud = read_ply(args.input.read_bytes())
-    report = run_experiment(cloud, _experiment_spec(args))
+    spec = _experiment_spec(args)
+    report = run_experiment(read_ply(args.input.read_bytes()), spec)
     args.output.write_text(report.to_csv(), encoding="utf-8", newline="\n")
     for (method, density), mean in sorted(report.aggregates.items()):
         print(f"{method} @ density {density:g}: mean color PSNR {mean:.3f} dB", file=sys.stderr)
@@ -145,11 +145,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
+    config = UpsampleConfig(args.block_size, _root_seed(args))
     cloud = read_ply(args.input.read_bytes())
-    blocks = partition_into_blocks(cloud, args.block_size)
+    blocks = partition_into_blocks(cloud, config.block_size)
     if not 0 <= args.block < len(blocks):
         raise CloudColorError(f"block index {args.block} out of range (0..{len(blocks) - 1})")
-    flat = flatten_block(blocks[args.block], cloud, _root_seed(args))
+    flat = flatten_block(blocks[args.block], cloud, config.root_seed)
     lines = ["point_id,role,x_flat,y_flat"]
     for pid, (x, y) in zip(blocks[args.block].point_ids.tolist(), flat.tolist()):
         role = "original" if cloud.original[pid] else "reconstruct"

@@ -21,8 +21,7 @@ from .errors import EmptySamples, InvalidConfig
 
 @dataclass(frozen=True)
 class FsmmrConfig:
-    model_width: int = 16   # basis period length M (x direction)
-    model_height: int = 16  # basis period length N (y direction)
+    model_size: int = 16    # basis period length M of the M x M window
     sigma: float = 0.8      # frequency-weight decay
     rho: float = 0.7        # spatial-weight decay
     gamma: float = 0.5      # damping of each coefficient update
@@ -30,8 +29,8 @@ class FsmmrConfig:
     energy_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.model_width < 1 or self.model_height < 1:
-            raise InvalidConfig("model window sides must be >= 1")
+        if self.model_size < 1:
+            raise InvalidConfig("model_size must be >= 1")
         if not (0.0 < self.sigma < 1.0):
             raise InvalidConfig("sigma must lie in (0, 1)")
         if not (0.0 < self.rho < 1.0):
@@ -43,16 +42,12 @@ class FsmmrConfig:
         if not self.energy_threshold >= 0:  # NaN fails too
             raise InvalidConfig("energy_threshold must be non-negative")
 
-    @property
-    def window(self) -> Tuple[int, int]:
-        return (self.model_width, self.model_height)
-
     @cached_property
     def frequencies(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The M*N candidate frequencies as (k, l) rows of an int array,
+        """The M*M candidate frequencies as (k, l) rows of an int array,
         ordered by the selection tie-break (k^2 + l^2, then k, then l), and
         their frequency weights; built once per config."""
-        k, l = np.divmod(np.arange(self.model_width * self.model_height), self.model_height)
+        k, l = np.divmod(np.arange(self.model_size ** 2), self.model_size)
         kl = np.column_stack([k, l])[np.lexsort((l, k, k * k + l * l))]
         wf = np.array([frequency_weight(k, l, self.sigma) for k, l in kl.tolist()])
         kl.flags.writeable = wf.flags.writeable = False  # shared by every fit with this config
@@ -61,7 +56,7 @@ class FsmmrConfig:
 
 @dataclass
 class ScatteredSamples:
-    coords: np.ndarray   # (n, 2), inside [0, M-1] x [0, N-1]
+    coords: np.ndarray   # (n, 2), inside [0, M-1]^2
     values: np.ndarray   # (n,)
     weights: np.ndarray  # (n,), positive
 
@@ -80,7 +75,7 @@ class ScatteredSamples:
 @dataclass(frozen=True)
 class SparseModel:
     terms: Tuple[Tuple[int, int, float], ...]  # (u, v, accumulated coefficient)
-    window: Tuple[int, int]
+    size: int                                  # the window is size x size
     iterations_run: int
     final_energy: float
     energy_history: Tuple[float, ...] = ()     # energy after each iteration
@@ -88,28 +83,25 @@ class SparseModel:
 
     def __post_init__(self):
         # evaluate_model reads row u of the x table and row v of the y table
-        if not all(0 <= u < self.window[0] and 0 <= v < self.window[1] for u, v, _ in self.terms):
+        if not all(0 <= u < self.size and 0 <= v < self.size for u, v, _ in self.terms):
             raise InvalidConfig("model term frequencies must lie inside the window")
 
 
-def spatial_weight(x: float, y: float, window: Tuple[int, int], rho: float) -> float:
-    m, n = window
-    return rho ** math.hypot(x - (m - 1) / 2, y - (n - 1) / 2)
+def spatial_weight(x: float, y: float, size: int, rho: float) -> float:
+    center = (size - 1) / 2
+    return rho ** math.hypot(x - center, y - center)
 
 
 def frequency_weight(k: int, l: int, sigma: float) -> float:
     return sigma ** math.hypot(k, l)
 
 
-def _cosine_tables(coords: np.ndarray, window: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """The DCT-II axis cosines of an M x N window at (n, 2) coordinates:
-    row k of the (M, n) x table is cos(pi k (2x + 1) / 2M), row l of the
-    (N, n) y table is cos(pi l (2y + 1) / 2N).  Basis function (k, l) is the
-    product of x row k and y row l."""
-    return tuple(
-        np.cos(np.pi * np.arange(side, dtype=float)[:, None] * (2 * coords[:, axis] + 1) / (2 * side))
-        for axis, side in enumerate(window)
-    )
+def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
+    """The DCT-II axis cosines of an M x M window at (n, 2) coordinates, as
+    a (2, M, n) array: row k of the x table is cos(pi k (2x + 1) / 2M), row
+    l of the y table is cos(pi l (2y + 1) / 2M).  Basis function (k, l) is
+    the product of x row k and y row l."""
+    return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
 def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseModel:
@@ -117,7 +109,7 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    cos_x, cos_y = _cosine_tables(samples.coords, config.window)
+    cos_x, cos_y = _cosine_tables(samples.coords, config.model_size)
     phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
     w = samples.weights
     denominators = (phi * phi) @ w
@@ -151,7 +143,7 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
     terms = zip(kl[list(coefficients)].tolist(), coefficients.values())
     return SparseModel(
         terms=tuple((k, l, c) for (k, l), c in terms),
-        window=config.window,
+        size=config.model_size,
         iterations_run=len(selections),
         final_energy=float(w @ (residual * residual)),
         energy_history=tuple(energies),
@@ -161,17 +153,17 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseMode
 
 def evaluate_model(model: SparseModel, queries: np.ndarray) -> np.ndarray:
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-    m, n = model.window
     # tolerate normalization round-off marginally outside the window
-    cos_x, cos_y = _cosine_tables(np.clip(queries, 0.0, [m - 1, n - 1]), model.window)
+    cos_x, cos_y = _cosine_tables(np.clip(queries, 0.0, model.size - 1), model.size)
     out = np.zeros(len(queries))
     for u, v, c in model.terms:
         out += c * cos_x[u] * cos_y[v]
     return out
 
 
-def normalize_to_window(coords: np.ndarray, window: Tuple[int, int]) -> np.ndarray:
-    """Affinely map flattened (n, 2) coordinates onto [0, M-1] x [0, N-1].
+def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
+    """Affinely map flattened (n, 2) coordinates onto [0, M-1]^2, each axis
+    on its own.
 
     A degenerate axis (all coordinates equal) maps to the window center on
     that axis.
@@ -179,35 +171,24 @@ def normalize_to_window(coords: np.ndarray, window: Tuple[int, int]) -> np.ndarr
     raw = np.asarray(coords, dtype=float).reshape(-1, 2)
     if len(raw) == 0:
         raise EmptySamples("cannot normalize zero coordinates")
-    out = np.empty_like(raw)
-    for axis, side in enumerate(window):
-        lo, hi = raw[:, axis].min(), raw[:, axis].max()
-        if hi > lo:
-            out[:, axis] = (raw[:, axis] - lo) * ((side - 1) / (hi - lo))
-        else:
-            out[:, axis] = (side - 1) / 2
-    return out
+    lo, hi = raw.min(axis=0), raw.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate axis divides by 0; np.where drops it
+        return np.where(hi > lo, (raw - lo) * ((size - 1) / (hi - lo)), (size - 1) / 2)
 
 
 def upsample_block(
-    coords: np.ndarray,
-    is_original: np.ndarray,
-    colors: np.ndarray,
-    config: FsmmrConfig = FsmmrConfig(),
+    positions: np.ndarray, colors: np.ndarray, queries: np.ndarray, config: FsmmrConfig = FsmmrConfig(),
 ) -> np.ndarray:
-    """FSMMR on one flattened block: (k, 3) uint8 colors for the points that
-    are not original, in block order.
+    """FSMMR on one flattened block, as (k, 3) uint8 colors at the k 2D
+    `queries`.
 
-    `coords` holds the 2D coordinates of all of the block's points, which
-    are normalised to the model window together; `is_original` marks the
-    originals and `colors` gives their colors in block order.  One model
-    per channel is fitted to the originals and evaluated at the others.
+    The originals' 2D `positions` and the queries are normalised to the
+    model window together.  One model per channel is fitted to the
+    originals' `colors` and evaluated at the queries.
     """
-    coords = normalize_to_window(coords, config.window)
-    is_original = np.asarray(is_original, dtype=bool)
-    o_coords = coords[is_original]
-    r_coords = coords[~is_original]
-    weights = np.array([spatial_weight(x, y, config.window, config.rho) for x, y in o_coords])
+    coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
+    o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
+    weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
     o_colors = np.asarray(colors, dtype=float)
 
     channels = []

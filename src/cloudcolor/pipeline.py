@@ -57,12 +57,12 @@ def block_colors(
         return r_ids, nearest_original_color(cloud, cloud.positions[r_ids])
 
     coords = flatten_block(block, cloud, config.root_seed)
-    o_colors = cloud.colors[ids[is_original]]
+    o_coords, o_colors, r_coords = coords[is_original], cloud.colors[ids[is_original]], coords[~is_original]
     if method is InterpolatorKind.FSMMR:
-        return r_ids, upsample_block(coords, is_original, o_colors, config.fsmmr)
+        return r_ids, upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
     if method is InterpolatorKind.IDW2:
-        return r_ids, interpolate_idw(coords[is_original], o_colors, coords[~is_original], power=config.idw_power)
-    inside, colors = interpolate_lin2(coords[is_original], o_colors, coords[~is_original])
+        return r_ids, interpolate_idw(o_coords, o_colors, r_coords, power=config.idw_power)
+    inside, colors = interpolate_lin2(o_coords, o_colors, r_coords)
     return r_ids[inside], colors
 
 

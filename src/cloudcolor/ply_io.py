@@ -54,24 +54,26 @@ def _decode_name(token: bytes, offset: int) -> str:
 
 
 def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
-    end = data.find(b"end_header")
-    if not data.startswith(b"ply") or end < 0:
+    """The format, the elements and the body offset.  The header ends at its
+    first line that reads exactly `end_header`: a comment may hold the word."""
+    if not data.startswith(b"ply"):
         raise ParseError("not a PLY file (missing 'ply' magic or 'end_header')", 0)
-    nl = data.find(b"\n", end)
-    if nl < 0:
-        raise ParseError("header not terminated by a newline", end)
-    body_start = nl + 1
-
     fmt = None
     elements: list[_Element] = []
     offset = 0
-    for raw in data[:end].split(b"\n"):
-        line = raw.rstrip(b"\r")
+    while True:
+        nl = data.find(b"\n", offset)
+        line = data[offset:len(data) if nl < 0 else nl].rstrip()
+        if line == b"end_header":
+            if nl < 0:
+                raise ParseError("header not terminated by a newline", offset)
+            break
+        if nl < 0:
+            raise ParseError("not a PLY file (missing 'ply' magic or 'end_header')", 0)
         tokens = line.split()
         if not tokens or tokens[0] in (b"ply", b"comment", b"obj_info"):
-            offset += len(raw) + 1
-            continue
-        if tokens[0] == b"format":
+            pass
+        elif tokens[0] == b"format":
             if tokens[1:] == [b"ascii", b"1.0"]:
                 fmt = PlyFormat.ASCII
             elif tokens[1:] == [b"binary_little_endian", b"1.0"]:
@@ -101,10 +103,10 @@ def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
             elements[-1].properties.append((_decode_name(tokens[2], offset), ptype))
         else:
             raise ParseError(f"unknown header keyword {tokens[0].decode(errors='replace')!r}", offset)
-        offset += len(raw) + 1
+        offset = nl + 1
     if fmt is None:
         raise ParseError("header lacks a format line", 0)
-    return fmt, elements, body_start
+    return fmt, elements, nl + 1
 
 
 def read_ply(data: bytes) -> ColorPointCloud:
@@ -196,6 +198,11 @@ def write_ply(
     uncolored = len(cloud) - int(cloud.colored.sum())
     if uncolored and not include_roles:
         raise MissingColor(f"{uncolored} points lack color; only a PLY with roles (include_roles) can hold them")
+    # positions are written under `property float` in either format, so read_ply must read them back
+    with np.errstate(over="ignore"):
+        beyond = np.flatnonzero(np.isinf(cloud.positions.astype(np.float32)).any(axis=1))
+    if beyond.size:
+        raise InvalidInput(f"point {beyond[0]} has a coordinate beyond float32 range")
 
     fields = [(axis, "float", cloud.positions[:, i]) for i, axis in enumerate("xyz")]
     fields += [(c, "uchar", cloud.colors[:, i]) for i, c in enumerate(_CHANNELS)]
@@ -217,10 +224,6 @@ def write_ply(
         return bytes(out)
 
     table = np.empty(len(cloud), dtype=[(name, "<" + _SCALAR_TYPES[ptype]) for name, ptype, _ in fields])
-    with np.errstate(over="ignore"):
-        for name, _, col in fields:
-            table[name] = col
-    beyond = np.flatnonzero(np.isinf(table["x"]) | np.isinf(table["y"]) | np.isinf(table["z"]))
-    if beyond.size:
-        raise InvalidInput(f"point {beyond[0]} has a coordinate beyond float32 range")
+    for name, _, col in fields:
+        table[name] = col
     return head + table.tobytes()

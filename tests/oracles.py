@@ -201,6 +201,22 @@ def _axis_cosine_oracle(freq, coord, side):
     return np.cos(np.pi * freq * (2 * coord + 1) / (2 * side))
 
 
+def normalize_to_window_oracle(coords, size):
+    """The seed's window normalisation, one axis at a time: each axis maps
+    affinely onto [0, size - 1], a degenerate one to its center."""
+    import numpy as np
+
+    raw = np.asarray(coords, dtype=float).reshape(-1, 2)
+    out = np.empty_like(raw)
+    for axis in range(2):
+        lo, hi = raw[:, axis].min(), raw[:, axis].max()
+        if hi > lo:
+            out[:, axis] = (raw[:, axis] - lo) * ((size - 1) / (hi - lo))
+        else:
+            out[:, axis] = (size - 1) / 2
+    return out
+
+
 def generate_model_oracle(samples, config):
     """The seed's greedy fit as a `SparseModel`: the candidate list and the
     frequency weights rebuilt in Python, and every one of the M*N candidate
@@ -208,7 +224,7 @@ def generate_model_oracle(samples, config):
     import numpy as np
     from cloudcolor.fsmmr import SparseModel
 
-    m, n = config.window
+    m = n = config.model_size
     candidates = sorted(((k, l) for k in range(m) for l in range(n)), key=lambda kl: (kl[0] ** 2 + kl[1] ** 2, *kl))
     ks = np.array([k for k, _ in candidates], dtype=float)[:, None]
     ls = np.array([l for _, l in candidates], dtype=float)[:, None]
@@ -244,7 +260,7 @@ def generate_model_oracle(samples, config):
     final_residual = samples.values - model_at_samples
     return SparseModel(
         terms=tuple((*candidates[i], coefficients[i]) for i in order),
-        window=config.window,
+        size=config.model_size,
         iterations_run=len(selections),
         final_energy=float(w @ (final_residual * final_residual)),
         energy_history=tuple(energies),
@@ -257,7 +273,7 @@ def evaluate_model_oracle(model, queries):
     import numpy as np
 
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
-    m, n = model.window
+    m = n = model.size
     x = np.clip(queries[:, 0], 0.0, m - 1)
     y = np.clip(queries[:, 1], 0.0, n - 1)
     out = np.zeros(len(queries))

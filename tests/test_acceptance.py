@@ -26,7 +26,7 @@ from conftest import random_cloud
 from oracles import brute_force_mst_weight, dct2_basis_oracle, fold_2d_oracle
 
 # the stated sweep configuration for the trend criteria
-SWEEP_CONFIG = FsmmrConfig(model_width=8, model_height=8, sigma=0.5, rho=0.7, max_iterations=50)
+SWEEP_CONFIG = FsmmrConfig(model_size=8, sigma=0.5, rho=0.7, max_iterations=50)
 
 
 def test_energy_monotonicity():
@@ -37,14 +37,13 @@ def test_energy_monotonicity():
     for trial in range(1000):
         n = int(rng.integers(5, 201))
         m = int(rng.integers(4, 11))
-        size = int(rng.integers(4, 11))
         gamma = float(rng.choice([0.5, 1.0]))
         config = FsmmrConfig(
-            model_width=m, model_height=size,
+            model_size=m,
             sigma=float(rng.uniform(0.3, 0.95)), rho=float(rng.uniform(0.3, 0.95)),
             gamma=gamma, max_iterations=12,
         )
-        coords = np.column_stack([rng.uniform(0, m - 1, n), rng.uniform(0, size - 1, n)])
+        coords = np.column_stack([rng.uniform(0, m - 1, n), rng.uniform(0, m - 1, n)])
         values = rng.uniform(0, 255, n)
         weights = rng.uniform(0.05, 1.0, n)
         samples = ScatteredSamples(coords, values, weights)
@@ -103,7 +102,7 @@ def test_grid_orthogonality_recovery():
             values += a * np.array([dct2_basis_oracle(k, l, x, y, m, n) for x, y in coords])
 
         config = FsmmrConfig(
-            model_width=m, model_height=n, sigma=0.999, rho=0.7, gamma=1.0,
+            model_size=m, sigma=0.999, rho=0.7, gamma=1.0,
             max_iterations=m * n, energy_threshold=1e-18,
         )
         samples = ScatteredSamples(coords, values, np.ones(len(coords)))

@@ -219,6 +219,22 @@ class TestFlagValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["upsample", "--method=spline"], "unknown method"),
+        (["upsample", "--block-size=0"], "block_size must be positive"),
+        (["upsample", "--sigma=2"], "sigma must lie in (0, 1)"),
+        (["evaluate", "--densities=abc"], "cannot read 'abc'"),
+        (["evaluate", "--methods=spline"], "unknown method"),
+        (["evaluate", "--runs=0"], "runs must be >= 1"),
+        (["flatten", "--block-size=nan"], "block_size must be positive"),
+    ])
+    def test_flags_are_checked_before_the_input_is_read(self, flags, message, tmp_path, capsys):
+        code = main([*flags, str(tmp_path / "missing.ply"), str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_threads_flag_is_usage_error(self, mixed_ply, tmp_path, capsys):
         code = main(["upsample", "--threads", "2", str(mixed_ply), str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -232,6 +248,15 @@ class TestOutOfRangeCoordinates:
     def test_coordinate_beyond_float32_in_binary_output(self, tmp_path, capsys):
         source = double_x_ply(tmp_path, ["0 0 0 10 20 30 1", "1e39 0 0 0 0 0 0"])
         code = main(["upsample", "--method", "nn3", str(source), str(tmp_path / "out.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "float32" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ply").exists()
+
+    def test_coordinate_beyond_float32_in_ascii_output(self, tmp_path, capsys):
+        source = double_x_ply(tmp_path, ["0 0 0 10 20 30 1", "1e39 0 0 0 0 0 0"])
+        code = main(["upsample", "--ascii", "--method", "nn3", str(source), str(tmp_path / "out.ply")])
         err = capsys.readouterr().err
         assert code == 2
         assert "float32" in err

@@ -13,7 +13,10 @@ from cloudcolor.fsmmr import (
 )
 from cloudcolor.pipeline import block_colors
 
-from oracles import _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle, grid_least_squares_projection
+from oracles import (
+    _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle,
+    grid_least_squares_projection, normalize_to_window_oracle,
+)
 
 
 def uniform_samples(coords, values):
@@ -25,41 +28,43 @@ class TestBasisValue:
     """The DCT-II basis functions as products of `_cosine_tables` rows."""
 
     def test_dc_is_one(self):
-        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0), (3.3, 7.7), (15.0, 2.0)]), (16, 16))
+        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0), (3.3, 7.7), (15.0, 2.0)]), 16)
         assert (cos_x[0] * cos_y[0]).tolist() == [1.0, 1.0, 1.0]
 
     def test_analytic_zero(self):
-        cos_x, cos_y = _cosine_tables(np.array([(1.5, 0.0)]), (4, 4))
+        cos_x, cos_y = _cosine_tables(np.array([(1.5, 0.0)]), 4)
         assert cos_x[1, 0] * cos_y[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_against_direct_evaluation(self):
-        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0)]), (8, 8))
+        cos_x, cos_y = _cosine_tables(np.array([(0.0, 0.0)]), 8)
         expected = dct2_basis_oracle(1, 1, 0.0, 0.0, 8, 8)
         assert cos_x[1, 0] * cos_y[1, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(math.cos(math.pi / 16) ** 2, abs=1e-15)
 
-    @pytest.mark.parametrize("window", [(5, 11), (16, 3), (1, 7)])
+    @pytest.mark.parametrize("window", [(5, 5), (16, 16), (1, 1), (3, 3), (7, 7), (11, 11)])
     def test_every_basis_function_matches_the_oracle(self, window):
-        m, n = window
-        coords = np.random.default_rng(m * n).uniform(0, 1, size=(25, 2)) * [m - 1, n - 1]
-        cos_x, cos_y = _cosine_tables(coords, window)
-        assert cos_x.shape == (m, len(coords)) and cos_y.shape == (n, len(coords))
+        m, _ = window
+        # x and y differ at every point, so a swap of the x and y tables fails
+        coords = np.random.default_rng(m).uniform(0, 1, size=(25, 2)) * (m - 1)
+        tables = _cosine_tables(coords, m)
+        assert tables.shape == (2, m, len(coords))
+        cos_x, cos_y = tables
         for k in range(m):
-            for l in range(n):
-                expected = [dct2_basis_oracle(k, l, x, y, m, n) for x, y in coords]
+            for l in range(m):
+                expected = [dct2_basis_oracle(k, l, x, y, m, m) for x, y in coords]
                 assert cos_x[k] * cos_y[l] == pytest.approx(expected, abs=1e-15)
 
 
 class TestWeights:
     def test_spatial_weight_center_is_one(self):
-        assert spatial_weight(7.5, 7.5, (16, 16), 0.7) == 1.0
+        assert spatial_weight(7.5, 7.5, 16, 0.7) == 1.0
 
     def test_spatial_weight_distance_two(self):
-        assert spatial_weight(7.5 + 2, 7.5, (16, 16), 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert spatial_weight(7.5 + 2, 7.5, 16, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_spatial_weight_corner(self):
         expected = math.exp(math.hypot(3.5, 3.5) * math.log(0.7))
-        assert spatial_weight(0.0, 0.0, (8, 8), 0.7) == pytest.approx(expected, rel=1e-12)
+        assert spatial_weight(0.0, 0.0, 8, 0.7) == pytest.approx(expected, rel=1e-12)
 
     def test_frequency_weight_dc(self):
         for sigma in (0.1, 0.5, 0.9):
@@ -76,7 +81,7 @@ class TestWeights:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"sigma": 0.0}, {"sigma": 1.0}, {"rho": 1.0}, {"gamma": 0.0},
-        {"gamma": 1.5}, {"max_iterations": 0}, {"model_width": 0},
+        {"gamma": 1.5}, {"max_iterations": 0}, {"model_size": 0},
         {"energy_threshold": -1.0}, {"energy_threshold": math.nan},
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -84,9 +89,9 @@ class TestConfigValidation:
             FsmmrConfig(**kwargs)
 
     def test_candidates_ordered_by_tie_break(self):
-        kl, wf = FsmmrConfig(model_width=3, model_height=5, sigma=0.6).frequencies
+        kl, wf = FsmmrConfig(model_size=5, sigma=0.6).frequencies
         order = [tuple(pair) for pair in kl.tolist()]
-        assert order == sorted(((k, l) for k in range(3) for l in range(5)), key=lambda p: (p[0] ** 2 + p[1] ** 2, *p))
+        assert order == sorted(((k, l) for k in range(5) for l in range(5)), key=lambda p: (p[0] ** 2 + p[1] ** 2, *p))
         assert wf.tolist() == [frequency_weight(k, l, 0.6) for k, l in order]
 
     def test_frequencies_built_once_per_config(self):
@@ -125,13 +130,13 @@ class TestGenerateModel:
             )
 
     def test_single_basis_grid_recovery(self):
-        m = n = 8
+        # k != l: a swap of the x and y tables selects (1, 2) instead
+        m = 8
         amplitude = 3.25
-        xs, ys = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+        xs, ys = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         coords = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1).astype(float)
-        values = amplitude * np.array([dct2_basis_oracle(2, 1, x, y, m, n) for x, y in coords])
-        config = FsmmrConfig(model_width=m, model_height=n, gamma=1.0, sigma=0.9,
-                             max_iterations=1)
+        values = amplitude * np.array([dct2_basis_oracle(2, 1, x, y, m, m) for x, y in coords])
+        config = FsmmrConfig(model_size=m, gamma=1.0, sigma=0.9, max_iterations=1)
         model = generate_model(uniform_samples(coords, values), config)
         assert model.selection_history[0] == (2, 1)
         (u, v, c) = model.terms[0]
@@ -139,7 +144,7 @@ class TestGenerateModel:
         assert c == pytest.approx(amplitude, abs=1e-9)
         assert model.final_energy == pytest.approx(0.0, abs=1e-9)
         # cross-check the coefficient against a full least-squares fit
-        projected = grid_least_squares_projection(values.reshape(m, n), m, n)
+        projected = grid_least_squares_projection(values.reshape(m, m), m, m)
         assert projected[(2, 1)] == pytest.approx(amplitude, abs=1e-9)
 
     def test_energy_monotone_and_selection_maximal(self):
@@ -147,7 +152,7 @@ class TestGenerateModel:
         coords = rng.uniform(0, 7, size=(40, 2))
         values = rng.uniform(0, 255, size=40)
         weights = rng.uniform(0.1, 1.0, size=40)
-        config = FsmmrConfig(model_width=8, model_height=8, gamma=0.5, max_iterations=30)
+        config = FsmmrConfig(model_size=8, gamma=0.5, max_iterations=30)
         samples = ScatteredSamples(coords, values, weights)
         model = generate_model(samples, config)
 
@@ -158,7 +163,7 @@ class TestGenerateModel:
         # replay the greedy scan and confirm each selection attains the max score
         candidates = [tuple(kl) for kl in config.frequencies[0].tolist()]
         phi = np.array([
-            [dct2_basis_oracle(k, l, x, y, *config.window) for x, y in coords]
+            [dct2_basis_oracle(k, l, x, y, 8, 8) for x, y in coords]
             for k, l in candidates
         ])
         den = (phi * phi) @ weights
@@ -190,12 +195,12 @@ class TestGenerateModel:
 class TestEvaluateModel:
     def test_empty_model_is_zero(self):
         from cloudcolor.fsmmr import SparseModel
-        model = SparseModel(terms=(), window=(16, 16), iterations_run=0, final_energy=0.0)
+        model = SparseModel(terms=(), size=16, iterations_run=0, final_energy=0.0)
         assert list(evaluate_model(model, [[1.0, 2.0], [3.0, 4.0]])) == [0.0, 0.0]
 
     def test_dc_model_constant(self):
         from cloudcolor.fsmmr import SparseModel
-        model = SparseModel(terms=((0, 0, 42.0),), window=(16, 16), iterations_run=1, final_energy=0.0)
+        model = SparseModel(terms=((0, 0, 42.0),), size=16, iterations_run=1, final_energy=0.0)
         out = evaluate_model(model, [[0.0, 0.0], [9.0, 13.5]])
         assert np.allclose(out, 42.0)
 
@@ -203,14 +208,14 @@ class TestEvaluateModel:
     def test_term_outside_the_window_is_rejected(self, u, v):
         from cloudcolor.fsmmr import SparseModel
         with pytest.raises(InvalidConfig, match="inside the window"):
-            SparseModel(terms=((0, 0, 1.0), (u, v, 2.0)), window=(16, 4), iterations_run=2, final_energy=0.0)
+            SparseModel(terms=((0, 0, 1.0), (u, v, 2.0)), size=4, iterations_run=2, final_energy=0.0)
 
     def test_reproduces_single_basis_signal(self):
-        m = n = 8
-        xs, ys = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+        m = 8
+        xs, ys = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         coords = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=1).astype(float)
-        values = 2.0 * np.array([dct2_basis_oracle(2, 1, x, y, m, n) for x, y in coords])
-        config = FsmmrConfig(model_width=m, model_height=n, gamma=1.0, sigma=0.9, max_iterations=4)
+        values = 2.0 * np.array([dct2_basis_oracle(2, 1, x, y, m, m) for x, y in coords])
+        config = FsmmrConfig(model_size=m, gamma=1.0, sigma=0.9, max_iterations=4)
         model = generate_model(uniform_samples(coords, values), config)
         out = evaluate_model(model, coords)
         assert np.abs(out - values).max() < 1e-6
@@ -223,25 +228,23 @@ def float_bits(values):
 
 def model_bits(model):
     return (
-        [(u, v, c.hex()) for u, v, c in model.terms], model.window, model.iterations_run,
+        [(u, v, c.hex()) for u, v, c in model.terms], model.size, model.iterations_run,
         model.final_energy.hex(), float_bits(model.energy_history), model.selection_history,
     )
 
 
-def scattered_case(window, seed):
+def scattered_case(m, seed):
     rng = np.random.default_rng(seed)
-    m, n = window
     size = int(rng.integers(1, 60))
-    coords = rng.uniform(0, 1, size=(size, 2)) * [m - 1, n - 1]
+    coords = rng.uniform(0, 1, size=(size, 2)) * (m - 1)
     return coords, rng.uniform(0, 255, size), rng.uniform(0.05, 1.0, size)
 
 
-def grid_case(window, seed):
+def grid_case(m, seed):
     """Every integer point of the window, some duplicated: exact zeros of the
     basis and equal scores, so the tie-break decides."""
     rng = np.random.default_rng(seed)
-    m, n = window
-    xs, ys = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+    xs, ys = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
     coords = np.column_stack([xs.reshape(-1), ys.reshape(-1)]).astype(float)
     coords = np.concatenate([coords, coords[rng.integers(0, len(coords), 3)]])
     values = rng.integers(0, 4, len(coords)) * 64.0
@@ -250,33 +253,32 @@ def grid_case(window, seed):
 
 class TestFitMatchesSeedOracle:
     """The table-backed fit and evaluation against the seed's per-candidate
-    basis and per-term evaluation, bit for bit.  The windows are not square,
-    so a swap of the x and y tables fails."""
+    basis and per-term evaluation, bit for bit.  The samples and queries
+    are not symmetric in x and y, so a swap of the x and y tables fails."""
 
-    @pytest.mark.parametrize("window", [(5, 11), (16, 3), (1, 7), (7, 1), (16, 16)])
+    @pytest.mark.parametrize("window", [(5, 5), (11, 11), (1, 1), (7, 7), (16, 16), (3, 3)])
     @pytest.mark.parametrize("make_case", [scattered_case, grid_case])
     @pytest.mark.parametrize("seed", range(3))
     def test_fit_and_evaluation(self, window, make_case, seed):
-        coords, values, weights = make_case(window, seed)
-        config = FsmmrConfig(model_width=window[0], model_height=window[1], gamma=0.5 + 0.25 * seed,
-                             sigma=0.8, max_iterations=60)
+        m, _ = window
+        coords, values, weights = make_case(m, seed)
+        config = FsmmrConfig(model_size=m, gamma=0.5 + 0.25 * seed, sigma=0.8, max_iterations=60)
         samples = ScatteredSamples(coords, values, weights)
         model = generate_model(samples, config)
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
 
         # queries inside the window, on its grid and just outside it (clipped)
         rng = np.random.default_rng(seed + 100)
-        m, n = window
         queries = np.concatenate([
-            rng.uniform(0, 1, size=(40, 2)) * [m - 1, n - 1], coords,
-            [[-0.5, -0.5], [m - 1 + 1e-9, n - 1 + 0.5]],
+            rng.uniform(0, 1, size=(40, 2)) * (m - 1), coords,
+            [[-0.5, -0.5], [m - 1 + 1e-9, m - 1 + 0.5]],
         ])
         assert float_bits(evaluate_model(model, queries)) == float_bits(evaluate_model_oracle(model, queries))
 
     @pytest.mark.parametrize("stop", ["energy threshold", "zero decrease at once", "constant signal"])
     def test_early_stops(self, stop):
-        coords, values, weights = scattered_case((5, 11), 7)
-        config = FsmmrConfig(model_width=5, model_height=11, gamma=1.0)
+        coords, values, weights = scattered_case(11, 7)
+        config = FsmmrConfig(model_size=11, gamma=1.0)
         if stop == "energy threshold":
             unstopped = generate_model_oracle(ScatteredSamples(coords, values, weights), config)
             config = dataclasses.replace(config, energy_threshold=unstopped.energy_history[9])
@@ -292,36 +294,46 @@ class TestFitMatchesSeedOracle:
             assert model.iterations_run == {"energy threshold": 10, "zero decrease at once": 0}[stop]
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
 
-    @pytest.mark.parametrize("window, x", [((2, 7), 0.5), ((6, 5), 1.0)])
+    @pytest.mark.parametrize("window, x", [((2, 2), 0.5), ((6, 6), 1.0)])
     @pytest.mark.parametrize("seed", range(3))
     def test_vanishing_candidates(self, window, x, seed):
         # cos_x[k] is about 6e-17 at this x (k = 1 for M = 2, k = 2 for M = 6),
         # so with weights near 1e-300 those rows' phi^2 . w underflow to 0
+        m, _ = window
         rng = np.random.default_rng(seed)
-        m, n = window
         size = int(rng.integers(3, 40))
-        coords = np.column_stack([np.full(size, x), rng.uniform(0, n - 1, size)])
+        coords = np.column_stack([np.full(size, x), rng.uniform(0, m - 1, size)])
         samples = ScatteredSamples(coords, rng.uniform(0, 255, size), rng.uniform(0.5, 2.0, size) * 1e-300)
-        config = FsmmrConfig(model_width=m, model_height=n, gamma=0.5 + 0.25 * seed, max_iterations=60)
+        config = FsmmrConfig(model_size=m, gamma=0.5 + 0.25 * seed, max_iterations=60)
         kl, _ = config.frequencies
-        cos_x, cos_y = _cosine_tables(samples.coords, window)
+        cos_x, cos_y = _cosine_tables(samples.coords, m)
         assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
         assert model_bits(generate_model(samples, config)) == model_bits(generate_model_oracle(samples, config))
 
 
 class TestNormalizeToWindow:
     def test_corners(self):
-        out = normalize_to_window(np.array([(0, 0), (10, 20)]), (8, 8))
+        out = normalize_to_window(np.array([(0, 0), (10, 20)]), 8)
         assert np.allclose(out, [[0, 0], [7, 7]])
 
     def test_degenerate_axis_maps_to_center(self):
-        out = normalize_to_window(np.array([(5, 1), (5, 2)]), (16, 16))
+        out = normalize_to_window(np.array([(5, 1), (5, 2)]), 16)
         assert np.allclose(out[:, 0], 7.5)
 
     def test_affine_interior(self):
-        out = normalize_to_window(np.array([(0, 0), (5, 0), (10, 0)]), (8, 8))
+        out = normalize_to_window(np.array([(0, 0), (5, 0), (10, 0)]), 8)
         assert np.allclose(out[:, 0], [0.0, 3.5, 7.0])
         assert np.allclose(out[:, 1], 3.5)
+
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("degenerate", ["none", "x", "y", "both"])
+    def test_matches_the_per_axis_oracle(self, m, scale, degenerate):
+        rng = np.random.default_rng(m)
+        coords = (rng.uniform(-1, 1, size=(30, 2)) + rng.uniform(-5, 5, 2)) * scale
+        for axis in {"x": [0], "y": [1], "both": [0, 1]}.get(degenerate, []):
+            coords[:, axis] = coords[0, axis]
+        assert float_bits(normalize_to_window(coords, m)) == float_bits(normalize_to_window_oracle(coords, m))
 
 
 def mixed_cloud(positions, colors):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudcolor.core import ColorPointCloud
-from cloudcolor.errors import MissingColor, ParseError
+from cloudcolor.errors import InvalidInput, MissingColor, ParseError
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
 from conftest import random_cloud
@@ -60,6 +60,18 @@ def test_colorless_header_yields_reconstruct_roles():
 def test_crlf_header_accepted():
     cloud = read_ply(ASCII_ONE_RED.replace(b"\n", b"\r\n"))
     assert cloud.colors.tolist() == [[255, 0, 0]]
+
+
+@pytest.mark.parametrize("line", [b"comment written before end_header was parsed", b"obj_info end_header"])
+@pytest.mark.parametrize("fmt", PlyFormat)
+def test_header_line_that_holds_end_header(line, fmt):
+    # the header ends at the first line that reads exactly end_header
+    plain = write_ply(random_cloud(5, seed=3), fmt, include_roles=True)
+    data = plain.replace(b"\nelement", b"\n" + line + b"\nelement", 1)
+    assert data != plain
+    back, expected = read_ply(data), read_ply(plain)
+    for field in ("positions", "colors", "original", "colored"):
+        assert getattr(back, field).tolist() == getattr(expected, field).tolist()
 
 
 def test_unknown_extra_property_skipped():
@@ -175,6 +187,16 @@ def test_write_refuses_uncolored_by_default():
     cloud = ColorPointCloud([(0, 0, 0)], original=[False])
     with pytest.raises(MissingColor):
         write_ply(cloud, PlyFormat.ASCII)
+
+
+@pytest.mark.parametrize("fmt", PlyFormat)
+@pytest.mark.parametrize("x", [1e39, -3.5e38])
+def test_write_refuses_a_coordinate_beyond_float32(fmt, x):
+    # both formats write positions under `property float`
+    cloud = ColorPointCloud([(0, 0, 0), (x, 0, 0)], [(1, 2, 3), (4, 5, 6)])
+    with pytest.raises(InvalidInput, match="point 1 has a coordinate beyond float32 range"):
+        write_ply(cloud, fmt)
+    assert len(read_ply(write_ply(ColorPointCloud([(3.4e38, 0, 0)], [(1, 2, 3)]), fmt))) == 1  # in range, it reads back
 
 
 def test_binary_roundtrip_preserves_cloud():
