@@ -16,13 +16,12 @@ import sys
 from pathlib import Path
 
 from .baselines import InterpolatorKind
-from .core import ColorPointCloud, nearest_original_color, partition_into_blocks
+from .core import ColorPointCloud, nearest_original_color
 from .errors import CloudColorError, InvalidConfig
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
-from .pipeline import UpsampleConfig, upsample_cloud
+from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
-from .surface_transform import flatten_block
 
 
 class _UsageError(Exception):
@@ -78,7 +77,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--methods", default=",".join(k.value for k in ExperimentSpec.methods), help="comma list of methods (default %(default)s)")
     ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
-    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; the first lin2 row also includes loading scipy)")
+    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; an fsmmr, idw2 or lin2 row also includes flattening the blocks no earlier row reached, and the first lin2 row loading scipy)")
     _add_block_flags(ev)
     _add_method_flags(ev)
 
@@ -147,12 +146,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_flatten(args) -> int:
     config = UpsampleConfig(args.block_size, _root_seed(args))
     cloud = read_ply(args.input.read_bytes())
-    blocks = partition_into_blocks(cloud, config.block_size)
-    if not 0 <= args.block < len(blocks):
-        raise CloudColorError(f"block index {args.block} out of range (0..{len(blocks) - 1})")
-    flat = flatten_block(blocks[args.block], cloud, config.root_seed)
+    geometry = BlockGeometry(cloud, config)
+    if not 0 <= args.block < len(geometry.blocks):
+        raise CloudColorError(f"block index {args.block} out of range (0..{len(geometry.blocks) - 1})")
     lines = ["point_id,role,x_flat,y_flat"]
-    for pid, (x, y) in zip(blocks[args.block].point_ids.tolist(), flat.tolist()):
+    for pid, (x, y) in zip(geometry.blocks[args.block].point_ids.tolist(), geometry.coords(args.block).tolist()):
         role = "original" if cloud.original[pid] else "reconstruct"
         lines.append(f"{pid},{role},{x!r},{y!r}")
     args.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

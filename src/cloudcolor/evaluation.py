@@ -15,7 +15,7 @@ import numpy as np
 from .baselines import InterpolatorKind
 from .core import ColorPointCloud, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
-from .pipeline import UpsampleConfig, upsample_cloud
+from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
 
 PEAK = 255.0
 
@@ -156,10 +156,12 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
 
 def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentReport:
     """Sweep densities x runs x methods; per (density, run) every method
-    receives the same downsampled cloud."""
+    receives the same downsampled cloud.  Downsampling changes only the
+    roles, so every run shares one block partition and flattening."""
     if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
 
+    geometry = BlockGeometry(cloud, spec.upsample)  # lazy: its errors flag the rows that reach them
     report = ExperimentReport()
     for density in sorted(spec.densities):
         for run in range(1, spec.runs + 1):
@@ -173,7 +175,7 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
                     ))
                 continue
             for method in spec.methods:
-                report.records.append(_score_method(cloud, downsampled, method, density, run, seed, spec))
+                report.records.append(_score_method(cloud, downsampled, geometry, method, density, run, seed, spec))
 
     for method in spec.methods:
         for density in sorted(spec.densities):
@@ -188,12 +190,12 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
 
 
 def _score_method(
-    reference: ColorPointCloud, downsampled: ColorPointCloud,
+    reference: ColorPointCloud, downsampled: ColorPointCloud, geometry: BlockGeometry,
     method: InterpolatorKind, density: float, run: int, seed: int, spec: ExperimentSpec,
 ) -> ExperimentRecord:
     try:
         started = time.perf_counter()
-        upsampled = upsample_cloud(downsampled, method, spec.upsample)
+        upsampled = upsample_cloud(downsampled, method, spec.upsample, geometry)
         elapsed_ms = int((time.perf_counter() - started) * 1000) if spec.measure_time else 0
         result = reconstruction_color_psnr(reference, upsampled)
     except CloudColorError as exc:

@@ -104,20 +104,36 @@ def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
-def generate_model(samples: ScatteredSamples, config: FsmmrConfig) -> SparseModel:
-    if len(samples.values) == 0:
-        raise EmptySamples("cannot generate a model from zero samples")
-
-    kl, wf = config.frequencies
+def fit_basis(samples: ScatteredSamples, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of a fit to `samples` under `config`: the (C, n) candidate
+    rows `phi` at the samples and their (C,) denominators phi^2 . w.  It
+    reads only the samples' coordinates and weights, so the fits of R, G and
+    B at the same points share one."""
+    kl, _ = config.frequencies
     cos_x, cos_y = _cosine_tables(samples.coords, config.model_size)
     phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
-    w = samples.weights
-    denominators = (phi * phi) @ w
+    denominators = (phi * phi) @ samples.weights
     vanishing = denominators == 0
     # zeroed with denominator 1, a vanishing row scores 0 and never beats the DC row (first,
     # never vanishing); kept, not dropped: a gemv over fewer rows rounds the others differently
     phi[vanishing] = 0.0
     denominators[vanishing] = 1.0
+    phi.flags.writeable = denominators.flags.writeable = False  # shared by the fits of every channel
+    return phi, denominators
+
+
+def generate_model(
+    samples: ScatteredSamples, config: FsmmrConfig, basis: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SparseModel:
+    """The greedy sparse model of `samples` under `config`, on `basis`:
+    ``fit_basis`` of samples at the same coordinates and weights under the
+    same config, built here by default."""
+    if len(samples.values) == 0:
+        raise EmptySamples("cannot generate a model from zero samples")
+
+    kl, wf = config.frequencies
+    phi, denominators = fit_basis(samples, config) if basis is None else basis
+    w = samples.weights
 
     coefficients: dict[int, float] = {}  # candidate index -> coefficient, in first-selection order
     selections: list[int] = []
@@ -184,17 +200,16 @@ def upsample_block(
 
     The originals' 2D `positions` and the queries are normalised to the
     model window together.  One model per channel is fitted to the
-    originals' `colors` and evaluated at the queries.
+    originals' `colors`, all three on one basis, and evaluated at the
+    queries.
     """
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
     o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
     weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
     o_colors = np.asarray(colors, dtype=float)
 
-    channels = []
-    for ch in range(3):
-        samples = ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights)
-        model = generate_model(samples, config)
-        channels.append(evaluate_model(model, r_coords))
-
-    return round_color_channel(np.column_stack(channels))
+    channels = [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)]
+    basis = fit_basis(channels[0], config)
+    return round_color_channel(np.column_stack([
+        evaluate_model(generate_model(samples, config, basis), r_coords) for samples in channels
+    ]))

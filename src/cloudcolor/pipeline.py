@@ -34,21 +34,60 @@ class UpsampleConfig:
             raise InvalidConfig(f"root_seed must be an integer or None, got {self.root_seed!r}")
 
 
+class BlockGeometry:
+    """The block partition of a cloud and each block's flattened (n, 2)
+    coordinates, each computed the first time a method needs it.
+
+    Both read only the positions, the block size and the root seed, so one
+    geometry serves every role split of the same positions: `run_experiment`
+    shares one across its densities, runs and methods.  A partition or a
+    flattening that raises is not kept, and the next caller raises again.
+    """
+
+    def __init__(self, cloud: ColorPointCloud, config: UpsampleConfig = UpsampleConfig()):
+        self._cloud = cloud
+        self.block_size, self.root_seed = config.block_size, config.root_seed
+        self._blocks: list[Block] | None = None
+        self._coords: dict[int, np.ndarray] = {}
+
+    @property
+    def blocks(self) -> list[Block]:
+        if self._blocks is None:
+            self._blocks = partition_into_blocks(self._cloud, self.block_size)
+        return self._blocks
+
+    def coords(self, index: int) -> np.ndarray:
+        """The flattened coordinates of block `index`; row i is its i-th point."""
+        if index not in self._coords:
+            self._coords[index] = flatten_block(self.blocks[index], self._cloud, self.root_seed)
+        return self._coords[index]
+
+    def check(self, cloud: ColorPointCloud, config: UpsampleConfig) -> None:
+        """Raise InvalidConfig unless this geometry is the one of `cloud`'s
+        positions under `config`'s block size and root seed."""
+        if (self.block_size, self.root_seed) != (config.block_size, config.root_seed):
+            raise InvalidConfig("the block geometry was built with another block size or root seed")
+        if not np.array_equal(self._cloud.positions, cloud.positions):
+            raise InvalidConfig("the block geometry was built from other positions")
+
+
 def block_colors(
-    block: Block, cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig = UpsampleConfig(),
+    geometry: BlockGeometry, index: int, cloud: ColorPointCloud, method: InterpolatorKind,
+    config: UpsampleConfig = UpsampleConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Colors for the block's Reconstruct points by a 2D method: FSMMR,
-    IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
+    """Colors for the Reconstruct points of the geometry's block `index` by
+    a 2D method: FSMMR, IDW2 or LIN2, as the ids of the points colored and
+    a (k, 3) uint8 array.  `cloud` gives the roles and colors.
 
     A block without Reconstruct points colors nothing.  A block without
     Original points takes the nearest original in 3D over the whole cloud,
     except under LIN2, which leaves its points uncolored.  Otherwise the
-    block is flattened once and the method interpolates its originals'
-    colors in 2D; the points it leaves uncolored are left out.
+    method interpolates its originals' colors at the block's flattened
+    coordinates; the points it leaves uncolored are left out.
     """
     if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
         raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {method!r}")
-    ids = block.point_ids
+    ids = geometry.blocks[index].point_ids
     is_original = cloud.original[ids]
     r_ids = ids[~is_original]
     if not r_ids.size or (method is InterpolatorKind.LIN2_DELAUNAY and not is_original.any()):
@@ -56,7 +95,7 @@ def block_colors(
     if not is_original.any():
         return r_ids, nearest_original_color(cloud, cloud.positions[r_ids])
 
-    coords = flatten_block(block, cloud, config.root_seed)
+    coords = geometry.coords(index)
     o_coords, o_colors, r_coords = coords[is_original], cloud.colors[ids[is_original]], coords[~is_original]
     if method is InterpolatorKind.FSMMR:
         return r_ids, upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
@@ -68,13 +107,23 @@ def block_colors(
 
 def upsample_cloud(
     cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig = UpsampleConfig(),
+    geometry: BlockGeometry | None = None,
 ) -> ColorPointCloud:
     """The cloud with its Reconstruct points colored where the method can
     color them.  A Reconstruct point of the result is colored exactly when
     the method colored it, whatever the input says: its uncolored points are
-    the method's holes."""
+    the method's holes.
+
+    The 2D methods take the block partition and flattening from `geometry`,
+    which must be the `BlockGeometry` of the cloud's positions under
+    `config` (InvalidConfig otherwise); by default one is built here.
+    """
     if not isinstance(method, InterpolatorKind):
         raise InvalidConfig(f"the method must be an InterpolatorKind, got {method!r}")
+    if geometry is None:
+        geometry = BlockGeometry(cloud, config)
+    else:
+        geometry.check(cloud, config)
     o_ids = np.flatnonzero(cloud.original)
     if not o_ids.size:
         raise EmptySamples("upsampling requires at least one original point")
@@ -90,7 +139,7 @@ def upsample_cloud(
             rows = interpolate_idw(o_pos, o_colors, queries, power=config.idw_power)
         ids = r_ids
     else:
-        parts = [block_colors(block, cloud, method, config) for block in partition_into_blocks(cloud, config.block_size)]
+        parts = [block_colors(geometry, i, cloud, method, config) for i in range(len(geometry.blocks))]
         ids = np.concatenate([part_ids for part_ids, _ in parts])
         rows = np.concatenate([part_rows for _, part_rows in parts])
     colors, colored = cloud.colors.copy(), cloud.original.copy()

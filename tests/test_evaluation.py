@@ -203,6 +203,44 @@ class TestRunExperiment:
         report = run_experiment(random_cloud(25, seed=5), spec)
         assert len(report.records) == 2 * 2 * 2
 
+    def test_partition_error_flags_only_the_block_method_rows(self):
+        # 1e-320 passes the config check, but the sphere spans too many such cells to index;
+        # the shared geometry must raise inside each row's scoring, not out of the sweep
+        spec = self.spec(methods=(InterpolatorKind.NN3, InterpolatorKind.FSMMR), runs=1, base_seed=0,
+                         upsample=UpsampleConfig(block_size=1e-320))
+        assert run_experiment(sphere_cloud(200), spec).to_csv() == (
+            CSV_HEADER + "\n"
+            "nn3,0.5,1,4990024255108911950,18.932547,22.311989,19.795763,20.346766,0,0,\n"
+            "fsmmr,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput\n"
+        )
+
+    def test_block_too_wide_to_flatten_flags_every_row_that_reaches_it(self):
+        # the two far points share a cell 5e154 wide, so their tree edge overflows when
+        # flattened.  Run 1 splits them and every block method reaches that block; in runs 2
+        # and 3 both are to be reconstructed (LIN2 leaves them, the others' nearest-original
+        # lookup overflows), in run 4 both are originals.  The failure is not kept as a result.
+        base = sphere_cloud(60)
+        cloud = ColorPointCloud(
+            np.concatenate([base.positions, [[3e155, 0, 0], [3.5e155, 0, 0]]]),
+            np.concatenate([base.colors, [[10, 20, 30], [40, 50, 60]]]),
+        )
+        methods = (InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY)
+        spec = self.spec(methods=methods, runs=4, base_seed=0, upsample=UpsampleConfig(block_size=1e155))
+        assert run_experiment(cloud, spec).to_csv() == CSV_HEADER + "\n" + "".join(f"{line}\n" for line in [
+            "fsmmr,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
+            "idw2,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
+            "lin2,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
+            "fsmmr,0.5,2,3940380131708572772,,,,,0,0,error:InvalidInput",
+            "idw2,0.5,2,3940380131708572772,,,,,0,0,error:InvalidInput",
+            "lin2,0.5,2,3940380131708572772,14.236166,20.485755,12.660100,15.794007,6,0,",
+            "fsmmr,0.5,3,10570242129213089194,,,,,0,0,error:InvalidInput",
+            "idw2,0.5,3,10570242129213089194,,,,,0,0,error:InvalidInput",
+            "lin2,0.5,3,10570242129213089194,14.729699,19.939554,10.435084,15.034779,9,0,",
+            "fsmmr,0.5,4,16568918784375547120,18.640841,16.002658,9.720905,14.788134,0,0,",
+            "idw2,0.5,4,16568918784375547120,15.398251,16.793458,11.774053,14.655254,0,0,",
+            "lin2,0.5,4,16568918784375547120,15.929723,17.274133,12.181724,15.128527,13,0,",
+        ])
+
 
 class TestSyntheticClouds:
     @pytest.mark.parametrize("factory", [sphere_cloud, plane_cloud, dihedral_cloud])

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
+from cloudcolor.core import ColorPointCloud, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, frequency_weight,
+    FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
     generate_model, normalize_to_window, spatial_weight,
 )
-from cloudcolor.pipeline import block_colors
+from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors
 
 from oracles import (
     _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle,
@@ -266,6 +266,10 @@ class TestFitMatchesSeedOracle:
         samples = ScatteredSamples(coords, values, weights)
         model = generate_model(samples, config)
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
+        # one basis shared by fits of other values at the same points, as upsample_block's R, G and B
+        basis = fit_basis(samples, config)
+        for shared in (samples, ScatteredSamples(coords, values[::-1], weights)):
+            assert model_bits(generate_model(shared, config, basis)) == model_bits(generate_model_oracle(shared, config))
 
         # queries inside the window, on its grid and just outside it (clipped)
         rng = np.random.default_rng(seed + 100)
@@ -308,7 +312,9 @@ class TestFitMatchesSeedOracle:
         kl, _ = config.frequencies
         cos_x, cos_y = _cosine_tables(samples.coords, m)
         assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
-        assert model_bits(generate_model(samples, config)) == model_bits(generate_model_oracle(samples, config))
+        expected = model_bits(generate_model_oracle(samples, config))
+        assert model_bits(generate_model(samples, config)) == expected
+        assert model_bits(generate_model(samples, config, fit_basis(samples, config))) == expected
 
 
 class TestNormalizeToWindow:
@@ -346,15 +352,14 @@ def mixed_cloud(positions, colors):
 class TestUpsampleBlock:
     def build(self, positions, colors):
         cloud = mixed_cloud(positions, colors)
-        blocks = partition_into_blocks(cloud, 1e9)
-        return blocks[0], cloud
+        return BlockGeometry(cloud, UpsampleConfig(block_size=1e9)), cloud
 
     def test_constant_color_block(self):
         rng = np.random.default_rng(17)
         positions = rng.uniform(0, 4, size=(20, 3))
         colors = [None if i % 3 == 0 else (100, 150, 200) for i in range(20)]
-        block, cloud = self.build(positions, colors)
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
+        geometry, cloud = self.build(positions, colors)
+        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
         assert ids.tolist() == list(range(0, 20, 3))
         assert all(tuple(c) == (100, 150, 200) for c in colors.tolist())
 
@@ -364,16 +369,16 @@ class TestUpsampleBlock:
     ])
     def test_zero_original_block_falls_back_to_nearest(self, method, expected):
         cloud = mixed_cloud([(100.0, 0, 0), (0.0, 0, 0), (0.5, 0, 0)], [(9, 9, 9), None, None])
-        blocks = partition_into_blocks(cloud, 4.0)
-        lonely = next(b for b in blocks if 1 in b.point_ids)
-        ids, colors = block_colors(lonely, cloud, method)
+        geometry = BlockGeometry(cloud, UpsampleConfig(block_size=4.0))
+        lonely = next(i for i, b in enumerate(geometry.blocks) if 1 in b.point_ids)
+        ids, colors = block_colors(geometry, lonely, cloud, method)
         # LIN2 leaves both points uncolored, and uncolored points are left out
         colored = {pid: tuple(c) for pid, c in zip(ids.tolist(), colors.tolist())}
         assert colored == ({} if expected is None else {1: expected, 2: expected})
 
     def test_no_reconstruct_points_returns_empty(self):
-        block, cloud = self.build([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
+        geometry, cloud = self.build([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
+        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
         assert ids.size == 0 and colors.shape == (0, 3)
 
     def test_linear_ramp_midpoint(self):
@@ -383,8 +388,8 @@ class TestUpsampleBlock:
         xs = np.linspace(0, 4, 17)
         positions = [(float(x), 0.0, 0.0) for x in xs] + [(2.07, 0.0, 0.0)]
         colors = [(int(round(40 + 40 * x)),) * 3 for x in xs] + [None]
-        block, cloud = self.build(positions, colors)
-        ids, colors = block_colors(block, cloud, InterpolatorKind.FSMMR)
+        geometry, cloud = self.build(positions, colors)
+        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
         expected = 40 + 40 * 2.07
         assert ids.tolist() == [len(positions) - 1]
         got = colors[0].tolist()

@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cloudcolor import pipeline
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import partition_into_blocks
+from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import InvalidConfig
-from cloudcolor.evaluation import random_downsample, sphere_cloud
-from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud
+from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
+from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import write_ply
+from cloudcolor.surface_transform import flatten_block
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,45 @@ def test_method_must_be_a_member(mixed_cloud, method):
 @pytest.mark.parametrize("method", [InterpolatorKind.NN3, InterpolatorKind.IDW3, "fsmmr"])
 def test_block_colors_takes_only_the_block_methods(mixed_cloud, method):
     # NN3 and IDW3 run over the whole cloud in 3D; per block they used to fall through to LIN2
-    for block in partition_into_blocks(mixed_cloud, UpsampleConfig.block_size):
+    geometry = BlockGeometry(mixed_cloud)
+    for index in range(len(geometry.blocks)):
         with pytest.raises(InvalidConfig, match="block_colors takes FSMMR, IDW2 or LIN2"):
-            block_colors(block, mixed_cloud, method)
+            block_colors(geometry, index, mixed_cloud, method)
+
+
+class TestBlockGeometry:
+    @pytest.mark.parametrize("method", list(InterpolatorKind))
+    @pytest.mark.parametrize("other", [
+        "positions", {"block_size": 2.0}, {"root_seed": 5}, {"block_size": 4.5, "root_seed": 0},
+    ])
+    def test_geometry_of_another_cloud_or_config_is_rejected(self, mixed_cloud, method, other):
+        if other == "positions":
+            moved = mixed_cloud.positions.copy()
+            moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
+            geometry = BlockGeometry(ColorPointCloud(moved))
+        else:
+            geometry = BlockGeometry(mixed_cloud, UpsampleConfig(**other))
+        with pytest.raises(InvalidConfig, match="block geometry"):
+            upsample_cloud(mixed_cloud, method, UpsampleConfig(), geometry)
+
+    @pytest.mark.parametrize("method", [InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY])
+    @pytest.mark.parametrize("root_seed", [None, 3])
+    def test_shared_geometry_colors_as_its_own(self, mixed_cloud, method, root_seed):
+        # built from a cloud with other roles and colors: only the positions matter
+        config = UpsampleConfig(root_seed=root_seed)
+        geometry = BlockGeometry(sphere_cloud(400, seed=1), config)
+        shared = upsample_cloud(mixed_cloud, method, config, geometry)
+        assert write_ply(shared, include_roles=True) == write_ply(upsample_cloud(mixed_cloud, method, config), include_roles=True)
+
+    def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch):
+        calls = Counter()
+
+        def counting_flatten(block, cloud, root_seed=None):
+            calls[block.cell_index] += 1
+            return flatten_block(block, cloud, root_seed)
+
+        monkeypatch.setattr(pipeline, "flatten_block", counting_flatten)
+        cloud = sphere_cloud(400)
+        run_experiment(cloud, ExperimentSpec())
+        assert calls and max(calls.values()) == 1
+        assert len(calls) <= len(partition_into_blocks(cloud, UpsampleConfig.block_size))
