@@ -9,6 +9,7 @@ takes ``(positions, colors, queries)`` and returns uint8 color rows.
 from __future__ import annotations
 
 import math
+import os
 from enum import Enum
 
 import numpy as np
@@ -73,6 +74,24 @@ def interpolate_idw(
     return round_color_channel(blend)
 
 
+def load_delaunay():
+    """scipy's ``(Delaunay, QhullError)``, imported on first use: only LIN2
+    needs scipy, and loading it more than doubles a run's start-up time and
+    memory.  scipy's own OpenBLAS fixes its thread count as it loads; at the
+    default, a thread spins for about 0.12 s after every
+    ``Delaunay.transform``.  So scipy loads under ``OPENBLAS_NUM_THREADS=1``
+    unless the variable is set."""
+    unset = "OPENBLAS_NUM_THREADS" not in os.environ
+    if unset:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        from scipy.spatial import Delaunay, QhullError
+    finally:
+        if unset:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    return Delaunay, QhullError
+
+
 def interpolate_lin2(
     positions2d: np.ndarray, colors: np.ndarray, queries2d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -83,9 +102,7 @@ def interpolate_lin2(
     every query when the originals are degenerate (fewer than 3 points or
     collinear), are not inside.
     """
-    # imported here, not at module load: no other method needs scipy, and
-    # loading it more than doubles the start-up time and memory of a run
-    from scipy.spatial import Delaunay, QhullError
+    Delaunay, QhullError = load_delaunay()
 
     positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
     queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)

@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--methods", default=",".join(k.value for k in ExperimentSpec.methods), help="comma list of methods (default %(default)s)")
     ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
-    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; an fsmmr, idw2 or lin2 row also includes flattening the blocks no earlier row reached, and the first lin2 row loading scipy)")
+    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; rows run concurrently on every usable core, and an fsmmr, idw2 or lin2 row also includes flattening the blocks that no earlier row of its process reached)")
     _add_block_flags(ev)
     _add_method_flags(ev)
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .baselines import InterpolatorKind
+from .baselines import InterpolatorKind, load_delaunay
 from .core import ColorPointCloud, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
@@ -157,26 +158,40 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
 def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentReport:
     """Sweep densities x runs x methods; per (density, run) every method
     receives the same downsampled cloud.  Downsampling changes only the
-    roles, so every run shares one block partition and flattening."""
+    roles, so every run shares one block partition and flattening.
+
+    The (density, run) jobs run on every usable core: job i goes to process
+    i % W, this one being process 0, and the rows come back in job order,
+    so the report is the same for any W."""
     if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
+    if InterpolatorKind.LIN2_DELAUNAY in spec.methods:
+        load_delaunay()  # before any fork, so that every process shares one single-threaded scipy
 
     geometry = BlockGeometry(cloud, spec.upsample)  # lazy: its errors flag the rows that reach them
-    report = ExperimentReport()
-    for density in sorted(spec.densities):
-        for run in range(1, spec.runs + 1):
-            seed = derive_seed(spec.base_seed, density, run)
-            downsampled = random_downsample(cloud, density, seed)
-            if downsampled.original.all():  # nothing to reconstruct
-                for method in spec.methods:
-                    report.records.append(ExperimentRecord(
-                        method=method.value, density=density, run=run, seed=seed,
-                        flags="skipped",
-                    ))
-                continue
-            for method in spec.methods:
-                report.records.append(_score_method(cloud, downsampled, geometry, method, density, run, seed, spec))
+    jobs = [(density, run) for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]
+    workers = _worker_count(len(jobs), _usable_cores())
+    if workers == 1:
+        done = [_run_share(cloud, geometry, spec, jobs)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        shares = [jobs[w::workers] for w in range(workers)]
+        # forked workers inherit the cloud and the geometry: nothing is pickled on the way in
+        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_enter_sweep, initargs=(cloud, geometry, spec)) as pool:
+            futures = [pool.submit(_run_forked_share, share) for share in shares[1:]]
+            done = [_run_share(cloud, geometry, spec, shares[0])]
+            try:
+                done += [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                raise CloudColorError(f"a sweep worker process ended abruptly: {exc}") from None
+
+    report = ExperimentReport()
+    for i in range(len(jobs)):
+        report.records += done[i % workers][i // workers]
     for method in spec.methods:
         for density in sorted(spec.densities):
             values = [
@@ -187,6 +202,48 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
             if values:
                 report.aggregates[(method.value, density)] = sum(values) / len(values)
     return report
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork or tell."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(jobs: int, cores: int) -> int:
+    """The processes, this one included, that a sweep of `jobs` jobs runs on."""
+    return min(jobs, cores)
+
+
+def _run_share(
+    cloud: ColorPointCloud, geometry: BlockGeometry, spec: ExperimentSpec, jobs: Sequence[Tuple[float, int]],
+) -> list[list[ExperimentRecord]]:
+    """The records of each (density, run) job in `jobs`, one row per method."""
+    done = []
+    for density, run in jobs:
+        seed = derive_seed(spec.base_seed, density, run)
+        downsampled = random_downsample(cloud, density, seed)
+        if downsampled.original.all():  # nothing to reconstruct
+            done.append([ExperimentRecord(method=method.value, density=density, run=run, seed=seed, flags="skipped")
+                         for method in spec.methods])
+        else:
+            done.append([_score_method(cloud, downsampled, geometry, method, density, run, seed, spec)
+                         for method in spec.methods])
+    return done
+
+
+_forked_sweep: tuple = ()  # (cloud, geometry, spec), set only in a forked sweep worker
+
+
+def _enter_sweep(*sweep) -> None:
+    global _forked_sweep
+    _forked_sweep = sweep
+
+
+def _run_forked_share(jobs: Sequence[Tuple[float, int]]) -> list[list[ExperimentRecord]]:
+    return _run_share(*_forked_sweep, jobs)
 
 
 def _score_method(

@@ -167,11 +167,21 @@ def generate_model(
     )
 
 
-def evaluate_model(model: SparseModel, queries: np.ndarray) -> np.ndarray:
+def query_table(queries: np.ndarray, size: int) -> np.ndarray:
+    """The (2, M, k) cosine table of an M x M window at the (k, 2)
+    `queries`, as ``_cosine_tables`` builds it; it reads no model, so the
+    models of R, G and B at the same queries share one."""
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     # tolerate normalization round-off marginally outside the window
-    cos_x, cos_y = _cosine_tables(np.clip(queries, 0.0, model.size - 1), model.size)
-    out = np.zeros(len(queries))
+    return _cosine_tables(np.clip(queries, 0.0, size - 1), size)
+
+
+def evaluate_model(model: SparseModel, queries: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    """The model's values at the (k, 2) `queries`, on `table`:
+    ``query_table`` of the same queries for the model's size, built here by
+    default."""
+    cos_x, cos_y = query_table(queries, model.size) if table is None else table
+    out = np.zeros(cos_x.shape[1])
     for u, v, c in model.terms:
         out += c * cos_x[u] * cos_y[v]
     return out
@@ -201,7 +211,7 @@ def upsample_block(
     The originals' 2D `positions` and the queries are normalised to the
     model window together.  One model per channel is fitted to the
     originals' `colors`, all three on one basis, and evaluated at the
-    queries.
+    queries on one query table.
     """
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
     o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
@@ -209,7 +219,7 @@ def upsample_block(
     o_colors = np.asarray(colors, dtype=float)
 
     channels = [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)]
-    basis = fit_basis(channels[0], config)
+    basis, table = fit_basis(channels[0], config), query_table(r_coords, config.model_size)
     return round_color_channel(np.column_stack([
-        evaluate_model(generate_model(samples, config, basis), r_coords) for samples in channels
+        evaluate_model(generate_model(samples, config, basis), r_coords, table) for samples in channels
     ]))

@@ -171,8 +171,10 @@ def lin2_oracle(positions2d, colors, queries2d, round_channel=_round_channel_ora
     originals are fewer than 3 or collinear.  `round_channel=float` keeps
     the blends unrounded."""
     import numpy as np
-    from scipy.spatial import Delaunay, QhullError
 
+    from cloudcolor.baselines import load_delaunay
+
+    Delaunay, QhullError = load_delaunay()  # scipy on one BLAS thread, whichever test loads it first
     positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
     queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)
     if len(positions2d) < 3:

@@ -1,11 +1,15 @@
+import faulthandler
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from cloudcolor import evaluation
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud
-from cloudcolor.errors import InvalidConfig, InvalidInput
+from cloudcolor.errors import CloudColorError, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import (
     CSV_HEADER, ExperimentSpec, derive_seed, dihedral_cloud, plane_cloud, psnr_channel,
     random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud,
@@ -219,14 +223,9 @@ class TestRunExperiment:
         # flattened.  Run 1 splits them and every block method reaches that block; in runs 2
         # and 3 both are to be reconstructed (LIN2 leaves them, the others' nearest-original
         # lookup overflows), in run 4 both are originals.  The failure is not kept as a result.
-        base = sphere_cloud(60)
-        cloud = ColorPointCloud(
-            np.concatenate([base.positions, [[3e155, 0, 0], [3.5e155, 0, 0]]]),
-            np.concatenate([base.colors, [[10, 20, 30], [40, 50, 60]]]),
-        )
         methods = (InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY)
         spec = self.spec(methods=methods, runs=4, base_seed=0, upsample=UpsampleConfig(block_size=1e155))
-        assert run_experiment(cloud, spec).to_csv() == CSV_HEADER + "\n" + "".join(f"{line}\n" for line in [
+        assert run_experiment(far_pair_cloud(), spec).to_csv() == CSV_HEADER + "\n" + "".join(f"{line}\n" for line in [
             "fsmmr,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
             "idw2,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
             "lin2,0.5,1,4990024255108911950,,,,,0,0,error:InvalidInput",
@@ -240,6 +239,91 @@ class TestRunExperiment:
             "idw2,0.5,4,16568918784375547120,15.398251,16.793458,11.774053,14.655254,0,0,",
             "lin2,0.5,4,16568918784375547120,15.929723,17.274133,12.181724,15.128527,13,0,",
         ])
+
+
+def far_pair_cloud():
+    """`sphere_cloud(60)` and two far points that share a block 1e155 wide
+    and cannot be flattened together: at block size 1e155 every block method
+    that reaches their block flags its row with `error:`."""
+    base = sphere_cloud(60)
+    return ColorPointCloud(
+        np.concatenate([base.positions, [[3e155, 0, 0], [3.5e155, 0, 0]]]),
+        np.concatenate([base.colors, [[10, 20, 30], [40, 50, 60]]]),
+    )
+
+
+@pytest.fixture
+def no_workers_left():
+    """Fail a test that leaves a sweep worker running, and end one that
+    hangs after two minutes instead of stalling the suite."""
+    faulthandler.dump_traceback_later(120, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    assert multiprocessing.active_children() == []
+
+
+def in_a_worker_only(action):
+    """An `upsample_cloud` stand-in that runs `action` in a forked sweep
+    worker and upsamples as usual in this process."""
+    parent, upsample = os.getpid(), evaluation.upsample_cloud
+
+    def stand_in(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return upsample(*args, **kwargs)
+
+    return stand_in
+
+
+@pytest.mark.usefixtures("no_workers_left")
+class TestSweepProcesses:
+    """The (density, run) jobs run on every usable core; the report must
+    not depend on how many."""
+
+    ALL_METHODS = tuple(InterpolatorKind)
+
+    @pytest.mark.parametrize("cloud, spec, flag", [
+        # error: rows from a block that cannot be flattened, next to scored LIN2 rows
+        (far_pair_cloud(), ExperimentSpec(ALL_METHODS, (0.5,), runs=4, upsample=UpsampleConfig(block_size=1e155)),
+         "error:InvalidInput"),
+        # skipped rows at density 1 between scored densities
+        (sphere_cloud(120), ExperimentSpec(ALL_METHODS, (1.0, 0.3, 0.6), runs=2, base_seed=5), "skipped"),
+        # one run per density
+        (sphere_cloud(120), ExperimentSpec(ALL_METHODS, (0.2, 0.7, 1.0), runs=1, base_seed=9), "skipped"),
+    ], ids=["error-rows", "skipped-rows", "one-run"])
+    def test_report_is_byte_identical_at_1_2_and_3_processes(self, cloud, spec, flag, monkeypatch):
+        reports = {}
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(evaluation, "_usable_cores", lambda: cores)
+            report = run_experiment(cloud, spec)
+            reports[cores] = (report.to_csv(), report.aggregates)
+        assert reports[1] == reports[2] == reports[3]
+        rows = reports[1][0]
+        assert rows.count("\n") == 1 + len(spec.methods) * len(spec.densities) * spec.runs
+        assert f",{flag}\n" in rows
+
+    def test_an_error_raised_in_a_worker_propagates(self, monkeypatch):
+        def fail():
+            raise ValueError("raised in a sweep worker")
+
+        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(fail))
+        spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=2)
+        with pytest.raises(ValueError, match="raised in a sweep worker"):
+            run_experiment(sphere_cloud(60), spec)
+
+    def test_a_worker_that_exits_is_a_cloudcolor_error(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(lambda: os._exit(3)))
+        spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=3)
+        with pytest.raises(CloudColorError, match="sweep worker"):
+            run_experiment(sphere_cloud(60), spec)
+
+    @pytest.mark.parametrize("jobs, cores, expected", [
+        (9, 10_000, 9), (10_000, 2, 2), (9, 1, 1), (1, 10_000, 1),
+    ])
+    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected):
+        assert evaluation._worker_count(jobs, cores) == expected
 
 
 class TestSyntheticClouds:

@@ -9,7 +9,7 @@ from cloudcolor.core import ColorPointCloud, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
-    generate_model, normalize_to_window, spatial_weight,
+    generate_model, normalize_to_window, query_table, spatial_weight,
 )
 from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors
 
@@ -278,6 +278,10 @@ class TestFitMatchesSeedOracle:
             [[-0.5, -0.5], [m - 1 + 1e-9, m - 1 + 0.5]],
         ])
         assert float_bits(evaluate_model(model, queries)) == float_bits(evaluate_model_oracle(model, queries))
+        # one query table shared by the models of other values, as upsample_block's R, G and B
+        table = query_table(queries, m)
+        for shared in (model, generate_model(ScatteredSamples(coords, values[::-1], weights), config, basis)):
+            assert float_bits(evaluate_model(shared, queries, table)) == float_bits(evaluate_model_oracle(shared, queries))
 
     @pytest.mark.parametrize("stop", ["energy threshold", "zero decrease at once", "constant signal"])
     def test_early_stops(self, stop):
