@@ -30,9 +30,7 @@ class MissingColor(CloudColorError):
 
 
 class ParseError(CloudColorError):
-    """PLY parsing failure, carrying the byte offset where it was detected."""
+    """PLY parsing failure; the message ends with the byte offset where it was detected."""
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (at byte {offset})")
-        self.offset = offset
-        self.reason = message

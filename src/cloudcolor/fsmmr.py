@@ -35,6 +35,9 @@ class FsmmrConfig:
             raise InvalidConfig("sigma must lie in (0, 1)")
         if not (0.0 < self.rho < 1.0):
             raise InvalidConfig("rho must lie in (0, 1)")
+        # a window corner gets the least spatial weight; past 2^64 it underflows for every rho
+        if self.model_size >= 2 ** 64 or spatial_weight(0, 0, self.model_size, self.rho) == 0:
+            raise InvalidConfig(f"rho {self.rho} and model_size {self.model_size} give a window corner a spatial weight of 0")
         if not (0.0 < self.gamma <= 1.0):
             raise InvalidConfig("gamma must lie in (0, 1]")
         if self.max_iterations < 1:

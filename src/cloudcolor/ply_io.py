@@ -147,6 +147,7 @@ def read_ply(data: bytes) -> ColorPointCloud:
 def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
     text = data[body_start:].decode("ascii", errors="replace")
     lines = [ln for ln in text.split("\n") if ln.strip()]  # str.split() drops a trailing "\r" too
+    underscore = "_" in text  # float() and int() read "1_0" as 10, where a C reader stops at the "_"
     if len(lines) < vertex.count:
         raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
     # row by row: a table of every token at once would double the peak memory
@@ -157,6 +158,8 @@ def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: li
         if len(tokens) < len(parsers):
             raise ParseError(f"vertex row {i} has too few values", body_start)
         try:  # every token is parsed, used or not, so that a bad one is rejected
+            if underscore and "_" in line:
+                raise ValueError("a number cannot hold '_'")
             rows.append([parse(token) for parse, token in zip(parsers, tokens)])
         except ValueError as exc:
             raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None

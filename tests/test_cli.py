@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
@@ -227,6 +231,9 @@ class TestFlagValidation:
         (["evaluate", "--methods=spline"], "unknown method"),
         (["evaluate", "--runs=0"], "runs must be >= 1"),
         (["flatten", "--block-size=nan"], "block_size must be positive"),
+        # a window corner lies 2089.5 from the centre at model size 2956, and 0.7 ** 2089.5 underflows to 0
+        (["upsample", "--model-size=2956"], "model_size 2956 give a window corner a spatial weight of 0"),
+        (["evaluate", "--model-size=100000"], "model_size 100000 give a window corner a spatial weight of 0"),
     ])
     def test_flags_are_checked_before_the_input_is_read(self, flags, message, tmp_path, capsys):
         code = main([*flags, str(tmp_path / "missing.ply"), str(tmp_path / "out")])
@@ -334,3 +341,53 @@ def test_help_lists_pinned_defaults(capsys):
     text = capsys.readouterr().out
     for needle in ("0.8", "0.7", "0.5", "100", "16", "4.0"):
         assert needle in text
+
+
+# hand-sized clouds: two originals, one red at x = 0 and one blue at x = 1, and
+# a point to reconstruct at x = 0.25; the tie cloud repeats the blue original
+# and lifts the point to z = 0.5
+TINY = ["0 0 0 255 0 0 1", "1 0 0 0 0 255 1", "0.25 0 0 0 0 0 0"]
+TIE = ["0 0 0 255 0 0 1", "1 0 0 0 0 255 1", "1 0 0 0 0 255 1", "0.25 0 0.5 0 0 0 0"]
+UPSAMPLE = ["upsample", "--ascii", "--method"]
+
+
+@pytest.mark.parametrize("rows, comment, argv, line", [
+    (TINY, False, [*UPSAMPLE, "fsmmr"], "0.25 0 0 214 0 41"),
+    (TINY, False, [*UPSAMPLE, "nn3"], "0.25 0 0 255 0 0"),
+    (TINY, False, [*UPSAMPLE, "idw3"], "0.25 0 0 230 0 25"),
+    # two originals cannot be triangulated: the hole is filled from the nearest original
+    (TINY, False, [*UPSAMPLE, "lin2"], "0.25 0 0 255 0 0"),
+    (TINY, False, ["flatten"], "2,reconstruct,0.25,0.0"),
+    # the header ends at the first line that reads exactly end_header: a comment may hold the word
+    (TINY, True, [*UPSAMPLE, "fsmmr"], "0.25 0 0 214 0 41"),
+    # the repeated original ties two tree edges: the Prim keys this block by exact ranks
+    (TIE, False, ["flatten"], "3,reconstruct,0.5590169943749475,0.5"),
+    (TIE, False, [*UPSAMPLE, "fsmmr"], "0.25 0 0.5 127 0 128"),
+], ids=["tiny-fsmmr", "tiny-nn3", "tiny-idw3", "tiny-lin2", "tiny-flatten", "comment-fsmmr", "tie-flatten", "tie-fsmmr"])
+def test_hand_sized_cloud_gives_its_pinned_line(rows, comment, argv, line, tmp_path):
+    source = double_x_ply(tmp_path, rows, double_axes="")
+    if comment:
+        source.write_text(source.read_text().replace("\nelement", "\ncomment written before end_header was parsed\nelement"))
+    out = tmp_path / "out"
+    assert main([*argv, str(source), str(out)]) == 0
+    assert line in out.read_text().splitlines()
+
+
+# runs `cloudcolor` with argv[1:] on one of this process's cores
+ONE_CORE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from cloudcolor.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_core_sweep_writes_the_all_core_bytes(tmp_path):
+    # the sweep's jobs run on every usable core: confined to one, it writes the same report
+    source, one_core, all_cores = tmp_path / "sphere.ply", tmp_path / "one.csv", tmp_path / "all.csv"
+    source.write_bytes(write_ply(sphere_cloud(300)))
+    argv = ["evaluate", "--root", "random", "--runs", "2", str(source)]
+    subprocess.run([sys.executable, "-c", ONE_CORE, *argv, str(one_core)], timeout=300, check=True)
+    assert main([*argv, str(all_cores)]) == 0
+    assert one_core.read_bytes() == all_cores.read_bytes()

@@ -83,6 +83,8 @@ class TestConfigValidation:
         {"sigma": 0.0}, {"sigma": 1.0}, {"rho": 1.0}, {"gamma": 0.0},
         {"gamma": 1.5}, {"max_iterations": 0}, {"model_size": 0},
         {"energy_threshold": -1.0}, {"energy_threshold": math.nan},
+        # a window corner's spatial weight underflows to 0 (past 2^64 for every rho)
+        {"model_size": 2956}, {"model_size": 2 ** 64, "rho": 1 - 2 ** -53}, {"model_size": 10 ** 400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):

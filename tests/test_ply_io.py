@@ -172,6 +172,19 @@ def test_ascii_unused_value_outside_its_type(prop, value, kind):
     assert read_ply(data.replace(b"0 0 0 %s 255" % value, b"0 0 0 %s 255" % fits)).colors.tolist() == [[255, 0, 0]]
 
 
+@pytest.mark.parametrize("row", [b"1_0 0 0 255 0 0", b"0 0 0 25_5 0 0", b"0 0 0 255 0 0 extra_token"])
+def test_ascii_vertex_row_with_underscore(row):
+    # float() and int() read "1_0" as 10 and "25_5" as 255; a C reader stops at the "_"
+    with pytest.raises(ParseError, match="bad value in vertex row 0"):
+        read_ply(ASCII_ONE_RED.replace(b"0 0 0 255 0 0", row))
+
+
+def test_underscore_outside_the_vertex_rows_reads():
+    # end_header holds one, and the rows of a later element are not read
+    head = b"comment made_by_hand\nelement note 1\nproperty int n\nend_header"
+    assert read_ply(ASCII_ONE_RED.replace(b"end_header", head) + b"1_0\n").colors.tolist() == [[255, 0, 0]]
+
+
 def test_missing_magic():
     with pytest.raises(ParseError):
         read_ply(b"not a ply file")
