@@ -29,6 +29,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # no abbreviations: `--root 3` must not read as `--root-seed 3`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)  # the usage line of the (sub)command that failed
@@ -45,8 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_block_flags(p: argparse.ArgumentParser):
     p.add_argument("--block-size", type=float, default=UpsampleConfig.block_size, help="edge length of the cubic partition cells (default %(default)s)")
-    p.add_argument("--root", choices=["deterministic", "random"], default="deterministic", help="MST root selection (default %(default)s)")
-    p.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="seed for random root selection / experiment splits (default %(default)s)")
+    p.add_argument("--root-seed", type=int, default=UpsampleConfig.root_seed, help="seed of each block's MST root pick (default: the block's lowest point id)")
 
 
 def _add_method_flags(p: argparse.ArgumentParser):
@@ -63,7 +65,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cloudcolor", description="Color upsampling of 3D point clouds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    up = sub.add_parser("upsample", parents=[], help="color the reconstruct points of a PLY file")
+    up = sub.add_parser("upsample", help="color the reconstruct points of a PLY file")
     up.add_argument("input", type=Path)
     up.add_argument("output", type=Path)
     up.add_argument("--method", default="fsmmr", help=f"one of {', '.join(k.value for k in InterpolatorKind)} (default %(default)s)")
@@ -77,6 +79,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--methods", default=",".join(k.value for k in ExperimentSpec.methods), help="comma list of methods (default %(default)s)")
     ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
+    ev.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="seed of the density splits (default %(default)s)")
     ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; rows run concurrently on every usable core, and an fsmmr, idw2 or lin2 row also includes flattening the blocks that no earlier row of its process reached)")
     _add_block_flags(ev)
     _add_method_flags(ev)
@@ -90,19 +93,8 @@ def build_parser() -> _Parser:
 
 
 def _upsample_config(args) -> UpsampleConfig:
-    fsmmr = FsmmrConfig(
-        model_size=args.model_size,
-        sigma=args.sigma,
-        rho=args.rho,
-        gamma=args.gamma,
-        max_iterations=args.max_iters,
-        energy_threshold=args.energy_threshold,
-    )
-    return UpsampleConfig(args.block_size, _root_seed(args), args.idw_power, fsmmr)
-
-
-def _root_seed(args) -> int | None:
-    return args.seed if args.root == "random" else None
+    fsmmr = FsmmrConfig(args.model_size, args.sigma, args.rho, args.gamma, args.max_iters, args.energy_threshold)
+    return UpsampleConfig(args.block_size, args.root_seed, args.idw_power, fsmmr)
 
 
 def _cmd_upsample(args) -> int:
@@ -144,7 +136,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    config = UpsampleConfig(args.block_size, _root_seed(args))
+    config = UpsampleConfig(args.block_size, args.root_seed)
     cloud = read_ply(args.input.read_bytes())
     geometry = BlockGeometry(cloud, config)
     if not 0 <= args.block < len(geometry.blocks):
@@ -163,12 +155,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError:
         return 1
+    run = {"upsample": _cmd_upsample, "evaluate": _cmd_evaluate, "flatten": _cmd_flatten}[args.command]
     try:
-        if args.command == "upsample":
-            return _cmd_upsample(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        return _cmd_flatten(args)
+        return run(args)
     except (CloudColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

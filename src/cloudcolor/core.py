@@ -73,6 +73,16 @@ class Block:
     point_ids: np.ndarray  # ascending
 
 
+def check_int_fields(config, *names: str) -> None:
+    """Store each named field of the frozen dataclass `config` as an int;
+    InvalidConfig naming the first that holds a bool or no int or numpy integer."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 def check_block_size(block_size: float) -> None:
     if not (math.isfinite(block_size) and block_size > 0):
         raise InvalidConfig(f"block_size must be positive and finite, got {block_size}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind, load_delaunay
-from .core import ColorPointCloud, round_color_channel
+from .core import ColorPointCloud, check_int_fields, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
 
@@ -39,6 +40,10 @@ class ExperimentSpec:
             raise InvalidConfig("each method must be an InterpolatorKind")
         if len(set(self.methods)) < len(self.methods):
             raise InvalidConfig("each method may be listed only once")
+        if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) for d in self.densities):
+            raise InvalidConfig(f"each density must be a real number, got {self.densities!r}")
+        object.__setattr__(self, "densities", tuple(map(float, self.densities)))  # a numpy float's repr derives other seeds
+        check_int_fields(self, "runs", "base_seed")
         if len(set(map(_fmt_density, self.densities))) < len(self.densities):
             raise InvalidConfig("each density may be listed only once, and no two may share a report label")
         if any(not (0.0 < d <= 1.0) for d in self.densities):
@@ -170,7 +175,7 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
 
     geometry = BlockGeometry(cloud, spec.upsample)  # lazy: its errors flag the rows that reach them
     jobs = [(density, run) for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]
-    workers = _worker_count(len(jobs), _usable_cores())
+    workers = min(len(jobs), _usable_cores())
     if workers == 1:
         done = [_run_share(cloud, geometry, spec, jobs)]
     else:
@@ -210,11 +215,6 @@ def _usable_cores() -> int:
     if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _worker_count(jobs: int, cores: int) -> int:
-    """The processes, this one included, that a sweep of `jobs` jobs runs on."""
-    return min(jobs, cores)
 
 
 def _run_share(

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import check_int_fields, nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import EmptySamples, InvalidConfig
 
 
@@ -29,6 +29,7 @@ class FsmmrConfig:
     energy_threshold: float = 0.0
 
     def __post_init__(self):
+        check_int_fields(self, "model_size", "max_iterations")
         if self.model_size < 1:
             raise InvalidConfig("model_size must be >= 1")
         if not (0.0 < self.sigma < 1.0):

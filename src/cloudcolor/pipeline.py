@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import InterpolatorKind, check_idw_power, interpolate_idw, interpolate_lin2, interpolate_nn3
-from .core import Block, ColorPointCloud, check_block_size, nearest_original_color, partition_into_blocks
+from .core import Block, ColorPointCloud, check_block_size, check_int_fields, nearest_original_color, partition_into_blocks
 from .errors import EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, upsample_block
 from .surface_transform import flatten_block
@@ -30,8 +30,8 @@ class UpsampleConfig:
     def __post_init__(self):
         check_block_size(self.block_size)
         check_idw_power(self.idw_power)
-        if self.root_seed is not None and not isinstance(self.root_seed, (int, np.integer)):
-            raise InvalidConfig(f"root_seed must be an integer or None, got {self.root_seed!r}")
+        if self.root_seed is not None:
+            check_int_fields(self, "root_seed")
 
 
 class BlockGeometry:

@@ -155,8 +155,8 @@ def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: li
     rows = []
     for i, line in enumerate(lines[:vertex.count]):
         tokens = line.split()
-        if len(tokens) < len(parsers):
-            raise ParseError(f"vertex row {i} has too few values", body_start)
+        if len(tokens) != len(parsers):
+            raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {len(parsers)}", body_start)
         try:  # every token is parsed, used or not, so that a bad one is rejected
             if underscore and "_" in line:
                 raise ValueError("a number cannot hold '_'")

@@ -327,6 +327,34 @@ class TestFlatten:
         assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["upsample", "--root", "random"], ["upsample", "--root", "3"], ["upsample", "--seed", "5"],
+    ["evaluate", "--root", "random"], ["evaluate", "--root", "deterministic"],
+    ["flatten", "--root", "random"], ["flatten", "--seed", "5"], ["flatten", "--root-seed", "random"],
+])
+def test_root_and_seed_spellings_are_usage_errors(argv, mixed_ply, tmp_path, capsys):
+    # the root seed has one flag, --root-seed, which no prefix abbreviates;
+    # --seed seeds only the density splits of evaluate
+    code = main([*argv, str(mixed_ply), str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"usage: cloudcolor {argv[0]}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["upsample", "evaluate", "flatten"])
+def test_root_seed_sets_the_root_seed_alone(command):
+    seeded, default = (vars(build_parser().parse_args([command, *flags, "in", "out"])) for flags in (["--root-seed", "5"], []))
+    assert {name for name in default if seeded[name] != default[name]} == {"root_seed"}
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--seed", ExperimentSpec(base_seed=5)), ("--root-seed", ExperimentSpec(upsample=UpsampleConfig(root_seed=5))),
+])
+def test_evaluate_seeds_the_splits_and_the_roots_apart(flag, spec):
+    assert _experiment_spec(build_parser().parse_args(["evaluate", flag, "5", "in", "out"])) == spec
+
+
 @pytest.mark.parametrize("command", ["upsample", "evaluate"])
 def test_flag_defaults_are_the_config_defaults(command):
     args = build_parser().parse_args([command, "in", "out"])
@@ -387,7 +415,7 @@ def test_one_core_sweep_writes_the_all_core_bytes(tmp_path):
     # the sweep's jobs run on every usable core: confined to one, it writes the same report
     source, one_core, all_cores = tmp_path / "sphere.ply", tmp_path / "one.csv", tmp_path / "all.csv"
     source.write_bytes(write_ply(sphere_cloud(300)))
-    argv = ["evaluate", "--root", "random", "--runs", "2", str(source)]
+    argv = ["evaluate", "--root-seed", "0", "--runs", "2", str(source)]
     subprocess.run([sys.executable, "-c", ONE_CORE, *argv, str(one_core)], timeout=300, check=True)
     assert main([*argv, str(all_cores)]) == 0
     assert one_core.read_bytes() == all_cores.read_bytes()

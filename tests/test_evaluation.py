@@ -15,6 +15,7 @@ from cloudcolor.evaluation import (
     random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud,
 )
 
+from cloudcolor.fsmmr import FsmmrConfig
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 
 from conftest import random_cloud
@@ -241,6 +242,43 @@ class TestRunExperiment:
         ])
 
 
+INTEGER_FIELDS = [
+    (UpsampleConfig, "root_seed"), (ExperimentSpec, "runs"), (ExperimentSpec, "base_seed"),
+    (FsmmrConfig, "model_size"), (FsmmrConfig, "max_iterations"),
+]
+
+
+class TestNumericSettings:
+    """Integer settings take an int or a numpy integer and are stored as an
+    int; densities take a real number and are stored as a float."""
+
+    @pytest.mark.parametrize("config, name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [2.5, 16.0, np.float64(3.0), "3", True, np.bool_(True)])
+    def test_non_integer_is_invalid_config_naming_the_field(self, config, name, value):
+        with pytest.raises(InvalidConfig, match=f"{name} must be an integer"):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("config, name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [np.int64(7), np.uint8(7)])
+    def test_numpy_integer_is_stored_as_an_int(self, config, name, value):
+        stored = getattr(config(**{name: value}), name)
+        assert type(stored) is int and stored == 7
+
+    @pytest.mark.parametrize("density", ["0.5", True, np.bool_(True), None, 0.5j])
+    def test_density_that_is_not_a_real_number(self, density):
+        with pytest.raises(InvalidConfig, match="density must be a real number"):
+            ExperimentSpec(densities=(0.8, density))
+
+    @pytest.mark.parametrize("density, runs, base_seed", [
+        (np.float64(0.5), 1, 7), (np.float32(0.5), 1, 7), (0.5, np.int64(1), 7), (0.5, 1, np.int64(7)),
+        (np.int64(1), 1, 7), (1, 1, 7),
+    ])
+    def test_numpy_numbers_give_the_csv_of_the_equal_python_numbers(self, density, runs, base_seed):
+        cloud, methods = sphere_cloud(200), (InterpolatorKind.NN3,)
+        expected = run_experiment(cloud, ExperimentSpec(methods, (float(density),), 1, 7)).to_csv()
+        assert run_experiment(cloud, ExperimentSpec(methods, (density,), runs, base_seed)).to_csv() == expected
+
+
 def far_pair_cloud():
     """`sphere_cloud(60)` and two far points that share a block 1e155 wide
     and cannot be flattened together: at block size 1e155 every block method
@@ -320,10 +358,24 @@ class TestSweepProcesses:
             run_experiment(sphere_cloud(60), spec)
 
     @pytest.mark.parametrize("jobs, cores, expected", [
-        (9, 10_000, 9), (10_000, 2, 2), (9, 1, 1), (1, 10_000, 1),
+        (9, 10_000, 9), (9, 2, 2), (9, 1, 1), (1, 10_000, 1),
     ])
-    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected):
-        assert evaluation._worker_count(jobs, cores) == expected
+    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected, monkeypatch, tmp_path):
+        # each forked worker appends its pid when it starts; this process is the other one
+        pids, enter = tmp_path / "pids", evaluation._enter_sweep
+
+        def recording_enter(*sweep):
+            with open(pids, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            enter(*sweep)
+
+        monkeypatch.setattr(evaluation, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(evaluation, "_enter_sweep", recording_enter)
+        densities = (0.2, 0.5, 0.8)[:min(jobs, 3)]
+        report = run_experiment(sphere_cloud(60), ExperimentSpec((InterpolatorKind.NN3,), densities, runs=jobs // len(densities)))
+        workers = pids.read_text().split() if pids.exists() else []
+        assert len(report.records) == jobs
+        assert len(set(workers)) == len(workers) == expected - 1
 
 
 class TestSyntheticClouds:

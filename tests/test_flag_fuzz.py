@@ -7,7 +7,8 @@ and any float hypothesis draws.  `--model-size`, `--max-iters` and
 `--runs` draw only up to 32, 200 and 2 to keep each example fast.  Larger
 values are valid but cost time and memory; a model size whose tables exceed
 the address space ends in `MemoryError`, which `main` answers with exit code
-2 (`test_cli.py` checks that case).
+2 (`test_cli.py` checks that case).  `--root-seed` draws any int within
++-2**70.
 
 The lists get arbitrary text: tokens that are neither numbers nor method
 names (`abc`, `0x10`, a space), tokens Python reads as numbers in unusual
@@ -35,8 +36,9 @@ FLAGS = st.tuples(
     st.dictionaries(st.sampled_from(FLOAT_FLAGS), FLOAT_TOKENS),
     st.one_of(st.none(), st.integers(-2, 32)),
     st.one_of(st.none(), st.integers(-2, 200)),
+    st.one_of(st.none(), st.integers(-2 ** 70, 2 ** 70)),
 ).map(lambda drawn: [f"{flag}={value}" for flag, value in [
-    *drawn[0].items(), ("--model-size", drawn[1]), ("--max-iters", drawn[2]),
+    *drawn[0].items(), ("--model-size", drawn[1]), ("--max-iters", drawn[2]), ("--root-seed", drawn[3]),
 ] if value is not None])
 
 LIST_TEXT = st.one_of(

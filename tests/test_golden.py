@@ -20,7 +20,7 @@ Three more outputs pin the paths that turn a cloud into bytes and back:
 `upsample --ascii` of an ASCII mixed-role input (the ASCII reader and the
 shortest-repr float writer), `write_ply` of the plane with a sharp edge and
 of the dihedral in both formats (the synthetic generators), and the
-`flatten --root random` CSV (the random root, salted by the block's cell
+`flatten --root-seed 3` CSV (the random root, salted by the block's cell
 index).
 
 A change to any digest must be justified, never re-recorded to make this
@@ -126,6 +126,6 @@ def test_generator_digest(shape, fmt):
 
 def test_flatten_random_root_csv_digest(mixed_sphere_ply, tmp_path):
     out = tmp_path / "flat.csv"
-    code = main(["flatten", "--root", "random", "--seed", "3", "--block", "7", str(mixed_sphere_ply), str(out)])
+    code = main(["flatten", "--root-seed", "3", "--block", "7", str(mixed_sphere_ply), str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_FLATTEN_CSV_SHA256

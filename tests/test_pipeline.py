@@ -1,10 +1,11 @@
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cloudcolor import pipeline
+from cloudcolor import evaluation, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import InvalidConfig
@@ -84,15 +85,22 @@ class TestBlockGeometry:
         shared = upsample_cloud(mixed_cloud, method, config, geometry)
         assert write_ply(shared, include_roles=True) == write_ply(upsample_cloud(mixed_cloud, method, config), include_roles=True)
 
-    def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch):
-        calls = Counter()
+    def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch, tmp_path):
+        # every process of a 2-process sweep appends (pid, cell) per flattening; a
+        # forked worker starts from the geometry as it was before the sweep
+        log = tmp_path / "flattened"
 
-        def counting_flatten(block, cloud, root_seed=None):
-            calls[block.cell_index] += 1
+        def recording_flatten(block, cloud, root_seed=None):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {block.cell_index}\n")
             return flatten_block(block, cloud, root_seed)
 
-        monkeypatch.setattr(pipeline, "flatten_block", counting_flatten)
+        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
         cloud = sphere_cloud(400)
         run_experiment(cloud, ExperimentSpec())
-        assert calls and max(calls.values()) == 1
-        assert len(calls) <= len(partition_into_blocks(cloud, UpsampleConfig.block_size))
+        calls = Counter(log.read_text().splitlines())
+        assert max(calls.values()) == 1
+        cells_by_pid = Counter(line.split(" ", 1)[0] for line in calls)
+        assert str(os.getpid()) in cells_by_pid and len(cells_by_pid) == 2  # the worker flattened too
+        assert max(cells_by_pid.values()) <= len(partition_into_blocks(cloud, UpsampleConfig.block_size))

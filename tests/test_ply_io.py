@@ -172,10 +172,18 @@ def test_ascii_unused_value_outside_its_type(prop, value, kind):
     assert read_ply(data.replace(b"0 0 0 %s 255" % value, b"0 0 0 %s 255" % fits)).colors.tolist() == [[255, 0, 0]]
 
 
-@pytest.mark.parametrize("row", [b"1_0 0 0 255 0 0", b"0 0 0 25_5 0 0", b"0 0 0 255 0 0 extra_token"])
+@pytest.mark.parametrize("row", [b"1_0 0 0 255 0 0", b"0 0 0 25_5 0 0"])
 def test_ascii_vertex_row_with_underscore(row):
     # float() and int() read "1_0" as 10 and "25_5" as 255; a C reader stops at the "_"
     with pytest.raises(ParseError, match="bad value in vertex row 0"):
+        read_ply(ASCII_ONE_RED.replace(b"0 0 0 255 0 0", row))
+
+
+@pytest.mark.parametrize("row, count", [
+    (b"0 0 0 255 0 0 99 abc", 8), (b"0 0 0 255 0 0 7", 7), (b"0 0 0 255 0 0 extra_token", 7), (b"0 0 0 255 0", 5),
+])
+def test_ascii_vertex_row_holds_exactly_the_declared_values(row, count):
+    with pytest.raises(ParseError, match=f"vertex row 0 has {count} values where the header declares 6"):
         read_ply(ASCII_ONE_RED.replace(b"0 0 0 255 0 0", row))
 
 
