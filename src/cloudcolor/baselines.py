@@ -8,14 +8,13 @@ takes ``(positions, colors, queries)`` and returns uint8 color rows.
 """
 from __future__ import annotations
 
-import math
 import os
 from enum import Enum
 
 import numpy as np
 
-from .core import nearest_ids, round_color_channel, squared_distance_chunks
-from .errors import EmptySamples, InvalidConfig
+from .core import nearest_ids, point_rows, positive_real, round_color_channel, squared_distance_chunks
+from .errors import InvalidConfig
 
 
 class InterpolatorKind(Enum):  # declared in the default sweep's row order
@@ -34,11 +33,6 @@ class InterpolatorKind(Enum):  # declared in the default sweep's row order
             raise InvalidConfig(f"unknown method {name!r}; expected one of: {valid}") from None
 
 
-def check_idw_power(power: float) -> None:
-    if not (math.isfinite(power) and power > 0):
-        raise InvalidConfig(f"idw power must be positive and finite, got {power}")
-
-
 def interpolate_nn3(positions: np.ndarray, colors: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Each query takes the color of its nearest original; ties go to the
     smaller point id.  Returns (k, 3) uint8 colors."""
@@ -55,12 +49,8 @@ def interpolate_idw(
     with an original (d = 0) and weights that overflow or underflow; it is
     the limit of the blend as d -> 0 or as the power grows.
     """
-    check_idw_power(power)
-    positions = np.asarray(positions, dtype=float)
-    if len(positions) == 0:
-        raise EmptySamples("idw interpolation needs at least one original")
-    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
-    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+    power = positive_real(power, "idw power")
+    positions, queries = point_rows(positions, queries)
     color_arr = np.asarray(colors, dtype=float).reshape(-1, 3)
 
     blend = np.empty((len(queries), 3))

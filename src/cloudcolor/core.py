@@ -7,6 +7,7 @@ on and the 8-bit rounding of interpolated colors live here too.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -73,19 +74,24 @@ class Block:
     point_ids: np.ndarray  # ascending
 
 
-def check_int_fields(config, *names: str) -> None:
-    """Store each named field of the frozen dataclass `config` as an int;
-    InvalidConfig naming the first that holds a bool or no int or numpy integer."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(config, name, int(value))
+def as_number(value, name: str, kind: type = float):
+    """`value`, the setting `name`, as a `kind`: an int from an int or a numpy
+    integer, a float from any real number.  A bool, a string, None, another
+    type or a number too large for a float raises InvalidConfig naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise InvalidConfig(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InvalidConfig(f"{name} is too large for a float") from None
 
 
-def check_block_size(block_size: float) -> None:
-    if not (math.isfinite(block_size) and block_size > 0):
-        raise InvalidConfig(f"block_size must be positive and finite, got {block_size}")
+def positive_real(value, name: str) -> float:
+    """`value` as a positive finite float; InvalidConfig naming `name` otherwise."""
+    value = as_number(value, name)
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfig(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Block]:
@@ -94,7 +100,7 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
     Only non-empty cells are returned, ordered lexicographically by cell
     index; every point lands in exactly one cell.
     """
-    check_block_size(block_size)
+    block_size = positive_real(block_size, "block_size")
     if len(cloud) == 0:
         raise EmptyCloud("cannot partition an empty cloud")
     positions = cloud.positions
@@ -143,19 +149,25 @@ def squared_distance_chunks(positions: np.ndarray, queries: np.ndarray) -> Itera
         yield slice(start, start + len(chunk)), d2
 
 
+def point_rows(positions, queries) -> tuple[np.ndarray, np.ndarray]:
+    """(n, d) `positions` and (k, d) `queries` as float arrays, d being 3
+    unless `positions` is 2D; EmptySamples when n is 0."""
+    positions = np.asarray(positions, dtype=float)
+    if len(positions) == 0:
+        raise EmptySamples("interpolating a color needs at least one original")
+    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
+    return positions, np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+
+
 def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Row index in `positions` of the nearest position to each query;
     ties go to the lowest index.
 
-    Points are (x, y, z) unless `positions` is a 2D array of another width.
-    A query whose smallest squared distance overflows to inf raises
-    InvalidInput: every candidate would tie.
+    The arrays are read as `point_rows` reads them.  A query whose smallest
+    squared distance overflows to inf raises InvalidInput: every candidate
+    would tie.
     """
-    positions = np.asarray(positions, dtype=float)
-    if len(positions) == 0:
-        raise EmptySamples("a nearest-original lookup needs at least one original")
-    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
-    queries = np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
+    positions, queries = point_rows(positions, queries)
     out = np.empty(len(queries), dtype=np.intp)
     for rows, d2 in squared_distance_chunks(positions, queries):
         nearest = d2.argmin(axis=1)  # argmin returns the first minimum

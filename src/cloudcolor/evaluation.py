@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind, load_delaunay
-from .core import ColorPointCloud, check_int_fields, round_color_channel
+from .core import ColorPointCloud, as_number, round_color_channel
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
 
@@ -34,16 +33,21 @@ class ExperimentSpec:
     measure_time: bool = False  # real timings break byte-identical reports
 
     def __post_init__(self):
+        for name in ("methods", "densities"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise InvalidConfig(f"{name} must be a tuple or a list, got {getattr(self, name)!r}")
+        if not isinstance(self.upsample, UpsampleConfig):
+            raise InvalidConfig(f"upsample must be an UpsampleConfig, got {self.upsample!r}")
         if not (self.methods and self.densities):
             raise InvalidConfig("the method and density lists must not be empty")
         if not all(isinstance(method, InterpolatorKind) for method in self.methods):
             raise InvalidConfig("each method must be an InterpolatorKind")
         if len(set(self.methods)) < len(self.methods):
             raise InvalidConfig("each method may be listed only once")
-        if not all(isinstance(d, numbers.Real) and not isinstance(d, bool) for d in self.densities):
-            raise InvalidConfig(f"each density must be a real number, got {self.densities!r}")
-        object.__setattr__(self, "densities", tuple(map(float, self.densities)))  # a numpy float's repr derives other seeds
-        check_int_fields(self, "runs", "base_seed")
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "densities", tuple(as_number(d, "density") for d in self.densities))  # a numpy float's repr derives other seeds
+        for name in ("runs", "base_seed"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name, int))
         if len(set(map(_fmt_density, self.densities))) < len(self.densities):
             raise InvalidConfig("each density may be listed only once, and no two may share a report label")
         if any(not (0.0 < d <= 1.0) for d in self.densities):
@@ -104,6 +108,7 @@ def derive_seed(base_seed: int, density: float, run: int) -> int:
 def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> ColorPointCloud:
     """Keep round(density*N) points, halves rounded up, as Original; the rest
     lose their color but keep their coordinates as Reconstruct points."""
+    density = as_number(density, "density")
     if not (0.0 < density <= 1.0):
         raise InvalidConfig(f"density must lie in (0, 1], got {density}")
     if not cloud.colored.all():

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import check_int_fields, nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import as_number, nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import EmptySamples, InvalidConfig
 
 
@@ -29,7 +29,9 @@ class FsmmrConfig:
     energy_threshold: float = 0.0
 
     def __post_init__(self):
-        check_int_fields(self, "model_size", "max_iterations")
+        kinds = {"model_size": int, "sigma": float, "rho": float, "gamma": float, "max_iterations": int, "energy_threshold": float}
+        for name, kind in kinds.items():
+            object.__setattr__(self, name, as_number(getattr(self, name), name, kind))
         if self.model_size < 1:
             raise InvalidConfig("model_size must be >= 1")
         if not (0.0 < self.sigma < 1.0):

@@ -4,11 +4,12 @@ the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .baselines import InterpolatorKind, check_idw_power, interpolate_idw, interpolate_lin2, interpolate_nn3
-from .core import Block, ColorPointCloud, check_block_size, check_int_fields, nearest_original_color, partition_into_blocks
+from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3
+from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real
 from .errors import EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, upsample_block
 from .surface_transform import flatten_block
@@ -28,10 +29,12 @@ class UpsampleConfig:
     fsmmr: FsmmrConfig = FsmmrConfig()
 
     def __post_init__(self):
-        check_block_size(self.block_size)
-        check_idw_power(self.idw_power)
+        object.__setattr__(self, "block_size", positive_real(self.block_size, "block_size"))
+        object.__setattr__(self, "idw_power", positive_real(self.idw_power, "idw power"))
         if self.root_seed is not None:
-            check_int_fields(self, "root_seed")
+            object.__setattr__(self, "root_seed", as_number(self.root_seed, "root_seed", int))
+        if not isinstance(self.fsmmr, FsmmrConfig):
+            raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {self.fsmmr!r}")
 
 
 class BlockGeometry:
@@ -47,14 +50,11 @@ class BlockGeometry:
     def __init__(self, cloud: ColorPointCloud, config: UpsampleConfig = UpsampleConfig()):
         self._cloud = cloud
         self.block_size, self.root_seed = config.block_size, config.root_seed
-        self._blocks: list[Block] | None = None
         self._coords: dict[int, np.ndarray] = {}
 
-    @property
+    @cached_property
     def blocks(self) -> list[Block]:
-        if self._blocks is None:
-            self._blocks = partition_into_blocks(self._cloud, self.block_size)
-        return self._blocks
+        return partition_into_blocks(self._cloud, self.block_size)
 
     def coords(self, index: int) -> np.ndarray:
         """The flattened coordinates of block `index`; row i is its i-th point."""

@@ -20,14 +20,13 @@ every parent before its children.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import zlib
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, ColorPointCloud, squared_distance_chunks
+from .core import Block, ColorPointCloud, as_number, squared_distance_chunks
 from .errors import EmptyBlock, InvalidConfig, InvalidInput
 
 Coord3 = Tuple[float, float, float]
@@ -99,7 +98,8 @@ def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tupl
     n = len(points)
     if n == 0:
         raise EmptyBlock("cannot build an MST over zero points")
-    if not isinstance(root, (int, np.integer)) or not 0 <= root < n:
+    root = as_number(root, "MST root", int)
+    if not 0 <= root < n:
         raise InvalidConfig(f"MST root must be a point index in [0, {n}), got {root!r}")
     if n == 1:
         return []
@@ -108,7 +108,7 @@ def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tupl
     # keys[:, v] = inf once v joins, so rows never offer in-tree points again
     keys[:, root] = np.inf
     best = keys[root].copy()
-    nearest = np.full(n, int(root))
+    nearest = np.full(n, root)
     pairs: list[tuple[int, int]] = []
     for _ in range(n - 1):
         v = int(best.argmin())
@@ -135,7 +135,7 @@ def _pick_root(block: Block, root_seed: Optional[int]) -> int:
     if root_seed is None:
         return 0  # point_ids are ascending, so local 0 is the lowest point id
     salt = zlib.crc32(repr(block.cell_index).encode())
-    return random.Random(operator.index(root_seed) ^ salt).randrange(len(block.point_ids))
+    return random.Random(as_number(root_seed, "root_seed", int) ^ salt).randrange(len(block.point_ids))
 
 
 def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int] = None) -> np.ndarray:

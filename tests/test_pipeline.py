@@ -8,7 +8,7 @@ import pytest
 from cloudcolor import evaluation, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
-from cloudcolor.errors import InvalidConfig
+from cloudcolor.errors import InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
 from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import write_ply
@@ -104,3 +104,19 @@ class TestBlockGeometry:
         cells_by_pid = Counter(line.split(" ", 1)[0] for line in calls)
         assert str(os.getpid()) in cells_by_pid and len(cells_by_pid) == 2  # the worker flattened too
         assert max(cells_by_pid.values()) <= len(partition_into_blocks(cloud, UpsampleConfig.block_size))
+
+    def test_partition_is_kept_once_built_and_not_when_it_raises(self, monkeypatch):
+        calls = []
+
+        def counting_partition(cloud, block_size):
+            calls.append(block_size)
+            return partition_into_blocks(cloud, block_size)
+
+        monkeypatch.setattr(pipeline, "partition_into_blocks", counting_partition)
+        geometry = BlockGeometry(sphere_cloud(100))
+        assert geometry.blocks is geometry.blocks and len(calls) == 1
+        too_wide = BlockGeometry(ColorPointCloud([(-1.7e308, 0, 0), (1.7e308, 0, 0)]))
+        for _ in range(2):
+            with pytest.raises(InvalidInput, match="too many cells"):
+                too_wide.blocks
+        assert len(calls) == 3

@@ -67,7 +67,7 @@ class TestBuildMst:
         assert rank_keyed(points)
         assert build_mst(points) == [(0, 1), (0, 2)]
 
-    @pytest.mark.parametrize("root", [-1, 3, 1.0, "0", None])
+    @pytest.mark.parametrize("root", [-1, 3, 1.0, "0", None, True, np.bool_(True)])
     def test_root_must_be_a_point_index(self, root):
         with pytest.raises(InvalidConfig, match="MST root"):
             build_mst([(0, 0, 0), (1, 0, 0), (3, 0, 0)], root=root)
