@@ -74,12 +74,21 @@ class Block:
     point_ids: np.ndarray  # ascending
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, or its type alone when it has too
+    many digits for Python to print (past 4,300 by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def as_number(value, name: str, kind: type = float):
     """`value`, the setting `name`, as a `kind`: an int from an int or a numpy
     integer, a float from any real number.  A bool, a string, None, another
     type or a number too large for a float raises InvalidConfig naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
-        raise InvalidConfig(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {value!r}")
+        raise InvalidConfig(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {shown(value)}")
     try:
         return kind(value)
     except OverflowError:

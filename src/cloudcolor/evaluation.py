@@ -6,16 +6,17 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .baselines import InterpolatorKind, load_delaunay
-from .core import ColorPointCloud, as_number, round_color_channel
+from .core import ColorPointCloud, as_number, round_color_channel, shown
 from .errors import CloudColorError, InvalidConfig, InvalidInput
+from .parallel import map_on_cores
 from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
 
 PEAK = 255.0
@@ -35,9 +36,9 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("methods", "densities"):
             if not isinstance(getattr(self, name), (tuple, list)):
-                raise InvalidConfig(f"{name} must be a tuple or a list, got {getattr(self, name)!r}")
+                raise InvalidConfig(f"{name} must be a tuple or a list, got {shown(getattr(self, name))}")
         if not isinstance(self.upsample, UpsampleConfig):
-            raise InvalidConfig(f"upsample must be an UpsampleConfig, got {self.upsample!r}")
+            raise InvalidConfig(f"upsample must be an UpsampleConfig, got {shown(self.upsample)}")
         if not (self.methods and self.densities):
             raise InvalidConfig("the method and density lists must not be empty")
         if not all(isinstance(method, InterpolatorKind) for method in self.methods):
@@ -107,10 +108,13 @@ def derive_seed(base_seed: int, density: float, run: int) -> int:
 
 def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> ColorPointCloud:
     """Keep round(density*N) points, halves rounded up, as Original; the rest
-    lose their color but keep their coordinates as Reconstruct points."""
-    density = as_number(density, "density")
+    lose their color but keep their coordinates as Reconstruct points.
+    The seed is an integer in [0, 2**64)."""
+    density, seed = as_number(density, "density"), as_number(seed, "seed", int)
     if not (0.0 < density <= 1.0):
         raise InvalidConfig(f"density must lie in (0, 1], got {density}")
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidConfig(f"seed must lie in [0, 2**64), got {shown(seed)}")
     if not cloud.colored.all():
         raise InvalidInput("downsampling requires a fully colored cloud")
     n = len(cloud)
@@ -170,9 +174,11 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
     receives the same downsampled cloud.  Downsampling changes only the
     roles, so every run shares one block partition and flattening.
 
-    The (density, run) jobs run on every usable core: job i goes to process
-    i % W, this one being process 0, and the rows come back in job order,
-    so the report is the same for any W."""
+    The (density, run) jobs run on every usable core through
+    `parallel.map_on_cores`: this process takes jobs 0, W, 2W, … and forked
+    workers the rest, and the rows come back in job order, so the report is
+    the same for any W.  Each job's upsamples run in its own process: they
+    split no blocks of their own."""
     if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
     if InterpolatorKind.LIN2_DELAUNAY in spec.methods:
@@ -180,28 +186,9 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
 
     geometry = BlockGeometry(cloud, spec.upsample)  # lazy: its errors flag the rows that reach them
     jobs = [(density, run) for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]
-    workers = min(len(jobs), _usable_cores())
-    if workers == 1:
-        done = [_run_share(cloud, geometry, spec, jobs)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        shares = [jobs[w::workers] for w in range(workers)]
-        # forked workers inherit the cloud and the geometry: nothing is pickled on the way in
-        with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_enter_sweep, initargs=(cloud, geometry, spec)) as pool:
-            futures = [pool.submit(_run_forked_share, share) for share in shares[1:]]
-            done = [_run_share(cloud, geometry, spec, shares[0])]
-            try:
-                done += [future.result() for future in futures]
-            except BrokenProcessPool as exc:
-                raise CloudColorError(f"a sweep worker process ended abruptly: {exc}") from None
-
     report = ExperimentReport()
-    for i in range(len(jobs)):
-        report.records += done[i % workers][i // workers]
+    for rows in map_on_cores(partial(_score_job, cloud, geometry, spec), jobs):
+        report.records += rows
     for method in spec.methods:
         for density in sorted(spec.densities):
             values = [
@@ -214,41 +201,17 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
     return report
 
 
-def _usable_cores() -> int:
-    """The cores this process may run on; 1 where it cannot fork or tell."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_share(
-    cloud: ColorPointCloud, geometry: BlockGeometry, spec: ExperimentSpec, jobs: Sequence[Tuple[float, int]],
-) -> list[list[ExperimentRecord]]:
-    """The records of each (density, run) job in `jobs`, one row per method."""
-    done = []
-    for density, run in jobs:
-        seed = derive_seed(spec.base_seed, density, run)
-        downsampled = random_downsample(cloud, density, seed)
-        if downsampled.original.all():  # nothing to reconstruct
-            done.append([ExperimentRecord(method=method.value, density=density, run=run, seed=seed, flags="skipped")
-                         for method in spec.methods])
-        else:
-            done.append([_score_method(cloud, downsampled, geometry, method, density, run, seed, spec)
-                         for method in spec.methods])
-    return done
-
-
-_forked_sweep: tuple = ()  # (cloud, geometry, spec), set only in a forked sweep worker
-
-
-def _enter_sweep(*sweep) -> None:
-    global _forked_sweep
-    _forked_sweep = sweep
-
-
-def _run_forked_share(jobs: Sequence[Tuple[float, int]]) -> list[list[ExperimentRecord]]:
-    return _run_share(*_forked_sweep, jobs)
+def _score_job(
+    cloud: ColorPointCloud, geometry: BlockGeometry, spec: ExperimentSpec, job: Tuple[float, int],
+) -> list[ExperimentRecord]:
+    """The records of one (density, run) job, one row per method."""
+    density, run = job
+    seed = derive_seed(spec.base_seed, density, run)
+    downsampled = random_downsample(cloud, density, seed)
+    if downsampled.original.all():  # nothing to reconstruct
+        return [ExperimentRecord(method=method.value, density=density, run=run, seed=seed, flags="skipped")
+                for method in spec.methods]
+    return [_score_method(cloud, downsampled, geometry, method, density, run, seed, spec) for method in spec.methods]
 
 
 def _score_method(

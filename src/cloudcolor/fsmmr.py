@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import as_number, nearest_original_color, round_color_channel  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import as_number, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import EmptySamples, InvalidConfig
 
 
@@ -40,7 +40,7 @@ class FsmmrConfig:
             raise InvalidConfig("rho must lie in (0, 1)")
         # a window corner gets the least spatial weight; past 2^64 it underflows for every rho
         if self.model_size >= 2 ** 64 or spatial_weight(0, 0, self.model_size, self.rho) == 0:
-            raise InvalidConfig(f"rho {self.rho} and model_size {self.model_size} give a window corner a spatial weight of 0")
+            raise InvalidConfig(f"rho {self.rho} and model_size {shown(self.model_size)} give a window corner a spatial weight of 0")
         if not (0.0 < self.gamma <= 1.0):
             raise InvalidConfig("gamma must lie in (0, 1]")
         if self.max_iterations < 1:

@@ -4,14 +4,15 @@ the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3
-from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real
+from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
+from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
 from .errors import EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, upsample_block
+from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
 _WHOLE_CLOUD_METHODS = (InterpolatorKind.NN3, InterpolatorKind.IDW3)  # 3D, over all originals of the cloud, not per block
@@ -34,7 +35,7 @@ class UpsampleConfig:
         if self.root_seed is not None:
             object.__setattr__(self, "root_seed", as_number(self.root_seed, "root_seed", int))
         if not isinstance(self.fsmmr, FsmmrConfig):
-            raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {self.fsmmr!r}")
+            raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {shown(self.fsmmr)}")
 
 
 class BlockGeometry:
@@ -86,7 +87,7 @@ def block_colors(
     coordinates; the points it leaves uncolored are left out.
     """
     if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
-        raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {method!r}")
+        raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {shown(method)}")
     ids = geometry.blocks[index].point_ids
     is_original = cloud.original[ids]
     r_ids = ids[~is_original]
@@ -116,10 +117,15 @@ def upsample_cloud(
 
     The 2D methods take the block partition and flattening from `geometry`,
     which must be the `BlockGeometry` of the cloud's positions under
-    `config` (InvalidConfig otherwise); by default one is built here.
+    `config` (InvalidConfig otherwise); by default one is built here.  Their
+    blocks run on every usable core through `parallel.map_on_cores`, with
+    scipy loaded before the fork for LIN2; the geometry then keeps every
+    block's flattening, wherever it ran.  The result is the same for any
+    number of processes, and so is the error when blocks raise: that of the
+    lowest-index block.
     """
     if not isinstance(method, InterpolatorKind):
-        raise InvalidConfig(f"the method must be an InterpolatorKind, got {method!r}")
+        raise InvalidConfig(f"the method must be an InterpolatorKind, got {shown(method)}")
     if geometry is None:
         geometry = BlockGeometry(cloud, config)
     else:
@@ -139,9 +145,20 @@ def upsample_cloud(
             rows = interpolate_idw(o_pos, o_colors, queries, power=config.idw_power)
         ids = r_ids
     else:
-        parts = [block_colors(geometry, i, cloud, method, config) for i in range(len(geometry.blocks))]
-        ids = np.concatenate([part_ids for part_ids, _ in parts])
-        rows = np.concatenate([part_rows for _, part_rows in parts])
+        if method is InterpolatorKind.LIN2_DELAUNAY:
+            load_delaunay()  # before any fork, so that every process shares one single-threaded scipy
+        parts = map_on_cores(partial(_colored_block, geometry, cloud, method, config), range(len(geometry.blocks)))
+        ids, rows, flat = zip(*parts)
+        # a block flattened in a forked worker is kept here too
+        geometry._coords.update((index, coords) for index, coords in enumerate(flat) if coords is not None)
+        ids, rows = np.concatenate(ids), np.concatenate(rows)
     colors, colored = cloud.colors.copy(), cloud.original.copy()
     colors[ids], colored[ids] = rows, True
     return ColorPointCloud(cloud.positions, colors, cloud.original, colored)
+
+
+def _colored_block(
+    geometry: BlockGeometry, cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig, index: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """`block_colors` of block `index`, and its flattened coordinates if it has them."""
+    return *block_colors(geometry, index, cloud, method, config), geometry._coords.get(index)

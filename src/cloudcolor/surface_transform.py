@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, ColorPointCloud, as_number, squared_distance_chunks
+from .core import Block, ColorPointCloud, as_number, shown, squared_distance_chunks
 from .errors import EmptyBlock, InvalidConfig, InvalidInput
 
 Coord3 = Tuple[float, float, float]
@@ -100,7 +100,7 @@ def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tupl
         raise EmptyBlock("cannot build an MST over zero points")
     root = as_number(root, "MST root", int)
     if not 0 <= root < n:
-        raise InvalidConfig(f"MST root must be a point index in [0, {n}), got {root!r}")
+        raise InvalidConfig(f"MST root must be a point index in [0, {n}), got {shown(root)}")
     if n == 1:
         return []
 

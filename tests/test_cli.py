@@ -419,3 +419,15 @@ def test_one_core_sweep_writes_the_all_core_bytes(tmp_path):
     subprocess.run([sys.executable, "-c", ONE_CORE, *argv, str(one_core)], timeout=300, check=True)
     assert main([*argv, str(all_cores)]) == 0
     assert one_core.read_bytes() == all_cores.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("method", ["fsmmr", "idw2", "lin2"])
+def test_one_core_upsample_writes_the_all_core_bytes(method, tmp_path):
+    # the blocks of a 2D method run on every usable core: confined to one, it writes the same cloud
+    source, one_core, all_cores = tmp_path / "mixed.ply", tmp_path / "one.ply", tmp_path / "all.ply"
+    source.write_bytes(write_ply(random_downsample(sphere_cloud(400, seed=1), 0.1, seed=2), include_roles=True))
+    argv = ["upsample", "--method", method, "--root-seed", "0", str(source)]
+    subprocess.run([sys.executable, "-c", ONE_CORE, *argv, str(one_core)], timeout=300, check=True)
+    assert main([*argv, str(all_cores)]) == 0
+    assert one_core.read_bytes() == all_cores.read_bytes()

@@ -1,12 +1,10 @@
-import faulthandler
 import math
-import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from cloudcolor import evaluation
+from cloudcolor import evaluation, parallel
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud
 from cloudcolor.errors import CloudColorError, InvalidConfig, InvalidInput
@@ -18,7 +16,7 @@ from cloudcolor.evaluation import (
 from cloudcolor.fsmmr import FsmmrConfig
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 
-from conftest import random_cloud
+from conftest import far_pair_cloud, random_cloud
 
 
 class TestRandomDownsample:
@@ -279,27 +277,6 @@ class TestNumericSettings:
         assert run_experiment(cloud, ExperimentSpec(methods, (density,), runs, base_seed)).to_csv() == expected
 
 
-def far_pair_cloud():
-    """`sphere_cloud(60)` and two far points that share a block 1e155 wide
-    and cannot be flattened together: at block size 1e155 every block method
-    that reaches their block flags its row with `error:`."""
-    base = sphere_cloud(60)
-    return ColorPointCloud(
-        np.concatenate([base.positions, [[3e155, 0, 0], [3.5e155, 0, 0]]]),
-        np.concatenate([base.colors, [[10, 20, 30], [40, 50, 60]]]),
-    )
-
-
-@pytest.fixture
-def no_workers_left():
-    """Fail a test that leaves a sweep worker running, and end one that
-    hangs after two minutes instead of stalling the suite."""
-    faulthandler.dump_traceback_later(120, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-    assert multiprocessing.active_children() == []
-
-
 def in_a_worker_only(action):
     """An `upsample_cloud` stand-in that runs `action` in a forked sweep
     worker and upsamples as usual in this process."""
@@ -332,7 +309,7 @@ class TestSweepProcesses:
     def test_report_is_byte_identical_at_1_2_and_3_processes(self, cloud, spec, flag, monkeypatch):
         reports = {}
         for cores in (1, 2, 3):
-            monkeypatch.setattr(evaluation, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
             report = run_experiment(cloud, spec)
             reports[cores] = (report.to_csv(), report.aggregates)
         assert reports[1] == reports[2] == reports[3]
@@ -344,38 +321,36 @@ class TestSweepProcesses:
         def fail():
             raise ValueError("raised in a sweep worker")
 
-        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(fail))
         spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=2)
         with pytest.raises(ValueError, match="raised in a sweep worker"):
             run_experiment(sphere_cloud(60), spec)
 
     def test_a_worker_that_exits_is_a_cloudcolor_error(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
         monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(lambda: os._exit(3)))
         spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=3)
-        with pytest.raises(CloudColorError, match="sweep worker"):
+        with pytest.raises(CloudColorError, match="worker process ended abruptly"):
             run_experiment(sphere_cloud(60), spec)
 
     @pytest.mark.parametrize("jobs, cores, expected", [
         (9, 10_000, 9), (9, 2, 2), (9, 1, 1), (1, 10_000, 1),
     ])
-    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected, monkeypatch, tmp_path):
-        # each forked worker appends its pid when it starts; this process is the other one
-        pids, enter = tmp_path / "pids", evaluation._enter_sweep
-
-        def recording_enter(*sweep):
-            with open(pids, "a") as log:
-                log.write(f"{os.getpid()}\n")
-            enter(*sweep)
-
-        monkeypatch.setattr(evaluation, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(evaluation, "_enter_sweep", recording_enter)
+    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected, monkeypatch, worker_pids):
+        # this process is the one not in worker_pids
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         densities = (0.2, 0.5, 0.8)[:min(jobs, 3)]
         report = run_experiment(sphere_cloud(60), ExperimentSpec((InterpolatorKind.NN3,), densities, runs=jobs // len(densities)))
-        workers = pids.read_text().split() if pids.exists() else []
+        workers = worker_pids()
         assert len(report.records) == jobs
         assert len(set(workers)) == len(workers) == expected - 1
+
+    def test_a_default_sweep_at_2_cores_forks_one_worker(self, monkeypatch, worker_pids):
+        # each job's upsamples run in its own process: their blocks fork no more workers
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        report = run_experiment(sphere_cloud(200), ExperimentSpec())
+        assert len(report.records) == 45 and len(worker_pids()) == 1
 
 
 class TestSyntheticClouds:

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cloudcolor import evaluation, pipeline
+from cloudcolor import parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import InvalidConfig, InvalidInput
@@ -13,6 +13,8 @@ from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experim
 from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import flatten_block
+
+from conftest import far_pair_cloud
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +97,7 @@ class TestBlockGeometry:
                 out.write(f"{os.getpid()} {block.cell_index}\n")
             return flatten_block(block, cloud, root_seed)
 
-        monkeypatch.setattr(evaluation, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
         cloud = sphere_cloud(400)
         run_experiment(cloud, ExperimentSpec())
@@ -120,3 +122,83 @@ class TestBlockGeometry:
             with pytest.raises(InvalidInput, match="too many cells"):
                 too_wide.blocks
         assert len(calls) == 3
+
+
+BLOCK_METHODS = [InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY]
+
+
+@pytest.mark.usefixtures("no_workers_left")
+class TestBlockProcesses:
+    """The blocks of FSMMR, IDW2 and LIN2 run on every usable core; the
+    result must not depend on how many."""
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_output_is_byte_identical_at_1_2_and_3_processes(self, method, monkeypatch):
+        cloud = random_downsample(sphere_cloud(400, seed=1), 0.1, seed=2)
+        # some blocks hold points to reconstruct and no original
+        assert any(not cloud.original[block.point_ids].any() for block in BlockGeometry(cloud).blocks)
+        outputs = set()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+            upsampled = upsample_cloud(cloud, method)
+            outputs.add(write_ply(upsampled, include_roles=True))
+            assert upsampled.colored.all() == (method is not InterpolatorKind.LIN2_DELAUNAY)  # LIN2 leaves holes
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("method", BLOCK_METHODS)
+    def test_a_block_that_cannot_be_flattened_raises_alike_at_every_process_count(self, method, monkeypatch):
+        # two blocks: the sphere and the far pair, which holds an original and a point to reconstruct
+        far = far_pair_cloud()
+        cloud = ColorPointCloud(far.positions, far.colors, original=np.arange(len(far)) % 2 == 0)
+        raised = set()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+            with pytest.raises(InvalidInput) as error:
+                upsample_cloud(cloud, method, UpsampleConfig(block_size=1e155))
+            raised.add((type(error.value), str(error.value)))
+        assert raised == {(InvalidInput, "the block is too wide to flatten: a 2D coordinate overflows float64")}
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_the_lowest_failing_block_gives_the_error(self, mixed_cloud, cores, monkeypatch):
+        # at 2 processes block 3 fails in the worker and block 4 here; at 3 the other way round
+        colors = pipeline.block_colors
+
+        def failing_from_3(geometry, index, *args):
+            if index >= 3:
+                raise InvalidInput(f"block {index} fails")
+            return colors(geometry, index, *args)
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pipeline, "block_colors", failing_from_3)
+        with pytest.raises(InvalidInput, match="^block 3 fails$"):
+            upsample_cloud(mixed_cloud, InterpolatorKind.IDW2)
+
+    @pytest.mark.parametrize("block_size", [8.0, 100.0])
+    @pytest.mark.parametrize("cores", [1, 3, 10_000])
+    def test_never_more_processes_than_blocks_or_cores(self, mixed_cloud, block_size, cores, monkeypatch, worker_pids):
+        # this process is the one not in worker_pids
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        config = UpsampleConfig(block_size=block_size)
+        blocks = len(BlockGeometry(mixed_cloud, config).blocks)
+        upsample_cloud(mixed_cloud, InterpolatorKind.IDW2, config)
+        workers = worker_pids()
+        assert len(set(workers)) == len(workers) == min(blocks, cores) - 1
+
+    def test_two_calls_on_one_geometry_flatten_each_block_once(self, mixed_cloud, monkeypatch, tmp_path):
+        # every process appends (pid, cell) per flattening; the workers hand theirs back to the geometry
+        log = tmp_path / "flattened"
+
+        def recording_flatten(block, cloud, root_seed=None):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {block.cell_index}\n")
+            return flatten_block(block, cloud, root_seed)
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
+        geometry = BlockGeometry(mixed_cloud)
+        for method in (InterpolatorKind.FSMMR, InterpolatorKind.LIN2_DELAUNAY):
+            upsample_cloud(mixed_cloud, method, UpsampleConfig(), geometry)
+        pids, cells = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+        assert len(set(pids)) == 2  # the worker flattened too
+        mixed = [block for block in geometry.blocks if 0 < mixed_cloud.original[block.point_ids].sum() < len(block.point_ids)]
+        assert sorted(cells) == sorted(str(block.cell_index) for block in mixed)

@@ -45,6 +45,11 @@ BAD_SETTINGS = {
     "flatten_block root_seed bool": (
         lambda: flatten_block(partition_into_blocks(CLOUD, 4.0)[0], CLOUD, root_seed=True), "root_seed"),
     "random_downsample density str": (lambda: random_downsample(CLOUD, "0.5", 1), "density"),
+    **{f"random_downsample seed {seed!r}": ((lambda seed=seed: random_downsample(CLOUD, 0.5, seed)), "seed")
+       for seed in (None, True, "1", 1.5, -1, 2 ** 64)},
+    # more than 4,300 digits: Python refuses to print the value in the message
+    "model_size too long to print": (lambda: FsmmrConfig(model_size=10 ** 5000), "rho"),
+    "max_iterations too long to print": (lambda: FsmmrConfig(max_iterations=Fraction(10 ** 5000)), "max_iterations"),
     "partition block_size str": (lambda: partition_into_blocks(CLOUD, "4"), "block_size"),
     "interpolate_idw power str": (lambda: interpolate_idw(POINTS, COLORS, POINTS, power="2"), "idw power"),
 }

@@ -1,5 +1,6 @@
 """The start-up contract: scipy is loaded only by a run that reaches LIN2,
-on one BLAS thread, and the sweep's process pool only by `evaluate`.
+on one BLAS thread, and the process pool only by a run with more than one
+usable core and more than one block or job.
 
 Every case runs in a fresh interpreter, because the rest of the suite loads
 scipy in this one.
@@ -35,8 +36,9 @@ def fresh_run(statement, cwd):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def cli_statement(*argv):
-    return f"from cloudcolor.cli import main; code = main({list(argv)!r})"
+def cli_statement(*argv, one_core=False):
+    pin = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if one_core else ""
+    return f"{pin}from cloudcolor.cli import main; code = main({list(argv)!r})"
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +55,19 @@ def test_import_loads_no_scipy(statement, tmp_path):
 
 @pytest.mark.parametrize("method", ["fsmmr", "nn3", "idw3", "idw2"])
 def test_upsample_without_lin2_loads_no_scipy(method, mixed_ply, tmp_path):
+    # FSMMR and IDW2 split their blocks over the usable cores, and so may load the pool
     out = tmp_path / "out.ply"
-    assert fresh_run(cli_statement("upsample", "--method", method, str(mixed_ply), str(out)), tmp_path) == \
-        {"code": 0, "loaded": []}
+    result = fresh_run(cli_statement("upsample", "--method", method, str(mixed_ply), str(out)), tmp_path)
+    assert result["code"] == 0 and "scipy" not in result["loaded"]
+    assert out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("method", ["fsmmr", "nn3", "idw3", "idw2"])
+def test_one_core_upsample_without_lin2_loads_no_watched_module(method, mixed_ply, tmp_path):
+    out = tmp_path / "out.ply"
+    statement = cli_statement("upsample", "--method", method, str(mixed_ply), str(out), one_core=True)
+    assert fresh_run(statement, tmp_path) == {"code": 0, "loaded": []}
     assert out.exists()
 
 
