@@ -95,6 +95,14 @@ def as_number(value, name: str, kind: type = float):
         raise InvalidConfig(f"{name} is too large for a float") from None
 
 
+def as_bool(value, name: str) -> bool:
+    """`value`, the flag `name`, as a bool: only a bool or a numpy bool is
+    one, and anything else raises InvalidConfig naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidConfig(f"{name} must be a bool, got {shown(value)}")
+    return bool(value)
+
+
 def positive_real(value, name: str) -> float:
     """`value` as a positive finite float; InvalidConfig naming `name` otherwise."""
     value = as_number(value, name)

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind, load_delaunay
-from .core import ColorPointCloud, as_number, round_color_channel, shown
+from .core import ColorPointCloud, as_bool, as_number, round_color_channel, shown
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .parallel import map_on_cores
 from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
@@ -49,6 +49,7 @@ class ExperimentSpec:
         object.__setattr__(self, "densities", tuple(as_number(d, "density") for d in self.densities))  # a numpy float's repr derives other seeds
         for name in ("runs", "base_seed"):
             object.__setattr__(self, name, as_number(getattr(self, name), name, int))
+        object.__setattr__(self, "measure_time", as_bool(self.measure_time, "measure_time"))
         if len(set(map(_fmt_density, self.densities))) < len(self.densities):
             raise InvalidConfig("each density may be listed only once, and no two may share a report label")
         if any(not (0.0 < d <= 1.0) for d in self.densities):

@@ -48,14 +48,10 @@ def map_on_cores(function: Callable, items: Sequence) -> list:
 
 
 def _usable_cores() -> int:
-    """The cores this process may run on; 1 where it cannot fork or tell.
-    multiprocessing loads only when there is more than one."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cores > 1:
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return cores
+    """The cores this process may run on, by `os.sched_getaffinity`; 1 where
+    that call is missing (macOS, Windows).  Every platform that has it
+    (Linux, FreeBSD) can fork."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _run_share(function: Callable, items: Sequence) -> tuple[list, Exception | None]:

@@ -4,7 +4,8 @@ the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class UpsampleConfig:
 
 class BlockGeometry:
     """The block partition of a cloud and each block's flattened (n, 2)
-    coordinates, each computed the first time a method needs it.
+    coordinates, each computed the first time a method needs it, and the
+    runner of a function over its blocks, `map_blocks`.
 
     Both read only the positions, the block size and the root seed, so one
     geometry serves every role split of the same positions: `run_experiment`
@@ -62,6 +64,13 @@ class BlockGeometry:
         if index not in self._coords:
             self._coords[index] = flatten_block(self.blocks[index], self._cloud, self.root_seed)
         return self._coords[index]
+
+    def map_blocks(self, function: Callable[[int], object]) -> list:
+        """``[function(index) for index in range(len(self.blocks))]`` through
+        `parallel.map_on_cores`, keeping every flattening its forked workers make."""
+        done = map_on_cores(lambda index: (function(index), self._coords.get(index)), range(len(self.blocks)))
+        self._coords.update((index, coords) for index, (_, coords) in enumerate(done) if coords is not None)
+        return [result for result, _ in done]
 
     def check(self, cloud: ColorPointCloud, config: UpsampleConfig) -> None:
         """Raise InvalidConfig unless this geometry is the one of `cloud`'s
@@ -118,8 +127,8 @@ def upsample_cloud(
     The 2D methods take the block partition and flattening from `geometry`,
     which must be the `BlockGeometry` of the cloud's positions under
     `config` (InvalidConfig otherwise); by default one is built here.  Their
-    blocks run on every usable core through `parallel.map_on_cores`, with
-    scipy loaded before the fork for LIN2; the geometry then keeps every
+    blocks run on every usable core through `BlockGeometry.map_blocks`, with
+    scipy loaded before the fork for LIN2, so the geometry keeps every
     block's flattening, wherever it ran.  The result is the same for any
     number of processes, and so is the error when blocks raise: that of the
     lowest-index block.
@@ -147,18 +156,9 @@ def upsample_cloud(
     else:
         if method is InterpolatorKind.LIN2_DELAUNAY:
             load_delaunay()  # before any fork, so that every process shares one single-threaded scipy
-        parts = map_on_cores(partial(_colored_block, geometry, cloud, method, config), range(len(geometry.blocks)))
-        ids, rows, flat = zip(*parts)
-        # a block flattened in a forked worker is kept here too
-        geometry._coords.update((index, coords) for index, coords in enumerate(flat) if coords is not None)
-        ids, rows = np.concatenate(ids), np.concatenate(rows)
+        parts = geometry.map_blocks(lambda index: block_colors(geometry, index, cloud, method, config))
+        ids, rows = map(np.concatenate, zip(*parts))
     colors, colored = cloud.colors.copy(), cloud.original.copy()
     colors[ids], colored[ids] = rows, True
     return ColorPointCloud(cloud.positions, colors, cloud.original, colored)
 
-
-def _colored_block(
-    geometry: BlockGeometry, cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig, index: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """`block_colors` of block `index`, and its flattened coordinates if it has them."""
-    return *block_colors(geometry, index, cloud, method, config), geometry._coords.get(index)

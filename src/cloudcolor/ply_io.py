@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ColorPointCloud
-from .errors import InvalidInput, MissingColor, ParseError
+from .core import ColorPointCloud, as_bool, shown
+from .errors import InvalidConfig, InvalidInput, MissingColor, ParseError
 
 
 class PlyFormat(Enum):
@@ -198,6 +198,9 @@ def write_ply(
     fmt: PlyFormat = PlyFormat.BINARY_LITTLE_ENDIAN,
     include_roles: bool = False,
 ) -> bytes:
+    if not isinstance(fmt, PlyFormat):
+        raise InvalidConfig(f"fmt must be a PlyFormat, got {shown(fmt)}")
+    include_roles = as_bool(include_roles, "include_roles")
     uncolored = len(cloud) - int(cloud.colored.sum())
     if uncolored and not include_roles:
         raise MissingColor(f"{uncolored} points lack color; only a PLY with roles (include_roles) can hold them")

@@ -184,8 +184,9 @@ class TestBlockProcesses:
         workers = worker_pids()
         assert len(set(workers)) == len(workers) == min(blocks, cores) - 1
 
-    def test_two_calls_on_one_geometry_flatten_each_block_once(self, mixed_cloud, monkeypatch, tmp_path):
-        # every process appends (pid, cell) per flattening; the workers hand theirs back to the geometry
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_two_calls_on_one_geometry_flatten_each_block_once(self, mixed_cloud, cores, monkeypatch, tmp_path):
+        # every process appends (pid, cell) per flattening; map_blocks keeps the workers' flattenings
         log = tmp_path / "flattened"
 
         def recording_flatten(block, cloud, root_seed=None):
@@ -193,12 +194,12 @@ class TestBlockProcesses:
                 out.write(f"{os.getpid()} {block.cell_index}\n")
             return flatten_block(block, cloud, root_seed)
 
-        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
         geometry = BlockGeometry(mixed_cloud)
         for method in (InterpolatorKind.FSMMR, InterpolatorKind.LIN2_DELAUNAY):
             upsample_cloud(mixed_cloud, method, UpsampleConfig(), geometry)
         pids, cells = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
-        assert len(set(pids)) == 2  # the worker flattened too
+        assert len(set(pids)) == cores  # every worker flattened too
         mixed = [block for block in geometry.blocks if 0 < mixed_cloud.original[block.point_ids].sum() < len(block.point_ids)]
         assert sorted(cells) == sorted(str(block.cell_index) for block in mixed)

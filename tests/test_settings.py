@@ -1,9 +1,10 @@
 """Every number a caller passes follows one rule: an int setting takes an int
 or a numpy integer, a real setting takes any real number, and anything
 else (a bool, a string, None, an int too large for a float) raises
-InvalidConfig naming the setting.  Nested settings must be of their class
-and list settings a tuple or a list.  The value is stored converted, so
-equal numbers give equal output bytes.
+InvalidConfig naming the setting.  Nested settings must be of their class,
+list settings a tuple or a list, a flag a bool or a numpy bool and a PLY
+format a PlyFormat.  The value is stored converted, so equal numbers give
+equal output bytes.
 """
 import math
 from fractions import Fraction
@@ -52,6 +53,13 @@ BAD_SETTINGS = {
     "max_iterations too long to print": (lambda: FsmmrConfig(max_iterations=Fraction(10 ** 5000)), "max_iterations"),
     "partition block_size str": (lambda: partition_into_blocks(CLOUD, "4"), "block_size"),
     "interpolate_idw power str": (lambda: interpolate_idw(POINTS, COLORS, POINTS, power="2"), "idw power"),
+    # a truthy string used to switch timing on and the role column
+    "measure_time str": (lambda: ExperimentSpec(measure_time="no"), "measure_time"),
+    "measure_time int": (lambda: ExperimentSpec(measure_time=1), "measure_time"),
+    "write_ply include_roles str": (lambda: write_ply(CLOUD, include_roles="no"), "include_roles"),
+    # a format's name or None used to end in AttributeError
+    "write_ply fmt str": (lambda: write_ply(CLOUD, "ascii"), "fmt"),
+    "write_ply fmt None": (lambda: write_ply(CLOUD, None), "fmt"),
 }
 
 
@@ -74,6 +82,13 @@ REAL_FIELDS = [
 def test_real_setting_is_stored_as_a_float(config, name, value):
     stored = getattr(config(**{name: value}), name)
     assert type(stored) is float and stored == value
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), False, np.bool_(False)])
+def test_flag_is_stored_as_a_bool(value):
+    stored = ExperimentSpec(measure_time=value).measure_time
+    assert type(stored) is bool and stored == value
+    assert write_ply(CLOUD, include_roles=value) == write_ply(CLOUD, include_roles=bool(value))
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +120,7 @@ UPSAMPLE_FIELDS = st.fixed_dictionaries({}, optional={
     name: VALUES for name in ("block_size", "root_seed", "idw_power", "fsmmr")})
 SPEC_FIELDS = st.fixed_dictionaries({}, optional={
     "methods": st.one_of(LISTS, st.lists(st.sampled_from(InterpolatorKind), max_size=6)),
-    "densities": LISTS, "runs": VALUES, "base_seed": VALUES, "upsample": VALUES,
+    "densities": LISTS, "runs": VALUES, "base_seed": VALUES, "upsample": VALUES, "measure_time": VALUES,
 })
 
 
