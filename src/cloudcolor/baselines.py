@@ -4,7 +4,8 @@ and Delaunay-barycentric linear interpolation in 2D.
 The 2D variants expect coordinates produced by the surface transform; the
 3D variants operate on raw point coordinates.  LIN2 deliberately refuses to
 extrapolate: queries outside the convex hull get no value.  Every kernel
-takes ``(positions, colors, queries)`` and returns uint8 color rows.
+reads ``(positions, colors, queries)`` by ``core.as_kernel_rows`` and
+returns (k, 3) uint8 colors, rounded by ``core.round_color_channel``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import nearest_ids, point_rows, positive_real, round_color_channel, squared_distance_chunks
+from .core import as_kernel_rows, nearest_ids, positive_real, round_color_channel, squared_distance_chunks
 from .errors import InvalidConfig
 
 
@@ -36,7 +37,8 @@ class InterpolatorKind(Enum):  # declared in the default sweep's row order
 def interpolate_nn3(positions: np.ndarray, colors: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Each query takes the color of its nearest original; ties go to the
     smaller point id.  Returns (k, 3) uint8 colors."""
-    return np.asarray(colors, dtype=np.uint8).reshape(-1, 3)[nearest_ids(positions, queries)]
+    positions, colors, queries = as_kernel_rows(positions, colors, queries)
+    return round_color_channel(colors[nearest_ids(positions, queries)])
 
 
 def interpolate_idw(
@@ -50,8 +52,7 @@ def interpolate_idw(
     the limit of the blend as d -> 0 or as the power grows.
     """
     power = positive_real(power, "idw power")
-    positions, queries = point_rows(positions, queries)
-    color_arr = np.asarray(colors, dtype=float).reshape(-1, 3)
+    positions, color_arr, queries = as_kernel_rows(positions, colors, queries)
 
     blend = np.empty((len(queries), 3))
     for rows, d2 in squared_distance_chunks(positions, queries):
@@ -94,8 +95,7 @@ def interpolate_lin2(
     """
     Delaunay, QhullError = load_delaunay()
 
-    positions2d = np.asarray(positions2d, dtype=float).reshape(-1, 2)
-    queries2d = np.asarray(queries2d, dtype=float).reshape(-1, 2)
+    positions2d, colors, queries2d = as_kernel_rows(positions2d, colors, queries2d, width=2)
     outside = np.zeros(len(queries2d), dtype=bool), np.empty((0, 3), dtype=np.uint8)
     if len(positions2d) < 3:
         return outside
@@ -112,6 +112,6 @@ def interpolate_lin2(
     # stacked per-query matmuls round exactly as the per-query products do
     bary = np.matmul(transform[:, :2], offsets[:, :, None])[:, :, 0]
     weights = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
-    corner_colors = np.asarray(colors, dtype=float).reshape(-1, 3)[tri.simplices[simplices]]
+    corner_colors = colors[tri.simplices[simplices]]
     blend = np.matmul(weights[:, None, :], corner_colors)[:, 0, :]
     return inside, round_color_channel(blend)

@@ -23,14 +23,6 @@ def round_color_channel(values) -> np.ndarray:
     return np.clip(np.floor(np.asarray(values, dtype=float) + 0.5), 0, 255).astype(np.uint8)
 
 
-def _rows(values, dtype, name: str) -> np.ndarray:
-    """A copy of `values` as an (N, 3) array."""
-    table = np.array(values, dtype=dtype)
-    if table.size and table.shape[1:] != (3,):
-        raise InvalidConfig(f"{name} must have shape (N, 3), got {table.shape}")
-    return table.reshape(-1, 3)
-
-
 class ColorPointCloud:
     """Ordered points as four arrays; the storage order is the tie-break
     identity.
@@ -44,18 +36,16 @@ class ColorPointCloud:
     """
 
     def __init__(self, positions, colors=None, original=None, colored=None):
-        positions = _rows(positions, np.float64, "positions")
+        positions = as_rows(positions, "positions", 3).copy()
         n = len(positions)
-        values = np.zeros((n, 3), dtype=np.uint8) if colors is None else _rows(colors, None, "colors")
+        values = np.zeros((n, 3)) if colors is None else as_rows(colors, "colors", 3)
         colored = np.full(n, colors is not None) if colored is None else np.array(colored, dtype=bool)
         original = colored.copy() if original is None else np.array(original, dtype=bool)
         if not (len(values) == n and colored.shape == original.shape == (n,)):
             raise InvalidConfig("positions, colors, original and colored must have equal lengths")
-        if not np.isfinite(positions).all():
-            raise InvalidConfig("point coordinates must be finite")
         if (original & ~colored).any():
             raise InvalidConfig("a point with role Original must carry a color")
-        if values.dtype.kind not in "iu" or ((values[colored] < 0) | (values[colored] > 255)).any():
+        if not ((values == np.floor(values)) & (values >= 0) & (values <= 255))[colored].all():
             raise InvalidConfig("color channels must be integers in [0, 255]")
         self.positions = positions
         self.colors = np.where(colored[:, None], values, 0).astype(np.uint8)
@@ -101,6 +91,37 @@ def as_bool(value, name: str) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise InvalidConfig(f"{name} must be a bool, got {shown(value)}")
     return bool(value)
+
+
+def as_rows(values, name: str, width: int | None = None) -> np.ndarray:
+    """`values`, the array `name`, as (n, d) float64 rows, d being `width` or
+    by default the array's own, and an empty input as (0, d).  Any other
+    shape or a value that is not finite raises InvalidConfig naming it."""
+    try:
+        rows = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{name} must be an array of real numbers") from None
+    d = rows.shape[-1] if width is None and rows.ndim == 2 else width or 0
+    if rows.size == 0:
+        return rows.reshape(0, d)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise InvalidConfig(f"{name} must have shape (n, {width or 'd'}), got {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InvalidConfig(f"{name} must be finite")
+    return rows
+
+
+def as_kernel_rows(positions, colors, queries, width: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A kernel's (n, d) `positions`, their (n, 3) `colors` and its (k, d)
+    `queries`, each read by `as_rows`, d being `width` or by default the
+    positions' own.  Without a `width`, empty positions raise EmptySamples."""
+    positions = as_rows(positions, "positions", width)
+    if width is None and not len(positions):
+        raise EmptySamples("interpolating a color needs at least one original")
+    colors = as_rows(colors, "colors", 3)
+    if len(colors) != len(positions):
+        raise InvalidConfig(f"colors must have one row per position, got {len(colors)} for {len(positions)}")
+    return positions, colors, as_rows(queries, "queries", positions.shape[1])
 
 
 def positive_real(value, name: str) -> float:
@@ -166,25 +187,11 @@ def squared_distance_chunks(positions: np.ndarray, queries: np.ndarray) -> Itera
         yield slice(start, start + len(chunk)), d2
 
 
-def point_rows(positions, queries) -> tuple[np.ndarray, np.ndarray]:
-    """(n, d) `positions` and (k, d) `queries` as float arrays, d being 3
-    unless `positions` is 2D; EmptySamples when n is 0."""
-    positions = np.asarray(positions, dtype=float)
-    if len(positions) == 0:
-        raise EmptySamples("interpolating a color needs at least one original")
-    positions = positions.reshape(-1, positions.shape[1] if positions.ndim == 2 else 3)
-    return positions, np.asarray(queries, dtype=float).reshape(-1, positions.shape[1])
-
-
 def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row index in `positions` of the nearest position to each query;
-    ties go to the lowest index.
-
-    The arrays are read as `point_rows` reads them.  A query whose smallest
-    squared distance overflows to inf raises InvalidInput: every candidate
-    would tie.
-    """
-    positions, queries = point_rows(positions, queries)
+    """Row index in the (n >= 1, d) `positions` of the nearest one to each
+    (k, d) query, both read by `as_rows`; ties go to the lowest index.  A
+    query whose smallest squared distance overflows to inf raises
+    InvalidInput: every candidate would tie."""
     out = np.empty(len(queries), dtype=np.intp)
     for rows, d2 in squared_distance_chunks(positions, queries):
         nearest = d2.argmin(axis=1)  # argmin returns the first minimum
@@ -198,4 +205,5 @@ def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> np.nd
     """(k, 3) colors of the Original point nearest to each (x, y, z) query
     in 3D; ties go to the lowest point id."""
     o_ids = np.flatnonzero(cloud.original)
-    return cloud.colors[o_ids[nearest_ids(cloud.positions[o_ids], queries)]]
+    positions, _, queries = as_kernel_rows(cloud.positions[o_ids], cloud.colors[o_ids], queries)
+    return cloud.colors[o_ids[nearest_ids(positions, queries)]]

@@ -131,9 +131,7 @@ def psnr_channel(reference: Sequence[int], reconstructed: Sequence[int]) -> floa
         raise InvalidInput("psnr requires equally long sequences")
     if len(reference) == 0:
         raise InvalidInput("psnr over an empty sequence is undefined")
-    ref = np.asarray(reference, dtype=float)
-    rec = np.asarray(reconstructed, dtype=float)
-    mse = float(((ref - rec) ** 2).mean())
+    mse = float(((np.asarray(reference, dtype=float) - np.asarray(reconstructed, dtype=float)) ** 2).mean())
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)
@@ -163,11 +161,8 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
     if not original.colored[scored].all():
         raise InvalidInput("the reference cloud lacks a color to score against")
 
-    ref_arr = original.colors[scored]
-    rec_arr = upsampled.colors[scored]
-    per_channel = [psnr_channel(ref_arr[:, ch], rec_arr[:, ch]) for ch in range(3)]
-    color = sum(per_channel) / 3.0
-    return PsnrResult(per_channel[0], per_channel[1], per_channel[2], color, uncolored)
+    per_channel = [psnr_channel(original.colors[scored, ch], upsampled.colors[scored, ch]) for ch in range(3)]
+    return PsnrResult(*per_channel, sum(per_channel) / 3.0, uncolored)
 
 
 def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentReport:

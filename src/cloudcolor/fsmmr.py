@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import as_number, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
-from .errors import EmptySamples, InvalidConfig
+from .core import as_kernel_rows, as_number, as_rows, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .errors import EmptySamples, InvalidConfig, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,12 @@ class ScatteredSamples:
     weights: np.ndarray  # (n,), positive
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float).reshape(-1, 2)
-        self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        self.coords = as_rows(self.coords, "coords", 2)
+        self.values, self.weights = (np.asarray(a, dtype=float).reshape(-1) for a in (self.values, self.weights))
         if not (len(self.coords) == len(self.values) == len(self.weights)):
             raise InvalidConfig("coords, values and weights must have equal lengths")
-        if not all(np.isfinite(a).all() for a in (self.coords, self.values, self.weights)):
-            raise InvalidConfig("sample coordinates, values and weights must be finite")
+        if not (np.isfinite(self.values).all() and np.isfinite(self.weights).all()):
+            raise InvalidConfig("sample values and weights must be finite")
         if len(self.weights) and self.weights.min() <= 0:
             raise InvalidConfig("sample weights must be positive")
 
@@ -177,7 +176,7 @@ def query_table(queries: np.ndarray, size: int) -> np.ndarray:
     """The (2, M, k) cosine table of an M x M window at the (k, 2)
     `queries`, as ``_cosine_tables`` builds it; it reads no model, so the
     models of R, G and B at the same queries share one."""
-    queries = np.asarray(queries, dtype=float).reshape(-1, 2)
+    queries = as_rows(queries, "queries", 2)
     # tolerate normalization round-off marginally outside the window
     return _cosine_tables(np.clip(queries, 0.0, size - 1), size)
 
@@ -195,34 +194,34 @@ def evaluate_model(model: SparseModel, queries: np.ndarray, table: np.ndarray | 
 
 def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     """Affinely map flattened (n, 2) coordinates onto [0, M-1]^2, each axis
-    on its own.
-
-    A degenerate axis (all coordinates equal) maps to the window center on
-    that axis.
-    """
-    raw = np.asarray(coords, dtype=float).reshape(-1, 2)
+    on its own; a degenerate axis (all coordinates equal) maps to the window
+    center.  InvalidInput when an axis's span or its inverse overflows."""
+    raw = as_rows(coords, "coords", 2)
     if len(raw) == 0:
         raise EmptySamples("cannot normalize zero coordinates")
     lo, hi = raw.min(axis=0), raw.max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate axis divides by 0; np.where drops it
-        return np.where(hi > lo, (raw - lo) * ((size - 1) / (hi - lo)), (size - 1) / 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # np.where drops a degenerate axis; the check below catches overflow
+        window = np.where(hi > lo, (raw - lo) * ((size - 1) / (hi - lo)), (size - 1) / 2)
+    if not np.isfinite(window).all():
+        raise InvalidInput("the coordinates span too little or too much of float64 to map onto the window")
+    return window
 
 
 def upsample_block(
     positions: np.ndarray, colors: np.ndarray, queries: np.ndarray, config: FsmmrConfig = FsmmrConfig(),
 ) -> np.ndarray:
-    """FSMMR on one flattened block, as (k, 3) uint8 colors at the k 2D
-    `queries`.
+    """FSMMR on one flattened block, as (k, 3) uint8 colors at the (k, 2)
+    `queries`, the arrays read by ``as_kernel_rows``.
 
-    The originals' 2D `positions` and the queries are normalised to the
+    The originals' (n, 2) `positions` and the queries are normalised to the
     model window together.  One model per channel is fitted to the
     originals' `colors`, all three on one basis, and evaluated at the
     queries on one query table.
     """
+    positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
     o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
     weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
-    o_colors = np.asarray(colors, dtype=float)
 
     channels = [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)]
     basis, table = fit_basis(channels[0], config), query_table(r_coords, config.model_size)

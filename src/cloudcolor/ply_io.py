@@ -43,7 +43,7 @@ _ASCII_CHUNK_ROWS = 4096
 class _Element:
     name: str
     count: int
-    properties: list[tuple[str, str]]  # (name, ply type); lists unsupported
+    properties: list[tuple[str, str]]  # (name, ply type), a list's item type
 
 
 def _decode_name(token: bytes, offset: int) -> str:
@@ -93,14 +93,15 @@ def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
         elif tokens[0] == b"property":
             if not elements:
                 raise ParseError("property line before any element", offset)
-            if tokens[1:2] == [b"list"]:
-                raise ParseError("list properties are not supported", offset)
-            if len(tokens) != 3:
+            is_list = tokens[1:2] == [b"list"]  # `list <count type> <item type>`, as a mesh's faces hold
+            if is_list and elements[-1].name == "vertex":
+                raise ParseError("the vertex element cannot hold a list property", offset)
+            if len(tokens) != 3 + 2 * is_list:
                 raise ParseError("malformed property line", offset)
-            ptype = _decode_name(tokens[1], offset)
-            if ptype not in _SCALAR_TYPES:
-                raise ParseError(f"unknown property type {ptype!r}", offset)
-            elements[-1].properties.append((_decode_name(tokens[2], offset), ptype))
+            for ptype in (_decode_name(token, offset) for token in tokens[1 + is_list:-1]):
+                if ptype not in _SCALAR_TYPES:
+                    raise ParseError(f"unknown property type {ptype!r}", offset)
+            elements[-1].properties.append((_decode_name(tokens[-1], offset), ptype))
         else:
             raise ParseError(f"unknown header keyword {tokens[0].decode(errors='replace')!r}", offset)
         offset = nl + 1

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, ColorPointCloud, as_number, shown, squared_distance_chunks
+from .core import Block, ColorPointCloud, as_number, as_rows, shown, squared_distance_chunks
 from .errors import EmptyBlock, InvalidConfig, InvalidInput
 
 Coord3 = Tuple[float, float, float]
@@ -84,8 +84,8 @@ def _prim_keys(points: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tuple[int, int]]:
     """Kruskal MST of the complete graph over `points`, an (n, 3) array or a
-    sequence of (x, y, z) triples, as (parent, child) id pairs oriented from
-    `root`, an int in [0, n).
+    sequence of (x, y, z) triples read by ``as_rows``, as (parent, child) id
+    pairs oriented from `root`, an int in [0, n).
 
     Candidate edges are ordered by (``math.dist`` weight, smaller id, larger
     id).  One array Prim grows the tree from `root` and emits each point
@@ -94,7 +94,7 @@ def build_mst(points: np.ndarray | Sequence[Coord3], root: int = 0) -> list[tupl
     at least ``_MIN_WEIGHT``, finite and pairwise more than a relative
     ``_TIE_RTOL`` apart, and exact ranks in the edge order otherwise.
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = as_rows(points, "points", 3)
     n = len(points)
     if n == 0:
         raise EmptyBlock("cannot build an MST over zero points")

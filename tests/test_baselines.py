@@ -81,6 +81,17 @@ class TestNn3:
         got = interpolate_nn3(positions, colors, [[0, 0, 2.5]])  # tie between 1 (z=1) and 5 (z=4)
         assert_rows(got, rows((1, 1, 1)))
 
+    @pytest.mark.parametrize("color, expected", [
+        ((300, 0, 0), (255, 0, 0)),  # a list of Python ints used to end in OverflowError
+        (np.array([300, 0, 0], dtype=np.int64), (255, 0, 0)),  # used to wrap to 44
+        ((1.7, 0.5, -3), (2, 1, 0)),  # used to truncate to 1
+    ])
+    def test_colors_read_as_the_other_kernels_read_them(self, color, expected):
+        positions, queries = [[0, 0, 0], [5, 5, 5]], [[1, 0, 0]]
+        colors = [color, (9, 9, 9)]
+        assert_rows(interpolate_nn3(positions, colors, queries), rows(expected))
+        assert_rows(interpolate_idw(positions, colors, [[0, 0, 0]]), rows(expected))
+
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(3)
         positions = rng.uniform(0, 10, size=(20, 3))

@@ -6,7 +6,7 @@ import pytest
 
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, round_color_channel
-from cloudcolor.errors import EmptySamples, InvalidConfig
+from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
     generate_model, normalize_to_window, query_table, spatial_weight,
@@ -331,6 +331,13 @@ class TestNormalizeToWindow:
     def test_degenerate_axis_maps_to_center(self):
         out = normalize_to_window(np.array([(5, 1), (5, 2)]), 16)
         assert np.allclose(out[:, 0], 7.5)
+
+    # a subnormal span's inverse overflows, and so does the span of +-1.7e308:
+    # both used to map a coordinate to inf or nan
+    @pytest.mark.parametrize("coords", [[(0, 0), (5e-324, 1)], [(-1.7e308, 0), (1.7e308, 1)]])
+    def test_a_span_float64_cannot_scale_is_invalid_input(self, coords):
+        with pytest.raises(InvalidInput, match="span"):
+            normalize_to_window(coords, 16)
 
     def test_affine_interior(self):
         out = normalize_to_window(np.array([(0, 0), (5, 0), (10, 0)]), 8)

@@ -88,6 +88,35 @@ def test_unknown_extra_property_skipped():
     assert cloud.colors.tolist() == [[7, 8, 9]]
 
 
+def mesh(data: bytes, face: bytes) -> bytes:
+    """`data`, a one-vertex PLY, with a face element after its vertices."""
+    head, body = data.split(b"end_header\n")
+    return head + b"element face 1\nproperty list uchar int vertex_indices\nend_header\n" + body + face
+
+
+@pytest.mark.parametrize("fmt, face", [
+    (PlyFormat.ASCII, b"3 0 0 0\n"),
+    (PlyFormat.BINARY_LITTLE_ENDIAN, struct.pack("<B3i", 3, 0, 0, 0)),
+])
+def test_a_mesh_reads_its_vertices(fmt, face):
+    data = write_ply(ColorPointCloud([(1.5, 2, 3)], [(7, 8, 9)]), fmt)
+    cloud, expected = read_ply(mesh(data, face)), read_ply(data)
+    for field in ("positions", "colors", "original", "colored"):
+        assert getattr(cloud, field).tolist() == getattr(expected, field).tolist()
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"property list uchar int vertex_indices", "vertex element cannot hold a list"),
+    (b"element face 1\nproperty list uchar vertex_indices", "malformed property line"),
+    (b"element face 1\nproperty list uchar int vertex_indices extra", "malformed property line"),
+    (b"element face 1\nproperty list uchar integer vertex_indices", "unknown property type 'integer'"),
+    (b"element face 1\nproperty list count int vertex_indices", "unknown property type 'count'"),
+])
+def test_a_list_property_must_be_well_formed_and_off_the_vertex(line, message):
+    with pytest.raises(ParseError, match=message):
+        read_ply(ASCII_ONE_RED.replace(b"end_header", line + b"\nend_header"))
+
+
 def test_bad_color_type_rejected():
     data = ASCII_ONE_RED.replace(b"property uchar red", b"property float red")
     with pytest.raises(ParseError, match="red"):
