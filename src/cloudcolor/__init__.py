@@ -9,7 +9,7 @@ from .baselines import InterpolatorKind
 from .core import Block, ColorPointCloud, partition_into_blocks
 from .evaluation import ExperimentReport, ExperimentSpec, random_downsample, reconstruction_color_psnr, run_experiment
 from .fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, generate_model, upsample_block
-from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
+from .pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
 from .ply_io import PlyFormat, read_ply, write_ply
 from .surface_transform import build_mst, flatten_block
 
@@ -21,7 +21,7 @@ __all__ = [
     "build_mst", "flatten_block",
     "FsmmrConfig", "ScatteredSamples", "SparseModel",
     "generate_model", "evaluate_model", "upsample_block",
-    "InterpolatorKind", "UpsampleConfig", "BlockGeometry", "upsample_cloud",
+    "InterpolatorKind", "UpsampleConfig", "upsample_cloud", "upsample_clouds",
     "ExperimentSpec", "ExperimentReport",
     "random_downsample", "reconstruction_color_psnr", "run_experiment",
 ]

@@ -16,12 +16,13 @@ import sys
 from pathlib import Path
 
 from .baselines import InterpolatorKind
-from .core import ColorPointCloud, nearest_original_color
+from .core import ColorPointCloud, nearest_original_color, partition_into_blocks
 from .errors import CloudColorError, InvalidConfig
 from .evaluation import ExperimentSpec, run_experiment
 from .fsmmr import FsmmrConfig
-from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
+from .pipeline import UpsampleConfig, upsample_cloud
 from .ply_io import PlyFormat, read_ply, write_ply
+from .surface_transform import flatten_block
 
 
 class _UsageError(Exception):
@@ -80,7 +81,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
     ev.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="seed of the density splits (default %(default)s)")
-    ev.add_argument("--timing", action="store_true", help="record real wall times (breaks byte-identical reports; rows run concurrently on every usable core, and an fsmmr, idw2 or lin2 row also includes flattening the blocks that no earlier row of its process reached)")
+    ev.add_argument("--timing", action="store_true", help="record each row's coloring time, summed over its blocks on every process (breaks byte-identical reports; a row also pays for flattening the blocks that no earlier row reached)")
     _add_block_flags(ev)
     _add_method_flags(ev)
 
@@ -138,11 +139,12 @@ def _cmd_evaluate(args) -> int:
 def _cmd_flatten(args) -> int:
     config = UpsampleConfig(args.block_size, args.root_seed)
     cloud = read_ply(args.input.read_bytes())
-    geometry = BlockGeometry(cloud, config)
-    if not 0 <= args.block < len(geometry.blocks):
-        raise CloudColorError(f"block index {args.block} out of range (0..{len(geometry.blocks) - 1})")
+    blocks = partition_into_blocks(cloud, config.block_size)
+    if not 0 <= args.block < len(blocks):
+        raise CloudColorError(f"block index {args.block} out of range (0..{len(blocks) - 1})")
+    block = blocks[args.block]
     lines = ["point_id,role,x_flat,y_flat"]
-    for pid, (x, y) in zip(geometry.blocks[args.block].point_ids.tolist(), geometry.coords(args.block).tolist()):
+    for pid, (x, y) in zip(block.point_ids.tolist(), flatten_block(block, cloud, config.root_seed).tolist()):
         role = "original" if cloud.original[pid] else "reconstruct"
         lines.append(f"{pid},{role},{x!r},{y!r}")
     args.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

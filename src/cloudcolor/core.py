@@ -77,6 +77,8 @@ def as_number(value, name: str, kind: type = float):
     """`value`, the setting `name`, as a `kind`: an int from an int or a numpy
     integer, a float from any real number.  A bool, a string, None, another
     type or a number too large for a float raises InvalidConfig naming it."""
+    if type(value) is kind:  # already converted: a model's terms are read per fit
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
         raise InvalidConfig(f"{name} must be {'an integer' if kind is int else 'a real number'}, got {shown(value)}")
     try:
@@ -97,18 +99,30 @@ def as_rows(values, name: str, width: int | None = None) -> np.ndarray:
     """`values`, the array `name`, as (n, d) float64 rows, d being `width` or
     by default the array's own, and an empty input as (0, d).  Any other
     shape or a value that is not finite raises InvalidConfig naming it."""
+    rows = _finite_floats(values, name)
+    d = rows.shape[-1] if width is None and rows.ndim == 2 else width or 0
+    if rows.size and (rows.ndim != 2 or rows.shape[1] != d):
+        raise InvalidConfig(f"{name} must have shape (n, {width or 'd'}), got {rows.shape}")
+    return rows if rows.size else rows.reshape(0, d)
+
+
+def as_values(values, name: str) -> np.ndarray:
+    """`values`, the array `name`, as (n,) float64 values, and an empty input
+    as (0,): the one-column twin of `as_rows`, with its errors."""
+    column = _finite_floats(values, name)
+    if column.size and column.ndim != 1:
+        raise InvalidConfig(f"{name} must have shape (n,), got {column.shape}")
+    return column if column.size else column.reshape(0)
+
+
+def _finite_floats(values, name: str) -> np.ndarray:
     try:
-        rows = np.asarray(values, dtype=np.float64)
+        array = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfig(f"{name} must be an array of real numbers") from None
-    d = rows.shape[-1] if width is None and rows.ndim == 2 else width or 0
-    if rows.size == 0:
-        return rows.reshape(0, d)
-    if rows.ndim != 2 or rows.shape[1] != d:
-        raise InvalidConfig(f"{name} must have shape (n, {width or 'd'}), got {rows.shape}")
-    if not np.isfinite(rows).all():
+    if not np.isfinite(array).all():
         raise InvalidConfig(f"{name} must be finite")
-    return rows
+    return array
 
 
 def as_kernel_rows(positions, colors, queries, width: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,18 +6,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import product
+from typing import Tuple
 
 import numpy as np
 
-from .baselines import InterpolatorKind, load_delaunay
-from .core import ColorPointCloud, as_bool, as_number, round_color_channel, shown
+from .baselines import InterpolatorKind
+from .core import ColorPointCloud, as_bool, as_number, as_values, round_color_channel, shown
 from .errors import CloudColorError, InvalidConfig, InvalidInput
-from .parallel import map_on_cores
-from .pipeline import BlockGeometry, UpsampleConfig, upsample_cloud
+from .pipeline import UpsampleConfig, upsample_clouds
 
 PEAK = 255.0
 
@@ -126,12 +124,14 @@ def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> Colo
     return ColorPointCloud(cloud.positions, cloud.colors, original=keep, colored=keep)
 
 
-def psnr_channel(reference: Sequence[int], reconstructed: Sequence[int]) -> float:
+def psnr_channel(reference, reconstructed) -> float:
+    """The PSNR of (n,) `reconstructed` values against `reference` ones, both read by `core.as_values`."""
+    reference, reconstructed = as_values(reference, "reference"), as_values(reconstructed, "reconstructed")
     if len(reference) != len(reconstructed):
         raise InvalidInput("psnr requires equally long sequences")
     if len(reference) == 0:
         raise InvalidInput("psnr over an empty sequence is undefined")
-    mse = float(((np.asarray(reference, dtype=float) - np.asarray(reconstructed, dtype=float)) ** 2).mean())
+    mse = float(((reference - reconstructed) ** 2).mean())
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK * PEAK / mse)
@@ -168,71 +168,41 @@ def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCl
 def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentReport:
     """Sweep densities x runs x methods; per (density, run) every method
     receives the same downsampled cloud.  Downsampling changes only the
-    roles, so every run shares one block partition and flattening.
-
-    The (density, run) jobs run on every usable core through
-    `parallel.map_on_cores`: this process takes jobs 0, W, 2W, … and forked
-    workers the rest, and the rows come back in job order, so the report is
-    the same for any W.  Each job's upsamples run in its own process: they
-    split no blocks of their own."""
+    roles, so one `pipeline.upsample_clouds` call colors every split by
+    every method: it forks once for the blocks, on every usable core, and
+    flattens each block once.  The rows are scored in (density, run,
+    method) order, so the report is the same for any number of processes.
+    With `spec.measure_time`, a row's `wall_time_ms` is the time spent
+    coloring it, summed over its blocks wherever they ran."""
     if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
-    if InterpolatorKind.LIN2_DELAUNAY in spec.methods:
-        load_delaunay()  # before any fork, so that every process shares one single-threaded scipy
-
-    geometry = BlockGeometry(cloud, spec.upsample)  # lazy: its errors flag the rows that reach them
-    jobs = [(density, run) for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]
+    jobs = [(density, run, derive_seed(spec.base_seed, density, run))
+            for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]
+    splits = [random_downsample(cloud, density, seed) for density, _, seed in jobs]
     report = ExperimentReport()
-    for rows in map_on_cores(partial(_score_job, cloud, geometry, spec), jobs):
-        report.records += rows
-    for method in spec.methods:
-        for density in sorted(spec.densities):
-            values = [
-                r.color_psnr for r in report.records
-                if r.method == method.value and r.density == density
-                and r.flags == "" and math.isfinite(r.color_psnr)
-            ]
-            if values:
-                report.aggregates[(method.value, density)] = sum(values) / len(values)
+    for (density, run, seed), split, row in zip(jobs, splits, upsample_clouds(splits, spec.methods, spec.upsample)):
+        for method, (upsampled, seconds) in zip(spec.methods, row):
+            record = ExperimentRecord(method=method.value, density=density, run=run, seed=seed)
+            if split.original.all():  # nothing to reconstruct
+                report.records.append(replace(record, flags="skipped"))
+            else:
+                report.records.append(_scored(record, cloud, upsampled, seconds if spec.measure_time else 0.0))
+    for method, density in product(spec.methods, sorted(spec.densities)):
+        values = [r.color_psnr for r in report.records if (r.method, r.density, r.flags) == (method.value, density, "")
+                  and math.isfinite(r.color_psnr)]
+        if values:
+            report.aggregates[(method.value, density)] = sum(values) / len(values)
     return report
 
 
-def _score_job(
-    cloud: ColorPointCloud, geometry: BlockGeometry, spec: ExperimentSpec, job: Tuple[float, int],
-) -> list[ExperimentRecord]:
-    """The records of one (density, run) job, one row per method."""
-    density, run = job
-    seed = derive_seed(spec.base_seed, density, run)
-    downsampled = random_downsample(cloud, density, seed)
-    if downsampled.original.all():  # nothing to reconstruct
-        return [ExperimentRecord(method=method.value, density=density, run=run, seed=seed, flags="skipped")
-                for method in spec.methods]
-    return [_score_method(cloud, downsampled, geometry, method, density, run, seed, spec) for method in spec.methods]
-
-
-def _score_method(
-    reference: ColorPointCloud, downsampled: ColorPointCloud, geometry: BlockGeometry,
-    method: InterpolatorKind, density: float, run: int, seed: int, spec: ExperimentSpec,
-) -> ExperimentRecord:
-    try:
-        started = time.perf_counter()
-        upsampled = upsample_cloud(downsampled, method, spec.upsample, geometry)
-        elapsed_ms = int((time.perf_counter() - started) * 1000) if spec.measure_time else 0
-        result = reconstruction_color_psnr(reference, upsampled)
-    except CloudColorError as exc:
-        return ExperimentRecord(
-            method=method.value, density=density, run=run, seed=seed,
-            flags=f"error:{type(exc).__name__}",
-        )
-    flags = ""
-    if any(math.isinf(v) for v in (result.psnr_r, result.psnr_g, result.psnr_b)):
-        flags = "inf"
-    return ExperimentRecord(
-        method=method.value, density=density, run=run, seed=seed,
-        psnr_r=result.psnr_r, psnr_g=result.psnr_g, psnr_b=result.psnr_b,
-        color_psnr=result.color_psnr, uncolored_count=result.uncolored_count,
-        wall_time_ms=elapsed_ms, flags=flags,
-    )
+def _scored(record: ExperimentRecord, reference: ColorPointCloud, upsampled, seconds: float) -> ExperimentRecord:
+    """`record` scored on the cloud that `upsample_clouds` returned, or
+    flagged with the error it returned instead."""
+    if isinstance(upsampled, CloudColorError):
+        return replace(record, flags=f"error:{type(upsampled).__name__}")
+    result = reconstruction_color_psnr(reference, upsampled)
+    flags = "inf" if any(math.isinf(v) for v in (result.psnr_r, result.psnr_g, result.psnr_b)) else ""
+    return replace(record, **vars(result), wall_time_ms=int(seconds * 1000), flags=flags)
 
 
 # --- synthetic clouds -------------------------------------------------------

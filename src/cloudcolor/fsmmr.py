@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import as_kernel_rows, as_number, as_rows, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import as_kernel_rows, as_number, as_rows, as_values, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import EmptySamples, InvalidConfig, InvalidInput
 
 
@@ -68,11 +68,9 @@ class ScatteredSamples:
 
     def __post_init__(self):
         self.coords = as_rows(self.coords, "coords", 2)
-        self.values, self.weights = (np.asarray(a, dtype=float).reshape(-1) for a in (self.values, self.weights))
+        self.values, self.weights = as_values(self.values, "values"), as_values(self.weights, "weights")
         if not (len(self.coords) == len(self.values) == len(self.weights)):
             raise InvalidConfig("coords, values and weights must have equal lengths")
-        if not (np.isfinite(self.values).all() and np.isfinite(self.weights).all()):
-            raise InvalidConfig("sample values and weights must be finite")
         if len(self.weights) and self.weights.min() <= 0:
             raise InvalidConfig("sample weights must be positive")
 
@@ -87,9 +85,19 @@ class SparseModel:
     selection_history: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        size = as_number(self.size, "size", int)
+        if size < 1:
+            raise InvalidConfig(f"size must be >= 1, got {size}")
+        try:
+            terms = tuple((as_number(u, "terms", int), as_number(v, "terms", int), as_number(c, "terms"))
+                          for u, v, c in self.terms)
+        except (TypeError, ValueError):  # not a sequence of triples
+            raise InvalidConfig(f"terms must be (u, v, coefficient) triples, got {shown(self.terms)}") from None
         # evaluate_model reads row u of the x table and row v of the y table
-        if not all(0 <= u < self.size and 0 <= v < self.size for u, v, _ in self.terms):
-            raise InvalidConfig("model term frequencies must lie inside the window")
+        if not all(0 <= u < size and 0 <= v < size and math.isfinite(c) for u, v, c in terms):
+            raise InvalidConfig("terms must have frequencies inside the window and finite coefficients")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "terms", terms)
 
 
 def spatial_weight(x: float, y: float, size: int, rho: float) -> float:
@@ -161,7 +169,7 @@ def generate_model(
         if energies[-1] <= config.energy_threshold:
             break
 
-    terms = zip(kl[list(coefficients)].tolist(), coefficients.values())
+    terms = zip(kl[list(coefficients)].tolist(), map(float, coefficients.values()))
     return SparseModel(
         terms=tuple((k, l, c) for (k, l), c in terms),
         size=config.model_size,
@@ -216,7 +224,8 @@ def upsample_block(
     The originals' (n, 2) `positions` and the queries are normalised to the
     model window together.  One model per channel is fitted to the
     originals' `colors`, all three on one basis, and evaluated at the
-    queries on one query table.
+    queries on one query table.  Colors so far outside 8 bits that the fit
+    or its evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
     positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
@@ -225,6 +234,9 @@ def upsample_block(
 
     channels = [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)]
     basis, table = fit_basis(channels[0], config), query_table(r_coords, config.model_size)
-    return round_color_channel(np.column_stack([
-        evaluate_model(generate_model(samples, config, basis), r_coords, table) for samples in channels
-    ]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fitted = [evaluate_model(generate_model(samples, config, basis), r_coords, table) for samples in channels]
+    except FloatingPointError:
+        raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
+    return round_color_channel(np.column_stack(fitted))

@@ -1,6 +1,6 @@
 """Independent work items on every usable core: the one process pool of the
-package, which runs the `evaluate` sweep's (density, run) jobs and the
-blocks of a 2D upsample.
+package, which runs the blocks of `pipeline.upsample_clouds`, and so those
+of every 2D upsample and of the `evaluate` sweep, in one fork per call.
 """
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from typing import Callable, Sequence
 
 from .errors import CloudColorError
 
-_in_share = False  # true while this process runs a share: a nested call runs in it
 _forked: tuple = ()  # (function, items, processes), set only in a forked worker
 
 
@@ -22,10 +21,9 @@ def map_on_cores(function: Callable, items: Sequence) -> list:
 
     Each share stops at its first item that raises; the exception of the
     lowest such item is raised, as the one-process loop would.  A worker
-    that ends abruptly raises CloudColorError.  A call made while a share
-    runs (a sweep's upsample) runs in that share's process and forks no more.
+    that ends abruptly raises CloudColorError.
     """
-    processes = 1 if _in_share or len(items) < 2 else min(len(items), _usable_cores())
+    processes = 1 if len(items) < 2 else min(len(items), _usable_cores())
     if processes == 1:
         done = [_run_share(function, items)]
     else:
@@ -56,16 +54,12 @@ def _usable_cores() -> int:
 
 def _run_share(function: Callable, items: Sequence) -> tuple[list, Exception | None]:
     """The results of `items` up to the first that raises, and its exception."""
-    global _in_share
-    nested, _in_share = _in_share, True
     results = []
     try:
         for item in items:
             results.append(function(item))
     except Exception as error:
         return results, error
-    finally:
-        _in_share = nested
     return results, None
 
 

@@ -3,15 +3,16 @@ the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
 from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
-from .errors import EmptySamples, InvalidConfig
+from .errors import CloudColorError, EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, upsample_block
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
@@ -39,55 +40,14 @@ class UpsampleConfig:
             raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {shown(self.fsmmr)}")
 
 
-class BlockGeometry:
-    """The block partition of a cloud and each block's flattened (n, 2)
-    coordinates, each computed the first time a method needs it, and the
-    runner of a function over its blocks, `map_blocks`.
-
-    Both read only the positions, the block size and the root seed, so one
-    geometry serves every role split of the same positions: `run_experiment`
-    shares one across its densities, runs and methods.  A partition or a
-    flattening that raises is not kept, and the next caller raises again.
-    """
-
-    def __init__(self, cloud: ColorPointCloud, config: UpsampleConfig = UpsampleConfig()):
-        self._cloud = cloud
-        self.block_size, self.root_seed = config.block_size, config.root_seed
-        self._coords: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def blocks(self) -> list[Block]:
-        return partition_into_blocks(self._cloud, self.block_size)
-
-    def coords(self, index: int) -> np.ndarray:
-        """The flattened coordinates of block `index`; row i is its i-th point."""
-        if index not in self._coords:
-            self._coords[index] = flatten_block(self.blocks[index], self._cloud, self.root_seed)
-        return self._coords[index]
-
-    def map_blocks(self, function: Callable[[int], object]) -> list:
-        """``[function(index) for index in range(len(self.blocks))]`` through
-        `parallel.map_on_cores`, keeping every flattening its forked workers make."""
-        done = map_on_cores(lambda index: (function(index), self._coords.get(index)), range(len(self.blocks)))
-        self._coords.update((index, coords) for index, (_, coords) in enumerate(done) if coords is not None)
-        return [result for result, _ in done]
-
-    def check(self, cloud: ColorPointCloud, config: UpsampleConfig) -> None:
-        """Raise InvalidConfig unless this geometry is the one of `cloud`'s
-        positions under `config`'s block size and root seed."""
-        if (self.block_size, self.root_seed) != (config.block_size, config.root_seed):
-            raise InvalidConfig("the block geometry was built with another block size or root seed")
-        if not np.array_equal(self._cloud.positions, cloud.positions):
-            raise InvalidConfig("the block geometry was built from other positions")
-
-
 def block_colors(
-    geometry: BlockGeometry, index: int, cloud: ColorPointCloud, method: InterpolatorKind,
+    block: Block, coords: Callable[[], np.ndarray], cloud: ColorPointCloud, method: InterpolatorKind,
     config: UpsampleConfig = UpsampleConfig(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Colors for the Reconstruct points of the geometry's block `index` by
-    a 2D method: FSMMR, IDW2 or LIN2, as the ids of the points colored and
-    a (k, 3) uint8 array.  `cloud` gives the roles and colors.
+    """Colors for the Reconstruct points of `block` by a 2D method: FSMMR,
+    IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
+    `cloud` gives the roles and colors, and `coords()` the block's flattened
+    (n, 2) coordinates, row i being its i-th point.
 
     A block without Reconstruct points colors nothing.  A block without
     Original points takes the nearest original in 3D over the whole cloud,
@@ -97,7 +57,7 @@ def block_colors(
     """
     if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
         raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {shown(method)}")
-    ids = geometry.blocks[index].point_ids
+    ids = block.point_ids
     is_original = cloud.original[ids]
     r_ids = ids[~is_original]
     if not r_ids.size or (method is InterpolatorKind.LIN2_DELAUNAY and not is_original.any()):
@@ -105,8 +65,8 @@ def block_colors(
     if not is_original.any():
         return r_ids, nearest_original_color(cloud, cloud.positions[r_ids])
 
-    coords = geometry.coords(index)
-    o_coords, o_colors, r_coords = coords[is_original], cloud.colors[ids[is_original]], coords[~is_original]
+    flat = coords()
+    o_coords, o_colors, r_coords = flat[is_original], cloud.colors[ids[is_original]], flat[~is_original]
     if method is InterpolatorKind.FSMMR:
         return r_ids, upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
     if method is InterpolatorKind.IDW2:
@@ -117,48 +77,95 @@ def block_colors(
 
 def upsample_cloud(
     cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig = UpsampleConfig(),
-    geometry: BlockGeometry | None = None,
 ) -> ColorPointCloud:
     """The cloud with its Reconstruct points colored where the method can
     color them.  A Reconstruct point of the result is colored exactly when
     the method colored it, whatever the input says: its uncolored points are
-    the method's holes.
-
-    The 2D methods take the block partition and flattening from `geometry`,
-    which must be the `BlockGeometry` of the cloud's positions under
-    `config` (InvalidConfig otherwise); by default one is built here.  Their
-    blocks run on every usable core through `BlockGeometry.map_blocks`, with
-    scipy loaded before the fork for LIN2, so the geometry keeps every
-    block's flattening, wherever it ran.  The result is the same for any
-    number of processes, and so is the error when blocks raise: that of the
-    lowest-index block.
+    the method's holes.  This is `upsample_clouds` for one cloud and one
+    method, so a 2D method's blocks run on every usable core, and the result
+    or the error is the same for any number of processes.
     """
-    if not isinstance(method, InterpolatorKind):
-        raise InvalidConfig(f"the method must be an InterpolatorKind, got {shown(method)}")
-    if geometry is None:
-        geometry = BlockGeometry(cloud, config)
-    else:
-        geometry.check(cloud, config)
-    o_ids = np.flatnonzero(cloud.original)
-    if not o_ids.size:
-        raise EmptySamples("upsampling requires at least one original point")
-    r_ids = np.flatnonzero(~cloud.original)
-    if not r_ids.size:
-        return cloud
+    [[(upsampled, _)]] = upsample_clouds([cloud], [method], config)
+    if isinstance(upsampled, CloudColorError):
+        raise upsampled
+    return upsampled
 
-    if method in _WHOLE_CLOUD_METHODS:
-        o_pos, o_colors, queries = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
-        if method is InterpolatorKind.NN3:
-            rows = interpolate_nn3(o_pos, o_colors, queries)
-        else:
-            rows = interpolate_idw(o_pos, o_colors, queries, power=config.idw_power)
-        ids = r_ids
-    else:
-        if method is InterpolatorKind.LIN2_DELAUNAY:
-            load_delaunay()  # before any fork, so that every process shares one single-threaded scipy
-        parts = geometry.map_blocks(lambda index: block_colors(geometry, index, cloud, method, config))
-        ids, rows = map(np.concatenate, zip(*parts))
+
+def upsample_clouds(
+    clouds: Sequence[ColorPointCloud], methods: Sequence[InterpolatorKind], config: UpsampleConfig = UpsampleConfig(),
+) -> list[list[tuple[ColorPointCloud | CloudColorError, float]]]:
+    """Entry [i][j] is what ``upsample_cloud(clouds[i], methods[j], config)``
+    returns, or the CloudColorError it raises, and the seconds spent coloring
+    it: its whole-cloud NN3 or IDW3 call, or the sum over its blocks,
+    wherever they ran (the first entry to reach a block pays for flattening
+    it).  The clouds must share their positions (InvalidConfig otherwise),
+    as role splits of one cloud do: the blocks run on every usable core in
+    one `parallel.map_on_cores` call, and each work item flattens its block
+    at most once and colors it for every cloud and 2D method.  A partition
+    that raises fills every 2D entry; an entry whose blocks raise holds the
+    error of the lowest-index one, whatever the number of processes.
+    """
+    for method in methods:
+        if not isinstance(method, InterpolatorKind):
+            raise InvalidConfig(f"the method must be an InterpolatorKind, got {shown(method)}")
+    if any(not np.array_equal(cloud.positions, clouds[0].positions) for cloud in clouds):
+        raise InvalidConfig("the clouds to upsample together must share their positions")
+    entries: list[list] = [[None] * len(methods) for _ in clouds]
+    pairs = []  # the (cloud, method) indices that color blocks
+    for i, cloud in enumerate(clouds):
+        for j, method in enumerate(methods):
+            if not cloud.original.any():
+                entries[i][j] = EmptySamples("upsampling requires at least one original point"), 0.0
+            elif cloud.original.all():  # nothing to reconstruct
+                entries[i][j] = cloud, 0.0
+            elif method in _WHOLE_CLOUD_METHODS:
+                entries[i][j] = _timed(_whole_cloud_colors, cloud, method, config)
+            else:
+                pairs.append((i, j))
+    if not pairs:
+        return entries
+    try:
+        blocks = partition_into_blocks(clouds[0], config.block_size)
+    except CloudColorError as error:
+        for i, j in pairs:
+            entries[i][j] = error, 0.0
+        return entries
+
+    def color_block(block: Block) -> list:
+        coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
+        return [_timed(block_colors, block, coords, clouds[i], methods[j], config) for i, j in pairs]
+
+    if any(methods[j] is InterpolatorKind.LIN2_DELAUNAY for _, j in pairs):
+        load_delaunay()  # before the fork, so that every process shares one single-threaded scipy
+    done = map_on_cores(color_block, blocks)
+    for k, (i, j) in enumerate(pairs):
+        parts, seconds = zip(*(block_parts[k] for block_parts in done))
+        errors = [part for part in parts if isinstance(part, CloudColorError)]
+        upsampled = errors[0] if errors else _colored(clouds[i], *map(np.concatenate, zip(*parts)))
+        entries[i][j] = upsampled, sum(seconds)
+    return entries
+
+
+def _timed(function: Callable, *args) -> tuple[object, float]:
+    """``function(*args)``, or the CloudColorError it raises, and the seconds it took."""
+    started = time.perf_counter()
+    try:
+        result = function(*args)
+    except CloudColorError as error:
+        result = error
+    return result, time.perf_counter() - started
+
+
+def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> ColorPointCloud:
+    """The cloud upsampled by NN3 or IDW3, in 3D over all its originals."""
+    o_ids, r_ids = np.flatnonzero(cloud.original), np.flatnonzero(~cloud.original)
+    rows = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
+    colors = interpolate_nn3(*rows) if method is InterpolatorKind.NN3 else interpolate_idw(*rows, power=config.idw_power)
+    return _colored(cloud, r_ids, colors)
+
+
+def _colored(cloud: ColorPointCloud, ids: np.ndarray, rows: np.ndarray) -> ColorPointCloud:
+    """The cloud with the points `ids` colored `rows` and no other Reconstruct point colored."""
     colors, colored = cloud.colors.copy(), cloud.original.copy()
     colors[ids], colored[ids] = rows, True
     return ColorPointCloud(cloud.positions, colors, cloud.original, colored)
-

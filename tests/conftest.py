@@ -38,10 +38,11 @@ def small_cloud():
     return random_cloud(20, seed=1)
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def no_workers_left():
-    """Fail a test that leaves a worker process running, and end one that
-    hangs after two minutes instead of stalling the suite."""
+    """Fail any test that leaves a worker process running, and end one that
+    hangs after two minutes instead of stalling the suite: every sweep and
+    2D upsample over more than one block forks."""
     faulthandler.dump_traceback_later(120, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()

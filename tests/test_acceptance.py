@@ -5,6 +5,7 @@ Settings are stated explicitly per test; they are not always the library
 defaults.
 """
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cloudcolor.evaluation import (
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, evaluate_model, generate_model,
 )
-from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors, upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
@@ -74,8 +75,8 @@ def test_dc_exactness():
                 has_r = True
                 original[i] = False
         cloud = ColorPointCloud(positions, [color] * n, original=original, colored=original)
-        geometry = BlockGeometry(cloud, UpsampleConfig(block_size=1e9))
-        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
+        [block] = partition_into_blocks(cloud, 1e9)
+        ids, colors = block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR)
         assert ids.tolist() == np.flatnonzero(~cloud.original).tolist(), f"trial {trial} left points uncolored"
         assert all(tuple(c) == color for c in colors.tolist()), f"trial {trial} not exact"
     print("\nPASS: DC exactness on 100 constant-color random blocks (integer exact)")

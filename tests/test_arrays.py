@@ -1,6 +1,7 @@
 """Every array a caller passes follows one rule, `core.as_rows`: it reads as
 an (n, d) float64 array, an empty input as (0, d), and any other shape or a
-value that is not finite raises InvalidConfig naming the argument.  A
+value that is not finite raises InvalidConfig naming the argument.  Its
+one-column twin `core.as_values` reads (n,) values the same way.  A
 kernel's colors are (n, 3), one row per position; its queries have the
 positions' width.  Whatever arrays a kernel gets, it returns a well-formed
 result or raises a `CloudColorError`, never another exception.
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from cloudcolor.baselines import interpolate_idw, interpolate_lin2, interpolate_nn3
 from cloudcolor.core import ColorPointCloud, as_rows, nearest_original_color
 from cloudcolor.errors import CloudColorError, EmptySamples, InvalidConfig
+from cloudcolor.evaluation import psnr_channel
 from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, normalize_to_window, query_table, upsample_block
 from cloudcolor.surface_transform import build_mst
 
@@ -40,6 +42,12 @@ BAD_ARRAYS = {
     "interpolate_idw NaN query": (lambda: interpolate_idw(P3, C6, NAN_Q3), "queries"),
     "upsample_block NaN query": (lambda: upsample_block(P2, C6, NAN_Q2), "queries"),
     "build_mst NaN point": (lambda: build_mst(NAN_Q3[2:]), "points"),
+    "ScatteredSamples values str": (lambda: ScatteredSamples([[0, 0]], "abc", [1.0]), "values"),
+    "ScatteredSamples values (2, 2)": (lambda: ScatteredSamples(P2[:4], [[1, 2], [3, 4]], [1.0] * 4), "values"),
+    "ScatteredSamples weights (1, 1)": (lambda: ScatteredSamples([[0, 0]], [1.0], [[1.0]]), "weights"),
+    "psnr_channel strings": (lambda: psnr_channel(["a"], ["b"]), "reference"),
+    "psnr_channel scalars": (lambda: psnr_channel(5, 5), "reference"),
+    "psnr_channel NaN": (lambda: psnr_channel([math.nan], [1]), "reference"),
 }
 
 
@@ -93,19 +101,22 @@ SMALL = FsmmrConfig(model_size=4, max_iterations=5)
 
 
 @st.composite
-def arrays(draw, length, width):
-    """Mostly a (length, width) array, else one of any ndim 0 to 3 with
-    sides 0 to 4; its entries now and then NaN or inf."""
-    shape = (length, width) if draw(st.integers(0, 3)) else tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+def arrays(draw, *shape, extremes=()):
+    """Mostly an array of `shape`, else one of any ndim 0 to 3 with sides 0
+    to 4; its entries now and then NaN or inf, or one of `extremes`."""
+    shape = shape if draw(st.integers(0, 3)) else tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
     finite = draw(st.booleans()) or draw(st.booleans())  # three arrays in four
     entries = st.floats(-8, 8) | st.integers(0, 300) if finite else NUMBERS
+    if extremes:
+        entries |= st.sampled_from(extremes)
     return np.array(draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))), dtype=float).reshape(shape)
 
 
 @st.composite
 def kernel_inputs(draw):
+    """Positions, colors (now and then ±1e300, far outside 8 bits) and queries."""
     n, k, d = draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(2, 3))
-    return draw(arrays(n, d)), draw(arrays(n, 3)), draw(arrays(k, d))
+    return draw(arrays(n, d)), draw(arrays(n, 3, extremes=[1e300, -1e300])), draw(arrays(k, d))
 
 
 def query_count(queries):
@@ -176,7 +187,7 @@ def test_window_maps(coords):
 @FUZZ
 @given(n=st.integers(0, 6), data=st.data())
 def test_scattered_samples(n, data):
-    coords, values, weights = data.draw(arrays(n, 2)), data.draw(arrays(n, 1)), data.draw(arrays(n, 1))
+    coords, values, weights = data.draw(arrays(n, 2)), data.draw(arrays(n)), data.draw(arrays(n))
 
     def fields(*arrays):
         samples = ScatteredSamples(*arrays)

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from cloudcolor import evaluation, parallel
+from cloudcolor import parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPointCloud
+from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import CloudColorError, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import (
     CSV_HEADER, ExperimentSpec, derive_seed, dihedral_cloud, plane_cloud, psnr_channel,
@@ -208,7 +208,7 @@ class TestRunExperiment:
 
     def test_partition_error_flags_only_the_block_method_rows(self):
         # 1e-320 passes the config check, but the sphere spans too many such cells to index;
-        # the shared geometry must raise inside each row's scoring, not out of the sweep
+        # the partition error must flag each block method's row, not end the sweep
         spec = self.spec(methods=(InterpolatorKind.NN3, InterpolatorKind.FSMMR), runs=1, base_seed=0,
                          upsample=UpsampleConfig(block_size=1e-320))
         assert run_experiment(sphere_cloud(200), spec).to_csv() == (
@@ -278,22 +278,21 @@ class TestNumericSettings:
 
 
 def in_a_worker_only(action):
-    """An `upsample_cloud` stand-in that runs `action` in a forked sweep
-    worker and upsamples as usual in this process."""
-    parent, upsample = os.getpid(), evaluation.upsample_cloud
+    """A `block_colors` stand-in that runs `action` in a forked block
+    worker and colors as usual in this process."""
+    parent, colors = os.getpid(), pipeline.block_colors
 
     def stand_in(*args, **kwargs):
         if os.getpid() != parent:
             action()
-        return upsample(*args, **kwargs)
+        return colors(*args, **kwargs)
 
     return stand_in
 
 
-@pytest.mark.usefixtures("no_workers_left")
 class TestSweepProcesses:
-    """The (density, run) jobs run on every usable core; the report must
-    not depend on how many."""
+    """A sweep forks once, over the blocks, on every usable core; the
+    report must not depend on how many."""
 
     ALL_METHODS = tuple(InterpolatorKind)
 
@@ -317,37 +316,42 @@ class TestSweepProcesses:
         assert rows.count("\n") == 1 + len(spec.methods) * len(spec.densities) * spec.runs
         assert f",{flag}\n" in rows
 
-    def test_an_error_raised_in_a_worker_propagates(self, monkeypatch):
+    def test_an_error_raised_in_a_block_worker_propagates(self, monkeypatch):
         def fail():
-            raise ValueError("raised in a sweep worker")
+            raise ValueError("raised in a block worker")
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(fail))
-        spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=2)
-        with pytest.raises(ValueError, match="raised in a sweep worker"):
+        monkeypatch.setattr(pipeline, "block_colors", in_a_worker_only(fail))
+        spec = ExperimentSpec((InterpolatorKind.NN3, InterpolatorKind.IDW2), (0.5,), runs=2)
+        with pytest.raises(ValueError, match="raised in a block worker"):
             run_experiment(sphere_cloud(60), spec)
 
-    def test_a_worker_that_exits_is_a_cloudcolor_error(self, monkeypatch):
+    def test_a_block_worker_that_exits_is_a_cloudcolor_error(self, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
-        monkeypatch.setattr(evaluation, "upsample_cloud", in_a_worker_only(lambda: os._exit(3)))
-        spec = ExperimentSpec((InterpolatorKind.NN3,), (0.5,), runs=3)
+        monkeypatch.setattr(pipeline, "block_colors", in_a_worker_only(lambda: os._exit(3)))
+        spec = ExperimentSpec((InterpolatorKind.IDW2,), (0.5,), runs=3)
         with pytest.raises(CloudColorError, match="worker process ended abruptly"):
             run_experiment(sphere_cloud(60), spec)
 
-    @pytest.mark.parametrize("jobs, cores, expected", [
-        (9, 10_000, 9), (9, 2, 2), (9, 1, 1), (1, 10_000, 1),
-    ])
-    def test_never_more_processes_than_jobs_or_cores(self, jobs, cores, expected, monkeypatch, worker_pids):
+    @pytest.mark.parametrize("block_size", [4.0, 100.0])
+    @pytest.mark.parametrize("cores", [1, 3, 10_000])
+    def test_never_more_processes_than_blocks_or_cores(self, block_size, cores, monkeypatch, worker_pids):
         # this process is the one not in worker_pids
         monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
-        densities = (0.2, 0.5, 0.8)[:min(jobs, 3)]
-        report = run_experiment(sphere_cloud(60), ExperimentSpec((InterpolatorKind.NN3,), densities, runs=jobs // len(densities)))
+        cloud, config = sphere_cloud(60), UpsampleConfig(block_size=block_size)
+        spec = ExperimentSpec((InterpolatorKind.NN3, InterpolatorKind.IDW2), (0.2, 0.5, 0.8), runs=3, upsample=config)
+        report = run_experiment(cloud, spec)
         workers = worker_pids()
-        assert len(report.records) == jobs
-        assert len(set(workers)) == len(workers) == expected - 1
+        assert len(report.records) == 18
+        assert len(set(workers)) == len(workers) == min(len(partition_into_blocks(cloud, block_size)), cores) - 1
+
+    def test_a_sweep_of_only_nn3_and_idw3_forks_no_worker(self, monkeypatch, worker_pids):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        spec = ExperimentSpec((InterpolatorKind.NN3, InterpolatorKind.IDW3), (0.2, 0.5, 0.8), runs=3)
+        assert len(run_experiment(sphere_cloud(60), spec).records) == 18 and worker_pids() == []
 
     def test_a_default_sweep_at_2_cores_forks_one_worker(self, monkeypatch, worker_pids):
-        # each job's upsamples run in its own process: their blocks fork no more workers
+        # the sweep forks once, for its blocks
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         report = run_experiment(sphere_cloud(200), ExperimentSpec())
         assert len(report.records) == 45 and len(worker_pids()) == 1

@@ -1,17 +1,19 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cloudcolor.baselines import InterpolatorKind
-from cloudcolor.core import ColorPointCloud, round_color_channel
+from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
-    generate_model, normalize_to_window, query_table, spatial_weight,
+    generate_model, normalize_to_window, query_table, spatial_weight, upsample_block,
 )
-from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors
+from cloudcolor.pipeline import block_colors
+from cloudcolor.surface_transform import flatten_block
 
 from oracles import (
     _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle,
@@ -363,16 +365,17 @@ def mixed_cloud(positions, colors):
 
 
 class TestUpsampleBlock:
-    def build(self, positions, colors):
+    def colors_of_one_block(self, positions, colors):
+        """FSMMR's `block_colors` over a cloud that is one block."""
         cloud = mixed_cloud(positions, colors)
-        return BlockGeometry(cloud, UpsampleConfig(block_size=1e9)), cloud
+        [block] = partition_into_blocks(cloud, 1e9)
+        return block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR)
 
     def test_constant_color_block(self):
         rng = np.random.default_rng(17)
         positions = rng.uniform(0, 4, size=(20, 3))
         colors = [None if i % 3 == 0 else (100, 150, 200) for i in range(20)]
-        geometry, cloud = self.build(positions, colors)
-        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
+        ids, colors = self.colors_of_one_block(positions, colors)
         assert ids.tolist() == list(range(0, 20, 3))
         assert all(tuple(c) == (100, 150, 200) for c in colors.tolist())
 
@@ -382,16 +385,20 @@ class TestUpsampleBlock:
     ])
     def test_zero_original_block_falls_back_to_nearest(self, method, expected):
         cloud = mixed_cloud([(100.0, 0, 0), (0.0, 0, 0), (0.5, 0, 0)], [(9, 9, 9), None, None])
-        geometry = BlockGeometry(cloud, UpsampleConfig(block_size=4.0))
-        lonely = next(i for i, b in enumerate(geometry.blocks) if 1 in b.point_ids)
-        ids, colors = block_colors(geometry, lonely, cloud, method)
+        lonely = next(b for b in partition_into_blocks(cloud, 4.0) if 1 in b.point_ids)
+        ids, colors = block_colors(lonely, partial(flatten_block, lonely, cloud), cloud, method)
         # LIN2 leaves both points uncolored, and uncolored points are left out
         colored = {pid: tuple(c) for pid, c in zip(ids.tolist(), colors.tolist())}
         assert colored == ({} if expected is None else {1: expected, 2: expected})
 
+    @pytest.mark.parametrize("far", [1e300, -1e300])
+    def test_colors_whose_fit_overflows_are_invalid_input(self, far):
+        # used to emit hundreds of overflow warnings and return clamped colors
+        with pytest.raises(InvalidInput, match="outside 8 bits"):
+            upsample_block([[0, 0], [1, 1]], [[far, 0, 0], [0, far, 0]], [[0.5, 0.5]])
+
     def test_no_reconstruct_points_returns_empty(self):
-        geometry, cloud = self.build([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
-        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
+        ids, colors = self.colors_of_one_block([(0, 0, 0), (1, 1, 1)], [(1, 2, 3), (4, 5, 6)])
         assert ids.size == 0 and colors.shape == (0, 3)
 
     def test_linear_ramp_midpoint(self):
@@ -401,8 +408,7 @@ class TestUpsampleBlock:
         xs = np.linspace(0, 4, 17)
         positions = [(float(x), 0.0, 0.0) for x in xs] + [(2.07, 0.0, 0.0)]
         colors = [(int(round(40 + 40 * x)),) * 3 for x in xs] + [None]
-        geometry, cloud = self.build(positions, colors)
-        ids, colors = block_colors(geometry, 0, cloud, InterpolatorKind.FSMMR)
+        ids, colors = self.colors_of_one_block(positions, colors)
         expected = 40 + 40 * 2.07
         assert ids.tolist() == [len(positions) - 1]
         got = colors[0].tolist()

@@ -7,8 +7,6 @@ import pytest
 
 from cloudcolor import parallel
 
-pytestmark = pytest.mark.usefixtures("no_workers_left")
-
 
 def failing_at_1_late_and_2_at_once(item):
     if item == 1:

@@ -1,6 +1,7 @@
 import math
 import os
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from cloudcolor import parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
-from cloudcolor.errors import InvalidConfig, InvalidInput
+from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
-from cloudcolor.pipeline import BlockGeometry, UpsampleConfig, block_colors, upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import flatten_block
 
@@ -57,39 +58,43 @@ def test_method_must_be_a_member(mixed_cloud, method):
 @pytest.mark.parametrize("method", [InterpolatorKind.NN3, InterpolatorKind.IDW3, "fsmmr"])
 def test_block_colors_takes_only_the_block_methods(mixed_cloud, method):
     # NN3 and IDW3 run over the whole cloud in 3D; per block they used to fall through to LIN2
-    geometry = BlockGeometry(mixed_cloud)
-    for index in range(len(geometry.blocks)):
+    for block in partition_into_blocks(mixed_cloud, UpsampleConfig.block_size):
         with pytest.raises(InvalidConfig, match="block_colors takes FSMMR, IDW2 or LIN2"):
-            block_colors(geometry, index, mixed_cloud, method)
+            block_colors(block, partial(flatten_block, block, mixed_cloud), mixed_cloud, method)
 
 
-class TestBlockGeometry:
+class TestUpsampleClouds:
+    """Several role splits of one cloud's positions, by several methods, in
+    one fork over the blocks."""
+
     @pytest.mark.parametrize("method", list(InterpolatorKind))
-    @pytest.mark.parametrize("other", [
-        "positions", {"block_size": 2.0}, {"root_seed": 5}, {"block_size": 4.5, "root_seed": 0},
-    ])
-    def test_geometry_of_another_cloud_or_config_is_rejected(self, mixed_cloud, method, other):
-        if other == "positions":
-            moved = mixed_cloud.positions.copy()
-            moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
-            geometry = BlockGeometry(ColorPointCloud(moved))
-        else:
-            geometry = BlockGeometry(mixed_cloud, UpsampleConfig(**other))
-        with pytest.raises(InvalidConfig, match="block geometry"):
-            upsample_cloud(mixed_cloud, method, UpsampleConfig(), geometry)
+    def test_clouds_with_other_positions_are_rejected(self, mixed_cloud, method):
+        moved = mixed_cloud.positions.copy()
+        moved[7, 2] = np.nextafter(moved[7, 2], np.inf)
+        other = ColorPointCloud(moved, mixed_cloud.colors, mixed_cloud.original, mixed_cloud.colored)
+        with pytest.raises(InvalidConfig, match="share their positions"):
+            upsample_clouds([mixed_cloud, other], [method])
 
-    @pytest.mark.parametrize("method", [InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("root_seed", [None, 3])
-    def test_shared_geometry_colors_as_its_own(self, mixed_cloud, method, root_seed):
-        # built from a cloud with other roles and colors: only the positions matter
-        config = UpsampleConfig(root_seed=root_seed)
-        geometry = BlockGeometry(sphere_cloud(400, seed=1), config)
-        shared = upsample_cloud(mixed_cloud, method, config, geometry)
-        assert write_ply(shared, include_roles=True) == write_ply(upsample_cloud(mixed_cloud, method, config), include_roles=True)
+    def test_each_entry_is_what_upsample_cloud_returns(self, cores, root_seed, monkeypatch):
+        # three role splits, one with nothing to reconstruct and one without originals
+        reference = sphere_cloud(400, seed=1)
+        splits = [random_downsample(reference, 0.5, seed=2), reference, random_downsample(reference, 0.1, seed=3),
+                  ColorPointCloud(reference.positions)]
+        methods, config = list(InterpolatorKind), UpsampleConfig(root_seed=root_seed)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+        entries = upsample_clouds(splits, methods, config)
+        assert [len(row) for row in entries] == [len(methods)] * len(splits)
+        for cloud, row in zip(splits[:3], entries):
+            for method, (upsampled, seconds) in zip(methods, row):
+                expected = upsample_cloud(cloud, method, config)
+                assert write_ply(upsampled, include_roles=True) == write_ply(expected, include_roles=True)
+                assert seconds >= 0
+        assert all(type(error) is EmptySamples for error, _ in entries[3])
 
     def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch, tmp_path):
-        # every process of a 2-process sweep appends (pid, cell) per flattening; a
-        # forked worker starts from the geometry as it was before the sweep
+        # every process of a 2-process sweep appends (pid, cell) per flattening
         log = tmp_path / "flattened"
 
         def recording_flatten(block, cloud, root_seed=None):
@@ -99,15 +104,14 @@ class TestBlockGeometry:
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
-        cloud = sphere_cloud(400)
+        cloud = sphere_cloud(1500)
         run_experiment(cloud, ExperimentSpec())
-        calls = Counter(log.read_text().splitlines())
-        assert max(calls.values()) == 1
-        cells_by_pid = Counter(line.split(" ", 1)[0] for line in calls)
-        assert str(os.getpid()) in cells_by_pid and len(cells_by_pid) == 2  # the worker flattened too
-        assert max(cells_by_pid.values()) <= len(partition_into_blocks(cloud, UpsampleConfig.block_size))
+        pids, cells = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+        blocks = partition_into_blocks(cloud, UpsampleConfig.block_size)
+        assert sorted(cells) == sorted(str(block.cell_index) for block in blocks) and len(cells) == 56
+        assert set(Counter(pids).values()) == {28}  # the calling process and the worker
 
-    def test_partition_is_kept_once_built_and_not_when_it_raises(self, monkeypatch):
+    def test_partition_is_built_once_per_call_and_its_error_fills_the_2d_entries(self, monkeypatch):
         calls = []
 
         def counting_partition(cloud, block_size):
@@ -115,19 +119,23 @@ class TestBlockGeometry:
             return partition_into_blocks(cloud, block_size)
 
         monkeypatch.setattr(pipeline, "partition_into_blocks", counting_partition)
-        geometry = BlockGeometry(sphere_cloud(100))
-        assert geometry.blocks is geometry.blocks and len(calls) == 1
-        too_wide = BlockGeometry(ColorPointCloud([(-1.7e308, 0, 0), (1.7e308, 0, 0)]))
-        for _ in range(2):
-            with pytest.raises(InvalidInput, match="too many cells"):
-                too_wide.blocks
-        assert len(calls) == 3
+        reference = sphere_cloud(100)
+        splits = [random_downsample(reference, density, seed=1) for density in (0.2, 0.5)]
+        upsample_clouds(splits, list(InterpolatorKind))
+        assert len(calls) == 1
+        # 1e-320 passes the config check, but the sphere spans too many such cells to index
+        for entries in upsample_clouds(splits, list(InterpolatorKind), UpsampleConfig(block_size=1e-320)):
+            for method, (upsampled, _) in zip(InterpolatorKind, entries):
+                if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
+                    assert isinstance(upsampled, ColorPointCloud) and upsampled.colored.all()
+                else:
+                    assert type(upsampled) is InvalidInput and "too many cells" in str(upsampled)
+        assert len(calls) == 2
 
 
 BLOCK_METHODS = [InterpolatorKind.FSMMR, InterpolatorKind.IDW2, InterpolatorKind.LIN2_DELAUNAY]
 
 
-@pytest.mark.usefixtures("no_workers_left")
 class TestBlockProcesses:
     """The blocks of FSMMR, IDW2 and LIN2 run on every usable core; the
     result must not depend on how many."""
@@ -136,7 +144,7 @@ class TestBlockProcesses:
     def test_output_is_byte_identical_at_1_2_and_3_processes(self, method, monkeypatch):
         cloud = random_downsample(sphere_cloud(400, seed=1), 0.1, seed=2)
         # some blocks hold points to reconstruct and no original
-        assert any(not cloud.original[block.point_ids].any() for block in BlockGeometry(cloud).blocks)
+        assert any(not cloud.original[block.point_ids].any() for block in partition_into_blocks(cloud, 4.0))
         outputs = set()
         for cores in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
@@ -161,12 +169,12 @@ class TestBlockProcesses:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_the_lowest_failing_block_gives_the_error(self, mixed_cloud, cores, monkeypatch):
         # at 2 processes block 3 fails in the worker and block 4 here; at 3 the other way round
-        colors = pipeline.block_colors
+        colors, cells = pipeline.block_colors, [block.cell_index for block in partition_into_blocks(mixed_cloud, 4.0)]
 
-        def failing_from_3(geometry, index, *args):
-            if index >= 3:
-                raise InvalidInput(f"block {index} fails")
-            return colors(geometry, index, *args)
+        def failing_from_3(block, *args):
+            if cells.index(block.cell_index) >= 3:
+                raise InvalidInput(f"block {cells.index(block.cell_index)} fails")
+            return colors(block, *args)
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         monkeypatch.setattr(pipeline, "block_colors", failing_from_3)
@@ -179,27 +187,7 @@ class TestBlockProcesses:
         # this process is the one not in worker_pids
         monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
         config = UpsampleConfig(block_size=block_size)
-        blocks = len(BlockGeometry(mixed_cloud, config).blocks)
+        blocks = len(partition_into_blocks(mixed_cloud, block_size))
         upsample_cloud(mixed_cloud, InterpolatorKind.IDW2, config)
         workers = worker_pids()
         assert len(set(workers)) == len(workers) == min(blocks, cores) - 1
-
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_two_calls_on_one_geometry_flatten_each_block_once(self, mixed_cloud, cores, monkeypatch, tmp_path):
-        # every process appends (pid, cell) per flattening; map_blocks keeps the workers' flattenings
-        log = tmp_path / "flattened"
-
-        def recording_flatten(block, cloud, root_seed=None):
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()} {block.cell_index}\n")
-            return flatten_block(block, cloud, root_seed)
-
-        monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(pipeline, "flatten_block", recording_flatten)
-        geometry = BlockGeometry(mixed_cloud)
-        for method in (InterpolatorKind.FSMMR, InterpolatorKind.LIN2_DELAUNAY):
-            upsample_cloud(mixed_cloud, method, UpsampleConfig(), geometry)
-        pids, cells = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
-        assert len(set(pids)) == cores  # every worker flattened too
-        mixed = [block for block in geometry.blocks if 0 < mixed_cloud.original[block.point_ids].sum() < len(block.point_ids)]
-        assert sorted(cells) == sorted(str(block.cell_index) for block in mixed)

@@ -18,7 +18,7 @@ from cloudcolor.baselines import InterpolatorKind, interpolate_idw
 from cloudcolor.core import partition_into_blocks
 from cloudcolor.errors import InvalidConfig
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, sphere_cloud
-from cloudcolor.fsmmr import FsmmrConfig
+from cloudcolor.fsmmr import FsmmrConfig, SparseModel
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
@@ -60,6 +60,13 @@ BAD_SETTINGS = {
     # a format's name or None used to end in AttributeError
     "write_ply fmt str": (lambda: write_ply(CLOUD, "ascii"), "fmt"),
     "write_ply fmt None": (lambda: write_ply(CLOUD, None), "fmt"),
+    # a float frequency used to end in IndexError in evaluate_model, a string number was kept
+    "SparseModel term frequency float": (lambda: SparseModel(((0.5, 0, 1.0),), 4, 1, 0.0), "terms"),
+    "SparseModel coefficient str": (lambda: SparseModel(((0, 0, "x"),), 4, 1, 0.0), "terms"),
+    "SparseModel coefficient inf": (lambda: SparseModel(((0, 0, math.inf),), 4, 1, 0.0), "terms"),
+    "SparseModel term pair": (lambda: SparseModel(((0, 0),), 4, 1, 0.0), "terms"),
+    "SparseModel size str": (lambda: SparseModel(((0, 0, 1.0),), "4", 1, 0.0), "size"),
+    "SparseModel size 0": (lambda: SparseModel((), 0, 0, 0.0), "size"),
 }
 
 
