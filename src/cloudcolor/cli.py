@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--densities", default=",".join(f"{100 * d:g}" for d in ExperimentSpec.densities), help="comma list of sampling densities in percent, each in (0, 100] (default %(default)s)")
     ev.add_argument("--runs", type=int, default=ExperimentSpec.runs, help="runs per density (default %(default)s)")
     ev.add_argument("--seed", type=int, default=ExperimentSpec.base_seed, help="seed of the density splits (default %(default)s)")
-    ev.add_argument("--timing", action="store_true", help="record each row's coloring time, summed over its blocks on every process (breaks byte-identical reports; a row also pays for flattening the blocks that no earlier row reached)")
+    ev.add_argument("--timing", action="store_true", help="record each row's coloring time, summed over its blocks on every process (breaks byte-identical reports; a row also pays for flattening the blocks that no earlier row reached, and the FSMMR fit of a group of blocks with equal sample counts is split evenly over them)")
     _add_block_flags(ev)
     _add_method_flags(ev)
 

@@ -9,14 +9,16 @@ coordinates inside the same window.
 from __future__ import annotations
 
 import math
+import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .core import as_kernel_rows, as_number, as_rows, as_values, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
-from .errors import EmptySamples, InvalidConfig, InvalidInput
+from .errors import CloudColorError, EmptySamples, InvalidConfig, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def generate_model(
     phi, denominators = fit_basis(samples, config) if basis is None else basis
     w = samples.weights
 
-    coefficients: dict[int, float] = {}  # candidate index -> coefficient, in first-selection order
+    coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
     selections: list[int] = []
     energies: list[float] = []
     model_at_samples = np.zeros_like(samples.values)
@@ -161,7 +163,7 @@ def generate_model(
         if decrease[best] == 0.0:
             break
         step = config.gamma * coeff[best]
-        coefficients[best] = coefficients.get(best, 0.0) + step
+        coefficients[best] += step
         model_at_samples = model_at_samples + step * phi[best]
         selections.append(best)
         residual = samples.values - model_at_samples
@@ -169,13 +171,87 @@ def generate_model(
         if energies[-1] <= config.energy_threshold:
             break
 
-    terms = zip(kl[list(coefficients)].tolist(), map(float, coefficients.values()))
+    return _sparse_model(config, selections, coefficients, energies, w @ (residual * residual))
+
+
+def generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
+    """``generate_model(samples, config)`` for every samples of `blocks`, bit
+    for bit, with all fits in lockstep: each iteration is one stacked gemv,
+    one argmax and one update for every fit still running, and a fit that
+    stops leaves the arrays.  The samples of one block share their
+    coordinates and weights, as R, G and B do, and so one ``fit_basis``;
+    every block holds as many samples as the others, and as many channels.
+    The fits run in this call; the iterator builds each block's models as
+    the caller reads them, so a caller that uses them block by block never
+    holds the whole group's.
+
+    A stacked gemv rounds each slice as ``phi @ x`` does, and so does a
+    stacked (1, n) @ (n, 1) product as ``w @ x``; an element-wise step does
+    not depend on its batch.  So the fits need not share a process, a
+    group or an order to give the same models.
+    """
+    sizes = {(len(channels), len(samples.values)) for channels in blocks for samples in channels}
+    if len(sizes) != 1:
+        raise InvalidConfig("the blocks fitted together must have equal numbers of channels and of samples")
+    [(width, n)] = sizes
+    if n == 0:
+        raise EmptySamples("cannot generate a model from zero samples")
+    kl, wf = config.frequencies
+    phi, denominators = map(np.stack, zip(*(fit_basis(channels[0], config) for channels in blocks)))  # (B, C, n), (B, C)
+    fits = len(blocks) * width
+    live, owner = np.arange(fits), np.arange(fits) // width  # the running fits and the block of each
+    values = np.array([samples.values for channels in blocks for samples in channels])
+    w, denominators = np.array([channels[0].weights for channels in blocks])[owner], denominators[owner]
+    model, residual = np.zeros_like(values), values.copy()
+    basis = phi[:, None]  # (B, 1, C, n): each block's basis, broadcast over its channels, until a fit stops
+    coefficients = np.zeros((fits, len(kl)))  # in candidate order; summed in selection order
+    final = np.matmul(w[:, None], (residual * residual)[:, :, None])[:, 0, 0]
+    history = []  # per iteration: the fits that took a step, their selections and their energies
+    running = np.ones(fits, dtype=bool)
+    for _ in range(config.max_iterations):
+        coeff = np.matmul(basis, (w * residual).reshape(len(basis), -1, n, 1)).reshape(len(live), -1) / denominators
+        decrease = coeff * coeff * denominators
+        best = (decrease * wf).argmax(axis=1)  # first max wins: candidates are tie-break ordered
+        running &= decrease[np.arange(len(live)), best] != 0.0
+        if not running.all():  # past the energy threshold last iteration, or no decrease now
+            live, owner, values, w, denominators, model, coeff, best = (
+                array[running] for array in (live, owner, values, w, denominators, model, coeff, best))
+            if not len(live):
+                break
+            basis = phi[owner][:, None]  # one basis per fit from here on
+        step = config.gamma * coeff[np.arange(len(live)), best]
+        coefficients[live, best] += step
+        model = model + step[:, None] * phi[owner, best]
+        residual = values - model
+        energies = np.matmul(w[:, None], (residual * residual)[:, :, None])[:, 0, 0]
+        final[live] = energies
+        history.append((live, best, energies))
+        running = ~(energies <= config.energy_threshold)
+        if not running.any():
+            break
+
+    selections, energy_history = np.full((fits, len(history)), -1), np.zeros((fits, len(history)))
+    for t, (ids, best, energies) in enumerate(history):
+        selections[ids, t], energy_history[ids, t] = best, energies
+    runs = (selections >= 0).sum(axis=1)  # a fit steps in a prefix of the iterations
+    return ([_sparse_model(config, selections[f, :runs[f]], coefficients[f], energy_history[f, :runs[f]], final[f])
+             for f in range(b * width, (b + 1) * width)] for b in range(len(blocks)))
+
+
+def _sparse_model(config: FsmmrConfig, selections, coefficients: np.ndarray, energies, final_energy) -> SparseModel:
+    """The model of a fit that stepped on the candidates `selections` in
+    turn: its terms in first-selection order with their summed
+    `coefficients` (one per candidate), its energy after each step and its
+    final energy."""
+    kl, _ = config.frequencies
+    _, first = np.unique(selections, return_index=True)
+    terms = np.asarray(selections, dtype=int)[np.sort(first)]
     return SparseModel(
-        terms=tuple((k, l, c) for (k, l), c in terms),
+        terms=tuple(zip(*kl[terms].T.tolist(), coefficients[terms].tolist())),
         size=config.model_size,
         iterations_run=len(selections),
-        final_energy=float(w @ (residual * residual)),
-        energy_history=tuple(energies),
+        final_energy=float(final_energy),
+        energy_history=tuple(map(float, energies)),
         selection_history=tuple(map(tuple, kl[selections].tolist())),
     )
 
@@ -215,6 +291,18 @@ def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     return window
 
 
+def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[list[ScatteredSamples], np.ndarray]:
+    """One flattened block in the model window: the R, G and B samples of
+    its originals, which share their coordinates and weights, and the
+    queries' coordinates.  The arrays are read by ``as_kernel_rows``, and
+    the originals and the queries are normalised to the window together."""
+    positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
+    coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
+    o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
+    weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
+    return [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)], r_coords
+
+
 def upsample_block(
     positions: np.ndarray, colors: np.ndarray, queries: np.ndarray, config: FsmmrConfig = FsmmrConfig(),
 ) -> np.ndarray:
@@ -227,12 +315,7 @@ def upsample_block(
     queries on one query table.  Colors so far outside 8 bits that the fit
     or its evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
-    positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
-    coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
-    o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
-    weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
-
-    channels = [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)]
+    channels, r_coords = _block_samples(positions, colors, queries, config)
     basis, table = fit_basis(channels[0], config), query_table(r_coords, config.model_size)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -240,3 +323,59 @@ def upsample_block(
     except FloatingPointError:
         raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
     return round_color_channel(np.column_stack(fitted))
+
+
+def upsample_blocks(
+    problems: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig = FsmmrConfig(),
+) -> list[tuple[np.ndarray | CloudColorError, float]]:
+    """``upsample_block(*problem, config)`` for each (positions, colors,
+    queries) `problem`, or the CloudColorError it raises, and the seconds
+    spent on it.
+
+    The problems with equal numbers n of positions form a group, and the
+    three channel fits of all its problems run together in
+    ``generate_models``, bit for bit as ``upsample_block`` would run them;
+    the group's seconds are split evenly over its problems.  A problem
+    without an equal-n partner runs ``upsample_block``, and so does each
+    problem of a group that raises (its colors overflow float64, say), so
+    that every problem gets its own colors or error.
+    """
+    groups: dict[int | None, list[int]] = defaultdict(list)
+    for index, (positions, _, _) in enumerate(problems):
+        try:
+            groups[len(positions)].append(index)
+        except TypeError:  # not rows at all: upsample_block raises its own error
+            groups[None].append(index)
+    done: list = [None] * len(problems)
+    for indices in groups.values():
+        started = time.perf_counter()
+        group = [problems[i] for i in indices]
+        fitted = _upsample_together(group, config) if len(group) > 1 else None
+        if fitted is None:
+            fitted = [_colors_or_error(problem, config) for problem in group]
+        seconds = (time.perf_counter() - started) / len(group)
+        for index, colors in zip(indices, fitted):
+            done[index] = colors, seconds
+    return done
+
+
+def _upsample_together(problems: list, config: FsmmrConfig) -> list[np.ndarray] | None:
+    """The colors of `problems` with equal n, as ``upsample_block`` gives
+    them, from one ``generate_models`` call; None when it raises."""
+    try:
+        blocks, queries = zip(*(_block_samples(*problem, config) for problem in problems))
+        with np.errstate(over="raise", invalid="raise"):
+            fitted = []
+            for r_coords, models in zip(queries, generate_models(blocks, config)):
+                table = query_table(r_coords, config.model_size)
+                fitted.append(round_color_channel(np.column_stack([evaluate_model(model, r_coords, table) for model in models])))
+    except (FloatingPointError, CloudColorError):
+        return None
+    return fitted
+
+
+def _colors_or_error(problem: tuple, config: FsmmrConfig) -> np.ndarray | CloudColorError:
+    try:
+        return upsample_block(*problem, config)
+    except CloudColorError as error:
+        return error

@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
 from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
 from .errors import CloudColorError, EmptySamples, InvalidConfig
-from .fsmmr import FsmmrConfig, upsample_block
+from .fsmmr import FsmmrConfig, upsample_block, upsample_blocks
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
@@ -42,7 +42,7 @@ class UpsampleConfig:
 
 def block_colors(
     block: Block, coords: Callable[[], np.ndarray], cloud: ColorPointCloud, method: InterpolatorKind,
-    config: UpsampleConfig = UpsampleConfig(),
+    config: UpsampleConfig = UpsampleConfig(), fit: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Colors for the Reconstruct points of `block` by a 2D method: FSMMR,
     IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
@@ -53,7 +53,9 @@ def block_colors(
     Original points takes the nearest original in 3D over the whole cloud,
     except under LIN2, which leaves its points uncolored.  Otherwise the
     method interpolates its originals' colors at the block's flattened
-    coordinates; the points it leaves uncolored are left out.
+    coordinates; the points it leaves uncolored are left out.  FSMMR's
+    colors are ``fit(o_coords, o_colors, r_coords)``, by default
+    ``upsample_block`` under `config.fsmmr`.
     """
     if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
         raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {shown(method)}")
@@ -68,7 +70,7 @@ def block_colors(
     flat = coords()
     o_coords, o_colors, r_coords = flat[is_original], cloud.colors[ids[is_original]], flat[~is_original]
     if method is InterpolatorKind.FSMMR:
-        return r_ids, upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
+        return r_ids, fit(o_coords, o_colors, r_coords) if fit else upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
     if method is InterpolatorKind.IDW2:
         return r_ids, interpolate_idw(o_coords, o_colors, r_coords, power=config.idw_power)
     inside, colors = interpolate_lin2(o_coords, o_colors, r_coords)
@@ -98,12 +100,16 @@ def upsample_clouds(
     returns, or the CloudColorError it raises, and the seconds spent coloring
     it: its whole-cloud NN3 or IDW3 call, or the sum over its blocks,
     wherever they ran (the first entry to reach a block pays for flattening
-    it).  The clouds must share their positions (InvalidConfig otherwise),
-    as role splits of one cloud do: the blocks run on every usable core in
-    one `parallel.map_on_cores` call, and each work item flattens its block
-    at most once and colors it for every cloud and 2D method.  A partition
-    that raises fills every 2D entry; an entry whose blocks raise holds the
-    error of the lowest-index one, whatever the number of processes.
+    it, and a lockstep FSMMR fit's seconds are split evenly over its
+    blocks).  The clouds must share their positions (InvalidConfig
+    otherwise), as role splits of one cloud do: the blocks run on every
+    usable core in one `parallel.map_on_cores` call.  Each process
+    flattens each block of its share at most once and colors it for every
+    cloud and 2D method, and fits the FSMMR blocks of its whole share in
+    one `fsmmr.upsample_blocks` call, which fits the blocks with equal
+    numbers of originals in lockstep.  A partition that raises fills every
+    2D entry; an entry whose blocks raise holds the error of the
+    lowest-index one, whatever the number of processes.
     """
     for method in methods:
         if not isinstance(method, InterpolatorKind):
@@ -131,13 +137,23 @@ def upsample_clouds(
             entries[i][j] = error, 0.0
         return entries
 
-    def color_block(block: Block) -> list:
-        coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
-        return [_timed(block_colors, block, coords, clouds[i], methods[j], config) for i, j in pairs]
+    def color_share(share: Sequence[Block]) -> list:
+        problems = []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
+
+        def defer(*problem) -> int:
+            problems.append(problem)
+            return len(problems) - 1
+
+        done = []
+        for block in share:
+            coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
+            done.append([_timed(block_colors, block, coords, clouds[i], methods[j], config, defer) for i, j in pairs])
+        fitted = upsample_blocks(problems, config.fsmmr)
+        return [[_with_fit(entry, fitted) for entry in entries] for entries in done]
 
     if any(methods[j] is InterpolatorKind.LIN2_DELAUNAY for _, j in pairs):
         load_delaunay()  # before the fork, so that every process shares one single-threaded scipy
-    done = map_on_cores(color_block, blocks)
+    done = map_on_cores(color_share, blocks)
     for k, (i, j) in enumerate(pairs):
         parts, seconds = zip(*(block_parts[k] for block_parts in done))
         errors = [part for part in parts if isinstance(part, CloudColorError)]
@@ -154,6 +170,16 @@ def _timed(function: Callable, *args) -> tuple[object, float]:
     except CloudColorError as error:
         result = error
     return result, time.perf_counter() - started
+
+
+def _with_fit(entry: tuple, fitted: list) -> tuple[object, float]:
+    """A block's entry of `_timed(block_colors, …)` with its deferred FSMMR
+    fit, the index of a problem of `fitted`, replaced by that fit."""
+    colored, seconds = entry
+    if isinstance(colored, CloudColorError) or not isinstance(colored[1], int):
+        return entry
+    colors, fit_seconds = fitted[colored[1]]
+    return (colors if isinstance(colors, CloudColorError) else (colored[0], colors)), seconds + fit_seconds
 
 
 def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> ColorPointCloud:

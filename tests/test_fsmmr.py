@@ -4,13 +4,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cloudcolor import fsmmr
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
-    generate_model, normalize_to_window, query_table, spatial_weight, upsample_block,
+    generate_model, generate_models, normalize_to_window, query_table, spatial_weight, upsample_block,
+    upsample_blocks,
 )
 from cloudcolor.pipeline import block_colors
 from cloudcolor.surface_transform import flatten_block
@@ -323,6 +327,119 @@ class TestFitMatchesSeedOracle:
         expected = model_bits(generate_model_oracle(samples, config))
         assert model_bits(generate_model(samples, config)) == expected
         assert model_bits(generate_model(samples, config, fit_basis(samples, config))) == expected
+
+
+def lockstep_case(kind, blocks, n, m, seed):
+    """`blocks` lists of R, G and B samples, n each, and a config:
+    - scattered: random points, values and weights;
+    - threshold: the same with an energy threshold that one fit crosses
+      mid-way, so fits stop at different iterations;
+    - grid: integer points of the window, duplicated at random, with
+      weights near 1e-300 so that candidate rows vanish, quantised values
+      and all-zero channels, which stop at once on a zero decrease."""
+    rng = np.random.default_rng(seed)
+    config = FsmmrConfig(model_size=m, gamma=float(rng.choice([0.5, 0.75, 1.0])), max_iterations=int(rng.integers(1, 60)))
+    cases = []
+    for _ in range(blocks):
+        if kind == "grid":
+            coords = rng.integers(0, m, size=(n, 2)).astype(float)
+            weights = rng.uniform(0.5, 2.0, n) * (1e-300 if rng.random() < 0.5 else 1.0)
+            channels = [rng.integers(0, 4, n) * 64.0 * (rng.random() < 0.7) for _ in range(3)]
+        else:
+            coords, weights = rng.uniform(0, 1, size=(n, 2)) * (m - 1), rng.uniform(0.05, 1.0, n)
+            channels = [rng.uniform(0, 255, n) for _ in range(3)]
+        cases.append([ScatteredSamples(coords, values, weights) for values in channels])
+    if kind == "threshold":
+        history = generate_model(cases[0][0], config).energy_history
+        config = dataclasses.replace(config, energy_threshold=history[len(history) // 2])
+    return cases, config
+
+
+class TestLockstepFit:
+    """`generate_models` fits blocks of equal n in lockstep; every fit must
+    be `generate_model`'s and the seed oracle's, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["scattered", "threshold", "grid"]), blocks=st.integers(2, 6), n=st.integers(1, 60),
+           m=st.sampled_from([1, 2, 5, 6, 16]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_fit_is_generate_model_bit_for_bit(self, kind, blocks, n, m, seed):
+        cases, config = lockstep_case(kind, blocks, n, m, seed)
+        fitted = list(generate_models(cases, config))
+        assert [len(models) for models in fitted] == [3] * blocks
+        for channels, models in zip(cases, fitted):
+            for samples, model in zip(channels, models):
+                assert model_bits(model) == model_bits(generate_model(samples, config))
+                assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
+
+    @pytest.mark.parametrize("kind", ["threshold", "grid"])
+    def test_fits_that_stop_early_leave_the_others_running(self, kind):
+        cases, config = lockstep_case(kind, 4, 20, 6, 3)
+        runs = [model.iterations_run for models in generate_models(cases, config) for model in models]
+        assert min(runs) < max(runs)  # some fits stopped mid-group
+        assert runs == [generate_model(samples, config).iterations_run for channels in cases for samples in channels]
+
+    def test_blocks_of_unequal_sizes_are_rejected_and_empty_ones_raise_as_generate_model(self):
+        one, two = ([uniform_samples([(0.0, 0.0)] * n, np.ones(n))] * 3 for n in (1, 2))
+        with pytest.raises(InvalidConfig, match="equal numbers"):
+            generate_models([one, two], FsmmrConfig())
+        with pytest.raises(InvalidConfig, match="equal numbers"):
+            generate_models([one, one[:2]], FsmmrConfig())
+        with pytest.raises(EmptySamples):
+            generate_models([[uniform_samples(np.empty((0, 2)), [])]] * 2, FsmmrConfig())
+
+
+class TestUpsampleBlocks:
+    """`upsample_blocks` gives each problem `upsample_block`'s colors or
+    error, whether it ran in a group or on its own."""
+
+    def problems(self, sizes, seed=0):
+        rng = np.random.default_rng(seed)
+        return [(rng.uniform(0, 3, size=(n, 2)), rng.integers(0, 256, size=(n, 3)), rng.uniform(0, 3, size=(5, 2)))
+                for n in sizes]
+
+    def test_groups_by_sample_count_and_matches_upsample_block(self, monkeypatch):
+        groups = []
+
+        def recording(blocks, config):
+            groups.append(len(blocks))
+            return generate_models(blocks, config)
+
+        monkeypatch.setattr(fsmmr, "generate_models", recording)
+        problems = self.problems([7, 3, 7, 12, 7, 3])
+        done = upsample_blocks(problems, FsmmrConfig())
+        assert sorted(groups) == [2, 3]  # n = 12 runs on its own
+        for problem, (colors, seconds) in zip(problems, done):
+            assert colors.tolist() == upsample_block(*problem).tolist() and seconds >= 0
+        assert done[0][1] == done[2][1] == done[4][1]  # the group's seconds, split evenly
+
+    def test_a_problem_whose_fit_overflows_gets_its_error_and_the_others_their_colors(self):
+        problems = self.problems([4, 4, 4])
+        problems[1] = (problems[1][0], np.full((4, 3), 1e300), problems[1][2])
+        done = upsample_blocks(problems, FsmmrConfig())
+        assert type(done[1][0]) is InvalidInput and "outside 8 bits" in str(done[1][0])
+        for i in (0, 2):
+            assert done[i][0].tolist() == upsample_block(*problems[i]).tolist()
+
+    def test_problems_that_are_not_rows_get_the_error_of_upsample_block(self):
+        bad = [(5, [[1, 2, 3]], [[0, 0]]), ([[0, 0]], [[1, 2]], [[0, 0]]), ([[0, 0], [1]], [[1, 2, 3]] * 2, [[0, 0]]),
+               ([[0, 0], [1, 1]], [[1, 2, 3]], [[0, 0]])]
+        problems = [*bad, *bad, *self.problems([2, 2])]
+        done = upsample_blocks(problems, FsmmrConfig())
+        for problem, (colors, _) in zip(problems[:len(bad) * 2], done):
+            with pytest.raises(InvalidConfig) as expected:
+                upsample_block(*problem)
+            assert (type(colors), str(colors)) == (InvalidConfig, str(expected.value))
+        assert [colors.tolist() for colors, _ in done[-2:]] == [upsample_block(*p).tolist() for p in problems[-2:]]
+
+    def test_an_unbounded_cap_returns_once_every_fit_reaches_zero_energy(self):
+        # one sample at the window center: weight 1, so a full step (gamma 1) leaves zero energy
+        config = FsmmrConfig(max_iterations=10 ** 12, gamma=1.0)
+        samples = ScatteredSamples([(7.5, 7.5)], [200.0], [1.0])
+        assert generate_model(samples, config).iterations_run == 1
+        assert [model.iterations_run for [model] in generate_models([[samples]] * 2, config)] == [1, 1]
+        problems = [([(0.0, 0.0)], [(10, 20, 30)], [(0.0, 0.0)]), ([(5.0, 1.0)], [(40, 50, 60)], [(5.0, 1.0)])]
+        assert upsample_block(*problems[0], config).tolist() == [[10, 20, 30]]
+        assert [colors.tolist() for colors, _ in upsample_blocks(problems, config)] == [[[10, 20, 30]], [[40, 50, 60]]]
 
 
 class TestNormalizeToWindow:

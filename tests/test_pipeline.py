@@ -6,11 +6,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cloudcolor import parallel, pipeline
+from cloudcolor import fsmmr, parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
+from cloudcolor.fsmmr import generate_models
 from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import flatten_block
@@ -92,6 +93,24 @@ class TestUpsampleClouds:
                 assert write_ply(upsampled, include_roles=True) == write_ply(expected, include_roles=True)
                 assert seconds >= 0
         assert all(type(error) is EmptySamples for error, _ in entries[3])
+
+    def test_a_sweep_fits_across_blocks_and_gives_the_same_bytes_at_1_2_and_3_processes(self, monkeypatch):
+        reference = sphere_cloud(1500)
+        splits = [random_downsample(reference, density, seed=run) for density in (0.1, 0.5) for run in (1, 2)]
+        methods, outputs, groups = [InterpolatorKind.FSMMR, InterpolatorKind.IDW2], set(), []
+
+        def recording(blocks, config):  # records only in this process
+            groups.append(len(blocks))
+            return generate_models(blocks, config)
+
+        monkeypatch.setattr(fsmmr, "generate_models", recording)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+            entries = upsample_clouds(splits, methods)
+            outputs.add(tuple(write_ply(upsampled, include_roles=True) for row in entries for upsampled, _ in row))
+            if cores == 1:
+                assert max(groups) > len(splits)  # a group spans blocks, not only the splits of one block
+        assert len(outputs) == 1
 
     def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch, tmp_path):
         # every process of a 2-process sweep appends (pid, cell) per flattening
