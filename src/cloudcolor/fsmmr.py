@@ -87,9 +87,7 @@ class SparseModel:
     selection_history: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        size = as_number(self.size, "size", int)
-        if size < 1:
-            raise InvalidConfig(f"size must be >= 1, got {size}")
+        size = _window_size(self.size)
         try:
             terms = tuple((as_number(u, "terms", int), as_number(v, "terms", int), as_number(c, "terms"))
                           for u, v, c in self.terms)
@@ -100,6 +98,28 @@ class SparseModel:
             raise InvalidConfig("terms must have frequencies inside the window and finite coefficients")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "terms", terms)
+
+
+def _window_size(size) -> int:
+    """`size`, the side M of an M x M model window, as an int >= 1;
+    InvalidConfig naming it otherwise."""
+    size = as_number(size, "size", int)
+    if size < 1:
+        raise InvalidConfig(f"size must be >= 1, got {shown(size)}")
+    return size
+
+
+def _as_built(value, name: str, *shapes: tuple) -> list[np.ndarray]:
+    """The parts of `value`, the argument `name`, as float64 arrays of
+    `shapes` in turn, the form its function would build itself; a value of
+    any other form raises InvalidConfig naming it."""
+    try:
+        parts = [np.asarray(part, dtype=float) for part in value]
+    except (TypeError, ValueError, OverflowError):
+        parts = []
+    if [part.shape for part in parts] != list(shapes):
+        raise InvalidConfig(f"{name} must be float arrays of shapes {' and '.join(map(str, shapes))}")
+    return parts
 
 
 def spatial_weight(x: float, y: float, size: int, rho: float) -> float:
@@ -142,12 +162,14 @@ def generate_model(
 ) -> SparseModel:
     """The greedy sparse model of `samples` under `config`, on `basis`:
     ``fit_basis`` of samples at the same coordinates and weights under the
-    same config, built here by default."""
+    same config, built here by default; InvalidConfig for a basis of other
+    shapes."""
     if len(samples.values) == 0:
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    phi, denominators = fit_basis(samples, config) if basis is None else basis
+    phi, denominators = (fit_basis(samples, config) if basis is None
+                         else _as_built(basis, "basis", (len(kl), len(samples.values)), (len(kl),)))
     w = samples.weights
 
     coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
@@ -174,28 +196,22 @@ def generate_model(
     return _sparse_model(config, selections, coefficients, energies, w @ (residual * residual))
 
 
-def generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
+def _generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
     """``generate_model(samples, config)`` for every samples of `blocks`, bit
     for bit, with all fits in lockstep: each iteration is one stacked gemv,
     one argmax and one update for every fit still running, and a fit that
-    stops leaves the arrays.  The samples of one block share their
-    coordinates and weights, as R, G and B do, and so one ``fit_basis``;
-    every block holds as many samples as the others, and as many channels.
-    The fits run in this call; the iterator builds each block's models as
-    the caller reads them, so a caller that uses them block by block never
-    holds the whole group's.
+    stops leaves the arrays.  The blocks are ``_block_samples``' of equal
+    n >= 1, so the R, G and B samples of a block share their coordinates
+    and weights, and so one ``fit_basis``.  The fits run in this call; the
+    iterator builds each block's models as the caller reads them, so a
+    caller that uses them block by block never holds the whole group's.
 
     A stacked gemv rounds each slice as ``phi @ x`` does, and so does a
     stacked (1, n) @ (n, 1) product as ``w @ x``; an element-wise step does
     not depend on its batch.  So the fits need not share a process, a
     group or an order to give the same models.
     """
-    sizes = {(len(channels), len(samples.values)) for channels in blocks for samples in channels}
-    if len(sizes) != 1:
-        raise InvalidConfig("the blocks fitted together must have equal numbers of channels and of samples")
-    [(width, n)] = sizes
-    if n == 0:
-        raise EmptySamples("cannot generate a model from zero samples")
+    width, n = len(blocks[0]), len(blocks[0][0].values)
     kl, wf = config.frequencies
     phi, denominators = map(np.stack, zip(*(fit_basis(channels[0], config) for channels in blocks)))  # (B, C, n), (B, C)
     fits = len(blocks) * width
@@ -260,7 +276,7 @@ def query_table(queries: np.ndarray, size: int) -> np.ndarray:
     """The (2, M, k) cosine table of an M x M window at the (k, 2)
     `queries`, as ``_cosine_tables`` builds it; it reads no model, so the
     models of R, G and B at the same queries share one."""
-    queries = as_rows(queries, "queries", 2)
+    queries, size = as_rows(queries, "queries", 2), _window_size(size)
     # tolerate normalization round-off marginally outside the window
     return _cosine_tables(np.clip(queries, 0.0, size - 1), size)
 
@@ -268,8 +284,10 @@ def query_table(queries: np.ndarray, size: int) -> np.ndarray:
 def evaluate_model(model: SparseModel, queries: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """The model's values at the (k, 2) `queries`, on `table`:
     ``query_table`` of the same queries for the model's size, built here by
-    default."""
-    cos_x, cos_y = query_table(queries, model.size) if table is None else table
+    default; InvalidConfig for a table of another shape."""
+    queries = as_rows(queries, "queries", 2)
+    shape = model.size, len(queries)
+    cos_x, cos_y = query_table(queries, model.size) if table is None else _as_built(table, "table", shape, shape)
     out = np.zeros(cos_x.shape[1])
     for u, v, c in model.terms:
         out += c * cos_x[u] * cos_y[v]
@@ -280,7 +298,7 @@ def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     """Affinely map flattened (n, 2) coordinates onto [0, M-1]^2, each axis
     on its own; a degenerate axis (all coordinates equal) maps to the window
     center.  InvalidInput when an axis's span or its inverse overflows."""
-    raw = as_rows(coords, "coords", 2)
+    raw, size = as_rows(coords, "coords", 2), _window_size(size)
     if len(raw) == 0:
         raise EmptySamples("cannot normalize zero coordinates")
     lo, hi = raw.min(axis=0), raw.max(axis=0)
@@ -316,66 +334,56 @@ def upsample_block(
     or its evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
     channels, r_coords = _block_samples(positions, colors, queries, config)
-    basis, table = fit_basis(channels[0], config), query_table(r_coords, config.model_size)
+    basis = fit_basis(channels[0], config)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fitted = [evaluate_model(generate_model(samples, config, basis), r_coords, table) for samples in channels]
+            return _colors_at([generate_model(samples, config, basis) for samples in channels], r_coords)
     except FloatingPointError:
         raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
-    return round_color_channel(np.column_stack(fitted))
 
 
-def upsample_blocks(
-    problems: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig = FsmmrConfig(),
-) -> list[tuple[np.ndarray | CloudColorError, float]]:
-    """``upsample_block(*problem, config)`` for each (positions, colors,
-    queries) `problem`, or the CloudColorError it raises, and the seconds
-    spent on it.
+def _colors_at(models: Sequence[SparseModel], r_coords: np.ndarray) -> np.ndarray:
+    """A block's R, G and B `models` at its queries' window coordinates
+    `r_coords`, evaluated on one query table, as (k, 3) uint8 colors."""
+    table = query_table(r_coords, models[0].size)
+    return round_color_channel(np.column_stack([evaluate_model(model, r_coords, table) for model in models]))
 
-    The problems with equal numbers n of positions form a group, and the
-    three channel fits of all its problems run together in
-    ``generate_models``, bit for bit as ``upsample_block`` would run them;
-    the group's seconds are split evenly over its problems.  A problem
-    without an equal-n partner runs ``upsample_block``, and so does each
-    problem of a group that raises (its colors overflow float64, say), so
-    that every problem gets its own colors or error.
+
+def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tuple[np.ndarray | CloudColorError, float]]:
+    """``upsample_block(*problem, config)`` for each problem of a process's
+    share of FSMMR blocks, or the CloudColorError it raises, and the seconds
+    spent on it.  A problem is a block's (n >= 1, 2) float64 originals,
+    their (n, 3) uint8 colors and its (k >= 1, 2) float64 queries, as
+    ``pipeline.block_colors`` defers them.
+
+    The problems with equal n form a group, whose fits run together in
+    ``_generate_models``, bit for bit as ``upsample_block`` would run them;
+    the group's seconds are split evenly over its problems.  A group that
+    raises (a span that ``normalize_to_window`` rejects, say) reruns each
+    of its problems through ``upsample_block``, so every error stays with
+    its own problem.
     """
-    groups: dict[int | None, list[int]] = defaultdict(list)
+    groups: dict[int, list[int]] = defaultdict(list)
     for index, (positions, _, _) in enumerate(problems):
-        try:
-            groups[len(positions)].append(index)
-        except TypeError:  # not rows at all: upsample_block raises its own error
-            groups[None].append(index)
+        groups[len(positions)].append(index)
     done: list = [None] * len(problems)
     for indices in groups.values():
         started = time.perf_counter()
-        group = [problems[i] for i in indices]
-        fitted = _upsample_together(group, config) if len(group) > 1 else None
-        if fitted is None:
-            fitted = [_colors_or_error(problem, config) for problem in group]
+        group, fitted = [problems[i] for i in indices], []
+        # a lone block takes the one-block path below: a lockstep of its three channels measured no faster,
+        # and perfbench's span test needs generate_model and upsample_block on the pipeline's path
+        if len(group) > 1:
+            try:
+                blocks, queries = zip(*(_block_samples(*problem, config) for problem in group))
+                fitted = [_colors_at(models, r_coords) for models, r_coords in zip(_generate_models(blocks, config), queries)]
+            except CloudColorError:
+                pass
+        for problem in group[len(fitted):]:  # a lone block, or every block of a group that raised
+            try:
+                fitted.append(upsample_block(*problem, config))
+            except CloudColorError as error:
+                fitted.append(error)
         seconds = (time.perf_counter() - started) / len(group)
         for index, colors in zip(indices, fitted):
             done[index] = colors, seconds
     return done
-
-
-def _upsample_together(problems: list, config: FsmmrConfig) -> list[np.ndarray] | None:
-    """The colors of `problems` with equal n, as ``upsample_block`` gives
-    them, from one ``generate_models`` call; None when it raises."""
-    try:
-        blocks, queries = zip(*(_block_samples(*problem, config) for problem in problems))
-        with np.errstate(over="raise", invalid="raise"):
-            fitted = []
-            for r_coords, models in zip(queries, generate_models(blocks, config)):
-                table = query_table(r_coords, config.model_size)
-                fitted.append(round_color_channel(np.column_stack([evaluate_model(model, r_coords, table) for model in models])))
-    except (FloatingPointError, CloudColorError):
-        return None
-    return fitted
-
-
-def _colors_or_error(problem: tuple, config: FsmmrConfig) -> np.ndarray | CloudColorError:
-    try:
-        return upsample_block(*problem, config)
-    except CloudColorError as error:
-        return error

@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
 from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
 from .errors import CloudColorError, EmptySamples, InvalidConfig
-from .fsmmr import FsmmrConfig, upsample_block, upsample_blocks
+from .fsmmr import FsmmrConfig, _upsample_share, upsample_block
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
@@ -106,10 +106,10 @@ def upsample_clouds(
     usable core in one `parallel.map_on_cores` call.  Each process
     flattens each block of its share at most once and colors it for every
     cloud and 2D method, and fits the FSMMR blocks of its whole share in
-    one `fsmmr.upsample_blocks` call, which fits the blocks with equal
-    numbers of originals in lockstep.  A partition that raises fills every
-    2D entry; an entry whose blocks raise holds the error of the
-    lowest-index one, whatever the number of processes.
+    one call, which fits the blocks with equal numbers of originals in
+    lockstep.  A partition that raises fills every 2D entry; an entry whose
+    blocks raise holds the error of the lowest-index one, whatever the
+    number of processes.
     """
     for method in methods:
         if not isinstance(method, InterpolatorKind):
@@ -138,18 +138,18 @@ def upsample_clouds(
         return entries
 
     def color_share(share: Sequence[Block]) -> list:
-        problems = []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
-
-        def defer(*problem) -> int:
-            problems.append(problem)
-            return len(problems) - 1
-
-        done = []
+        problems, done = [], []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
         for block in share:
             coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
-            done.append([_timed(block_colors, block, coords, clouds[i], methods[j], config, defer) for i, j in pairs])
-        fitted = upsample_blocks(problems, config.fsmmr)
-        return [[_with_fit(entry, fitted) for entry in entries] for entries in done]
+            done.append([_timed(block_colors, block, coords, clouds[i], methods[j], config, lambda *problem: problems.append(problem))
+                         for i, j in pairs])  # an FSMMR entry's colors read None until its fit below
+        fits = iter(_upsample_share(problems, config.fsmmr))  # in the order of the entries they fill
+        for row in done:
+            for k, (colored, seconds) in enumerate(row):
+                if not isinstance(colored, CloudColorError) and colored[1] is None:
+                    colors, fit_seconds = next(fits)
+                    row[k] = colors if isinstance(colors, CloudColorError) else (colored[0], colors), seconds + fit_seconds
+        return done
 
     if any(methods[j] is InterpolatorKind.LIN2_DELAUNAY for _, j in pairs):
         load_delaunay()  # before the fork, so that every process shares one single-threaded scipy
@@ -170,16 +170,6 @@ def _timed(function: Callable, *args) -> tuple[object, float]:
     except CloudColorError as error:
         result = error
     return result, time.perf_counter() - started
-
-
-def _with_fit(entry: tuple, fitted: list) -> tuple[object, float]:
-    """A block's entry of `_timed(block_colors, …)` with its deferred FSMMR
-    fit, the index of a problem of `fitted`, replaced by that fit."""
-    colored, seconds = entry
-    if isinstance(colored, CloudColorError) or not isinstance(colored[1], int):
-        return entry
-    colors, fit_seconds = fitted[colored[1]]
-    return (colors if isinstance(colors, CloudColorError) else (colored[0], colors)), seconds + fit_seconds
 
 
 def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> ColorPointCloud:

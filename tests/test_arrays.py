@@ -17,7 +17,10 @@ from cloudcolor.baselines import interpolate_idw, interpolate_lin2, interpolate_
 from cloudcolor.core import ColorPointCloud, as_rows, nearest_original_color
 from cloudcolor.errors import CloudColorError, EmptySamples, InvalidConfig
 from cloudcolor.evaluation import psnr_channel
-from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, normalize_to_window, query_table, upsample_block
+from cloudcolor.fsmmr import (
+    FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, generate_model, normalize_to_window, query_table,
+    upsample_block,
+)
 from cloudcolor.surface_transform import build_mst
 
 RNG = np.random.default_rng(5)
@@ -25,6 +28,7 @@ P2, P3 = RNG.uniform(0, 4, size=(6, 2)), RNG.uniform(0, 4, size=(6, 3))
 Q2, Q3 = RNG.uniform(1, 3, size=(4, 2)), RNG.uniform(1, 3, size=(4, 3))
 C6, C4 = RNG.integers(0, 256, size=(6, 3)), RNG.integers(0, 256, size=(4, 3))
 NAN_Q2, NAN_Q3 = np.vstack([Q2, [math.nan] * 2]), np.vstack([Q3, [math.nan] * 3])
+TWO_SAMPLES, MODEL = ScatteredSamples(Q2[:2], [1.0, 2.0], [1.0, 1.0]), SparseModel(((0, 0, 1.0),), 4, 1, 0.0)
 
 BAD_ARRAYS = {
     # each of these used to re-cut the array, return a result or end in a traceback
@@ -48,6 +52,13 @@ BAD_ARRAYS = {
     "psnr_channel strings": (lambda: psnr_channel(["a"], ["b"]), "reference"),
     "psnr_channel scalars": (lambda: psnr_channel(5, 5), "reference"),
     "psnr_channel NaN": (lambda: psnr_channel([math.nan], [1]), "reference"),
+    # an optional basis or table used to be taken on trust: a matmul ValueError or an AttributeError
+    "generate_model basis for 3 samples": (lambda: generate_model(TWO_SAMPLES, FsmmrConfig(), (np.zeros((256, 3)), np.ones(256))), "basis"),
+    "generate_model basis of 255 candidates": (lambda: generate_model(TWO_SAMPLES, FsmmrConfig(), (np.zeros((255, 2)), np.ones(255))), "basis"),
+    "generate_model basis not a pair": (lambda: generate_model(TWO_SAMPLES, FsmmrConfig(), 5), "basis"),
+    "evaluate_model table (1, 2)": (lambda: evaluate_model(MODEL, Q2, (1, 2)), "table"),
+    "evaluate_model table of other queries": (lambda: evaluate_model(MODEL, Q2, query_table(Q2[:3], 4)), "table"),
+    "evaluate_model table of another size": (lambda: evaluate_model(MODEL, Q2, query_table(Q2, 5)), "table"),
 }
 
 

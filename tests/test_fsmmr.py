@@ -12,9 +12,8 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, _cosine_tables, evaluate_model, fit_basis, frequency_weight,
-    generate_model, generate_models, normalize_to_window, query_table, spatial_weight, upsample_block,
-    upsample_blocks,
+    FsmmrConfig, ScatteredSamples, _cosine_tables, _generate_models, _upsample_share, evaluate_model, fit_basis,
+    frequency_weight, generate_model, normalize_to_window, query_table, spatial_weight, upsample_block,
 )
 from cloudcolor.pipeline import block_colors
 from cloudcolor.surface_transform import flatten_block
@@ -356,7 +355,7 @@ def lockstep_case(kind, blocks, n, m, seed):
 
 
 class TestLockstepFit:
-    """`generate_models` fits blocks of equal n in lockstep; every fit must
+    """`_generate_models` fits blocks of equal n in lockstep; every fit must
     be `generate_model`'s and the seed oracle's, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
@@ -364,7 +363,7 @@ class TestLockstepFit:
            m=st.sampled_from([1, 2, 5, 6, 16]), seed=st.integers(0, 2 ** 32 - 1))
     def test_every_fit_is_generate_model_bit_for_bit(self, kind, blocks, n, m, seed):
         cases, config = lockstep_case(kind, blocks, n, m, seed)
-        fitted = list(generate_models(cases, config))
+        fitted = list(_generate_models(cases, config))
         assert [len(models) for models in fitted] == [3] * blocks
         for channels, models in zip(cases, fitted):
             for samples, model in zip(channels, models):
@@ -374,72 +373,54 @@ class TestLockstepFit:
     @pytest.mark.parametrize("kind", ["threshold", "grid"])
     def test_fits_that_stop_early_leave_the_others_running(self, kind):
         cases, config = lockstep_case(kind, 4, 20, 6, 3)
-        runs = [model.iterations_run for models in generate_models(cases, config) for model in models]
+        runs = [model.iterations_run for models in _generate_models(cases, config) for model in models]
         assert min(runs) < max(runs)  # some fits stopped mid-group
         assert runs == [generate_model(samples, config).iterations_run for channels in cases for samples in channels]
 
-    def test_blocks_of_unequal_sizes_are_rejected_and_empty_ones_raise_as_generate_model(self):
-        one, two = ([uniform_samples([(0.0, 0.0)] * n, np.ones(n))] * 3 for n in (1, 2))
-        with pytest.raises(InvalidConfig, match="equal numbers"):
-            generate_models([one, two], FsmmrConfig())
-        with pytest.raises(InvalidConfig, match="equal numbers"):
-            generate_models([one, one[:2]], FsmmrConfig())
-        with pytest.raises(EmptySamples):
-            generate_models([[uniform_samples(np.empty((0, 2)), [])]] * 2, FsmmrConfig())
 
-
-class TestUpsampleBlocks:
-    """`upsample_blocks` gives each problem `upsample_block`'s colors or
+class TestShareFit:
+    """`_upsample_share` gives each problem `upsample_block`'s colors or
     error, whether it ran in a group or on its own."""
 
     def problems(self, sizes, seed=0):
         rng = np.random.default_rng(seed)
-        return [(rng.uniform(0, 3, size=(n, 2)), rng.integers(0, 256, size=(n, 3)), rng.uniform(0, 3, size=(5, 2)))
-                for n in sizes]
+        return [(rng.uniform(0, 3, size=(n, 2)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8),
+                 rng.uniform(0, 3, size=(5, 2))) for n in sizes]
 
     def test_groups_by_sample_count_and_matches_upsample_block(self, monkeypatch):
         groups = []
 
         def recording(blocks, config):
             groups.append(len(blocks))
-            return generate_models(blocks, config)
+            return _generate_models(blocks, config)
 
-        monkeypatch.setattr(fsmmr, "generate_models", recording)
+        monkeypatch.setattr(fsmmr, "_generate_models", recording)
         problems = self.problems([7, 3, 7, 12, 7, 3])
-        done = upsample_blocks(problems, FsmmrConfig())
+        done = _upsample_share(problems, FsmmrConfig())
         assert sorted(groups) == [2, 3]  # n = 12 runs on its own
         for problem, (colors, seconds) in zip(problems, done):
             assert colors.tolist() == upsample_block(*problem).tolist() and seconds >= 0
         assert done[0][1] == done[2][1] == done[4][1]  # the group's seconds, split evenly
 
-    def test_a_problem_whose_fit_overflows_gets_its_error_and_the_others_their_colors(self):
-        problems = self.problems([4, 4, 4])
-        problems[1] = (problems[1][0], np.full((4, 3), 1e300), problems[1][2])
-        done = upsample_blocks(problems, FsmmrConfig())
-        assert type(done[1][0]) is InvalidInput and "outside 8 bits" in str(done[1][0])
+    def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self):
+        # a flattened x span of 5e-324: normalize_to_window cannot scale it, so the group raises and reruns
+        problems = self.problems([2, 2, 2])
+        problems[1] = (np.array([(0.0, 0.0), (5e-324, 1.0)]), problems[1][1], np.array([(0.0, 0.5)]))
+        done = _upsample_share(problems, FsmmrConfig())
+        assert type(done[1][0]) is InvalidInput and "span" in str(done[1][0])
         for i in (0, 2):
             assert done[i][0].tolist() == upsample_block(*problems[i]).tolist()
-
-    def test_problems_that_are_not_rows_get_the_error_of_upsample_block(self):
-        bad = [(5, [[1, 2, 3]], [[0, 0]]), ([[0, 0]], [[1, 2]], [[0, 0]]), ([[0, 0], [1]], [[1, 2, 3]] * 2, [[0, 0]]),
-               ([[0, 0], [1, 1]], [[1, 2, 3]], [[0, 0]])]
-        problems = [*bad, *bad, *self.problems([2, 2])]
-        done = upsample_blocks(problems, FsmmrConfig())
-        for problem, (colors, _) in zip(problems[:len(bad) * 2], done):
-            with pytest.raises(InvalidConfig) as expected:
-                upsample_block(*problem)
-            assert (type(colors), str(colors)) == (InvalidConfig, str(expected.value))
-        assert [colors.tolist() for colors, _ in done[-2:]] == [upsample_block(*p).tolist() for p in problems[-2:]]
 
     def test_an_unbounded_cap_returns_once_every_fit_reaches_zero_energy(self):
         # one sample at the window center: weight 1, so a full step (gamma 1) leaves zero energy
         config = FsmmrConfig(max_iterations=10 ** 12, gamma=1.0)
         samples = ScatteredSamples([(7.5, 7.5)], [200.0], [1.0])
         assert generate_model(samples, config).iterations_run == 1
-        assert [model.iterations_run for [model] in generate_models([[samples]] * 2, config)] == [1, 1]
+        assert [model.iterations_run for [model] in _generate_models([[samples]] * 2, config)] == [1, 1]
         problems = [([(0.0, 0.0)], [(10, 20, 30)], [(0.0, 0.0)]), ([(5.0, 1.0)], [(40, 50, 60)], [(5.0, 1.0)])]
+        problems = [(np.array(o, dtype=float), np.array(c, dtype=np.uint8), np.array(q, dtype=float)) for o, c, q in problems]
         assert upsample_block(*problems[0], config).tolist() == [[10, 20, 30]]
-        assert [colors.tolist() for colors, _ in upsample_blocks(problems, config)] == [[[10, 20, 30]], [[40, 50, 60]]]
+        assert [colors.tolist() for colors, _ in _upsample_share(problems, config)] == [[[10, 20, 30]], [[40, 50, 60]]]
 
 
 class TestNormalizeToWindow:

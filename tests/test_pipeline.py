@@ -11,7 +11,7 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
-from cloudcolor.fsmmr import generate_models
+from cloudcolor.fsmmr import _generate_models, _upsample_share
 from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import flatten_block
@@ -101,9 +101,9 @@ class TestUpsampleClouds:
 
         def recording(blocks, config):  # records only in this process
             groups.append(len(blocks))
-            return generate_models(blocks, config)
+            return _generate_models(blocks, config)
 
-        monkeypatch.setattr(fsmmr, "generate_models", recording)
+        monkeypatch.setattr(fsmmr, "_generate_models", recording)
         for cores in (1, 2, 3):
             monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
             entries = upsample_clouds(splits, methods)
@@ -111,6 +111,32 @@ class TestUpsampleClouds:
             if cores == 1:
                 assert max(groups) > len(splits)  # a group spans blocks, not only the splits of one block
         assert len(outputs) == 1
+
+    def test_the_share_fit_gets_only_well_formed_problems_and_groups_of_one_n(self, mixed_cloud, monkeypatch):
+        # the share fit and the lockstep check nothing, so every problem the pipeline hands them must be well formed
+        problems, groups = [], []
+
+        def recording_share(share, config):
+            problems.extend(share)
+            return _upsample_share(share, config)
+
+        def recording_group(blocks, config):
+            groups.append([len(samples.values) for channels in blocks for samples in channels])
+            return _generate_models(blocks, config)
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pipeline, "_upsample_share", recording_share)
+        monkeypatch.setattr(fsmmr, "_generate_models", recording_group)
+        run_experiment(sphere_cloud(1500), ExperimentSpec())
+        upsample_cloud(mixed_cloud, InterpolatorKind.FSMMR)
+        assert problems and groups
+        for o_coords, o_colors, r_coords in problems:
+            n, k = len(o_coords), len(r_coords)
+            assert n >= 1 and (o_coords.shape, o_coords.dtype) == ((n, 2), np.float64)
+            assert (o_colors.shape, o_colors.dtype) == ((n, 3), np.uint8)
+            assert k >= 1 and (r_coords.shape, r_coords.dtype) == ((k, 2), np.float64)
+        for sizes in groups:  # three channels per problem, all of one n
+            assert len(sizes) >= 6 and len(sizes) % 3 == 0 and len(set(sizes)) == 1
 
     def test_each_block_is_flattened_at_most_once_per_sweep(self, monkeypatch, tmp_path):
         # every process of a 2-process sweep appends (pid, cell) per flattening

@@ -18,7 +18,7 @@ from cloudcolor.baselines import InterpolatorKind, interpolate_idw
 from cloudcolor.core import partition_into_blocks
 from cloudcolor.errors import InvalidConfig
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, sphere_cloud
-from cloudcolor.fsmmr import FsmmrConfig, SparseModel
+from cloudcolor.fsmmr import FsmmrConfig, SparseModel, normalize_to_window, query_table
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
@@ -26,6 +26,7 @@ from cloudcolor.surface_transform import build_mst, flatten_block
 CLOUD = sphere_cloud(40, radius=2.0, seed=3)
 POINTS = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
 COLORS = [(10, 20, 30), (40, 50, 60), (70, 80, 90)]
+WINDOW_POINTS = [(0.0, 0.0), (1.0, 2.0)]
 
 BAD_SETTINGS = {
     "block_size str": (lambda: UpsampleConfig(block_size="4"), "block_size"),
@@ -67,6 +68,13 @@ BAD_SETTINGS = {
     "SparseModel term pair": (lambda: SparseModel(((0, 0),), 4, 1, 0.0), "terms"),
     "SparseModel size str": (lambda: SparseModel(((0, 0, 1.0),), "4", 1, 0.0), "size"),
     "SparseModel size 0": (lambda: SparseModel((), 0, 0, 0.0), "size"),
+    # a fraction used to build a table of its ceiling's rows or a window of [0, 1.5], 0 an empty table,
+    # True a window of 0 and a string a TypeError
+    "query_table size 2.5": (lambda: query_table(WINDOW_POINTS, 2.5), "size"),
+    "query_table size 0": (lambda: query_table(WINDOW_POINTS, 0), "size"),
+    "query_table size str": (lambda: query_table(WINDOW_POINTS, "4"), "size"),
+    "normalize_to_window size 2.5": (lambda: normalize_to_window(WINDOW_POINTS, 2.5), "size"),
+    "normalize_to_window size bool": (lambda: normalize_to_window(WINDOW_POINTS, True), "size"),
 }
 
 
