@@ -54,6 +54,8 @@ class ExperimentSpec:
             raise InvalidConfig("densities must lie in (0, 1]")
         if self.runs < 1:
             raise InvalidConfig("runs must be >= 1")
+        if not 0 <= self.base_seed < 2 ** 64:  # random_downsample's range; derive_seed would fold any other seed into it
+            raise InvalidConfig(f"base_seed must lie in [0, 2**64), got {shown(self.base_seed)}")
 
 
 @dataclass(frozen=True)

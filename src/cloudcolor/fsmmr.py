@@ -20,6 +20,8 @@ import numpy as np
 from .core import as_kernel_rows, as_number, as_rows, as_values, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import CloudColorError, EmptySamples, InvalidConfig, InvalidInput
 
+_MAX_WINDOW_SIZE = math.isqrt(np.iinfo(np.intp).max // 8)  # the largest side M whose M^2 candidates numpy can hold as 8-byte values: 2^30 - 1 on 64 bits
+
 
 @dataclass(frozen=True)
 class FsmmrConfig:
@@ -31,17 +33,15 @@ class FsmmrConfig:
     energy_threshold: float = 0.0
 
     def __post_init__(self):
-        kinds = {"model_size": int, "sigma": float, "rho": float, "gamma": float, "max_iterations": int, "energy_threshold": float}
+        object.__setattr__(self, "model_size", _window_size(self.model_size, "model_size"))
+        kinds = {"sigma": float, "rho": float, "gamma": float, "max_iterations": int, "energy_threshold": float}
         for name, kind in kinds.items():
             object.__setattr__(self, name, as_number(getattr(self, name), name, kind))
-        if self.model_size < 1:
-            raise InvalidConfig("model_size must be >= 1")
         if not (0.0 < self.sigma < 1.0):
             raise InvalidConfig("sigma must lie in (0, 1)")
         if not (0.0 < self.rho < 1.0):
             raise InvalidConfig("rho must lie in (0, 1)")
-        # a window corner gets the least spatial weight; past 2^64 it underflows for every rho
-        if self.model_size >= 2 ** 64 or spatial_weight(0, 0, self.model_size, self.rho) == 0:
+        if spatial_weight(0, 0, self.model_size, self.rho) == 0:  # a window corner gets the least spatial weight
             raise InvalidConfig(f"rho {self.rho} and model_size {shown(self.model_size)} give a window corner a spatial weight of 0")
         if not (0.0 < self.gamma <= 1.0):
             raise InvalidConfig("gamma must lie in (0, 1]")
@@ -100,12 +100,12 @@ class SparseModel:
         object.__setattr__(self, "terms", terms)
 
 
-def _window_size(size) -> int:
-    """`size`, the side M of an M x M model window, as an int >= 1;
-    InvalidConfig naming it otherwise."""
-    size = as_number(size, "size", int)
-    if size < 1:
-        raise InvalidConfig(f"size must be >= 1, got {shown(size)}")
+def _window_size(size, name: str = "size") -> int:
+    """`size`, the setting `name`, the side M of an M x M model window, as
+    an int in [1, _MAX_WINDOW_SIZE]; InvalidConfig naming it otherwise."""
+    size = as_number(size, name, int)
+    if not 1 <= size <= _MAX_WINDOW_SIZE:
+        raise InvalidConfig(f"{name} must lie in [1, {_MAX_WINDOW_SIZE}], got {shown(size)}")
     return size
 
 
@@ -354,7 +354,7 @@ def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tupl
     share of FSMMR blocks, or the CloudColorError it raises, and the seconds
     spent on it.  A problem is a block's (n >= 1, 2) float64 originals,
     their (n, 3) uint8 colors and its (k >= 1, 2) float64 queries, as
-    ``pipeline.block_colors`` defers them.
+    ``pipeline._block_colors`` defers them.
 
     The problems with equal n form a group, whose fits run together in
     ``_generate_models``, bit for bit as ``upsample_block`` would run them;

@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
 from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
 from .errors import CloudColorError, EmptySamples, InvalidConfig
-from .fsmmr import FsmmrConfig, _upsample_share, upsample_block
+from .fsmmr import FsmmrConfig, _upsample_share
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
@@ -40,9 +40,9 @@ class UpsampleConfig:
             raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {shown(self.fsmmr)}")
 
 
-def block_colors(
+def _block_colors(
     block: Block, coords: Callable[[], np.ndarray], cloud: ColorPointCloud, method: InterpolatorKind,
-    config: UpsampleConfig = UpsampleConfig(), fit: Callable | None = None,
+    config: UpsampleConfig, fit: Callable,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Colors for the Reconstruct points of `block` by a 2D method: FSMMR,
     IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
@@ -54,11 +54,8 @@ def block_colors(
     except under LIN2, which leaves its points uncolored.  Otherwise the
     method interpolates its originals' colors at the block's flattened
     coordinates; the points it leaves uncolored are left out.  FSMMR's
-    colors are ``fit(o_coords, o_colors, r_coords)``, by default
-    ``upsample_block`` under `config.fsmmr`.
+    colors are ``fit(o_coords, o_colors, r_coords)``.
     """
-    if not isinstance(method, InterpolatorKind) or method in _WHOLE_CLOUD_METHODS:
-        raise InvalidConfig(f"block_colors takes FSMMR, IDW2 or LIN2, got {shown(method)}")
     ids = block.point_ids
     is_original = cloud.original[ids]
     r_ids = ids[~is_original]
@@ -70,7 +67,7 @@ def block_colors(
     flat = coords()
     o_coords, o_colors, r_coords = flat[is_original], cloud.colors[ids[is_original]], flat[~is_original]
     if method is InterpolatorKind.FSMMR:
-        return r_ids, fit(o_coords, o_colors, r_coords) if fit else upsample_block(o_coords, o_colors, r_coords, config.fsmmr)
+        return r_ids, fit(o_coords, o_colors, r_coords)
     if method is InterpolatorKind.IDW2:
         return r_ids, interpolate_idw(o_coords, o_colors, r_coords, power=config.idw_power)
     inside, colors = interpolate_lin2(o_coords, o_colors, r_coords)
@@ -141,7 +138,7 @@ def upsample_clouds(
         problems, done = [], []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
         for block in share:
             coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
-            done.append([_timed(block_colors, block, coords, clouds[i], methods[j], config, lambda *problem: problems.append(problem))
+            done.append([_timed(_block_colors, block, coords, clouds[i], methods[j], config, lambda *problem: problems.append(problem))
                          for i, j in pairs])  # an FSMMR entry's colors read None until its fit below
         fits = iter(_upsample_share(problems, config.fsmmr))  # in the order of the entries they fill
         for row in done:

@@ -17,9 +17,9 @@ from cloudcolor.evaluation import (
     random_downsample, run_experiment, sphere_cloud,
 )
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, evaluate_model, generate_model,
+    FsmmrConfig, ScatteredSamples, evaluate_model, generate_model, upsample_block,
 )
-from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud
+from cloudcolor.pipeline import UpsampleConfig, _block_colors, upsample_cloud
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
@@ -76,7 +76,8 @@ def test_dc_exactness():
                 original[i] = False
         cloud = ColorPointCloud(positions, [color] * n, original=original, colored=original)
         [block] = partition_into_blocks(cloud, 1e9)
-        ids, colors = block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR)
+        ids, colors = _block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR,
+                                    UpsampleConfig(), upsample_block)
         assert ids.tolist() == np.flatnonzero(~cloud.original).tolist(), f"trial {trial} left points uncolored"
         assert all(tuple(c) == color for c in colors.tolist()), f"trial {trial} not exact"
     print("\nPASS: DC exactness on 100 constant-color random blocks (integer exact)")

@@ -114,6 +114,14 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_a_cloud_with_points_to_reconstruct_is_data_error(self, mixed_ply, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main(["evaluate", "--methods=nn3", str(mixed_ply), str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: the experiment needs a fully colored reference cloud\n"
+        assert not out.exists()
+
     def test_default_sweep_is_the_library_default(self, colored_ply, tmp_path):
         out = tmp_path / "report.csv"
         assert main(["evaluate", str(colored_ply), str(out)]) == 0
@@ -234,6 +242,10 @@ class TestFlagValidation:
         # a window corner lies 2089.5 from the centre at model size 2956, and 0.7 ** 2089.5 underflows to 0
         (["upsample", "--model-size=2956"], "model_size 2956 give a window corner a spatial weight of 0"),
         (["evaluate", "--model-size=100000"], "model_size 100000 give a window corner a spatial weight of 0"),
+        # 2^30 is the least side whose 2^60 candidates numpy cannot hold as 8-byte values
+        (["upsample", "--model-size=1073741824", "--rho=0.9999999999999999"], "model_size must lie in [1, 1073741823]"),
+        (["evaluate", "--model-size=1073741824", "--rho=0.9999999999999999"], "model_size must lie in [1, 1073741823]"),
+        (["evaluate", "--seed=-1"], "base_seed must lie in [0, 2**64)"),
     ])
     def test_flags_are_checked_before_the_input_is_read(self, flags, message, tmp_path, capsys):
         code = main([*flags, str(tmp_path / "missing.ply"), str(tmp_path / "out")])

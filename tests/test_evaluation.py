@@ -55,6 +55,12 @@ class TestRandomDownsample:
             with pytest.raises(InvalidConfig):
                 random_downsample(cloud, density, seed=0)
 
+    def test_partly_colored_cloud_is_invalid_input(self):
+        cloud = random_cloud(6, seed=0)
+        partly = ColorPointCloud(cloud.positions, cloud.colors, colored=np.arange(6) % 2 == 0)
+        with pytest.raises(InvalidInput, match="^downsampling requires a fully colored cloud$"):
+            random_downsample(partly, 0.5, seed=0)
+
 
 class TestPsnrChannel:
     def test_identical_is_infinite(self):
@@ -124,6 +130,12 @@ class TestReconstructionPsnr:
         ref, up = self.build_pair([(1, 1, 1)], [(1, 1, 1)], [True])
         with pytest.raises(InvalidInput):
             reconstruction_color_psnr(ref, up)
+
+    def test_clouds_of_different_lengths_are_invalid_input(self):
+        ref, up = self.build_pair([(1, 1, 1), (2, 2, 2)], [(1, 1, 1), (2, 2, 2)], [True, False])
+        shorter = ColorPointCloud(ref.positions[:1], ref.colors[:1])
+        with pytest.raises(InvalidInput, match="^clouds must have identical point counts and order$"):
+            reconstruction_color_psnr(shorter, up)
 
     def test_uncolored_reference_is_invalid_input(self):
         ref, up = self.build_pair([(1, 1, 1)], [(1, 1, 1)], [False])
@@ -200,6 +212,15 @@ class TestRunExperiment:
         assert a == b
         assert a.splitlines()[0] == CSV_HEADER
         assert len(a.splitlines()) == 1 + 2 * 2  # header + methods x runs
+
+    def test_a_constant_color_sweep_scores_inf_and_flags_it(self):
+        sphere = sphere_cloud(120)
+        cloud = ColorPointCloud(sphere.positions, np.full((len(sphere), 3), 77))
+        # one block, so LIN2 colors the points inside its triangulation too
+        csv = run_experiment(cloud, ExperimentSpec(densities=(0.5,), runs=1, upsample=UpsampleConfig(block_size=100.0))).to_csv()
+        rows = [row.split(",") for row in csv.splitlines()[1:]]
+        assert [row[0] for row in rows] == [method.value for method in InterpolatorKind]
+        assert all(row[4:8] == ["inf"] * 4 and row[-1] == "inf" for row in rows)
 
     def test_record_count_full_sweep(self):
         spec = self.spec(densities=(0.3, 0.6), runs=2)
@@ -278,9 +299,9 @@ class TestNumericSettings:
 
 
 def in_a_worker_only(action):
-    """A `block_colors` stand-in that runs `action` in a forked block
+    """A `_block_colors` stand-in that runs `action` in a forked block
     worker and colors as usual in this process."""
-    parent, colors = os.getpid(), pipeline.block_colors
+    parent, colors = os.getpid(), pipeline._block_colors
 
     def stand_in(*args, **kwargs):
         if os.getpid() != parent:
@@ -321,14 +342,14 @@ class TestSweepProcesses:
             raise ValueError("raised in a block worker")
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(pipeline, "block_colors", in_a_worker_only(fail))
+        monkeypatch.setattr(pipeline, "_block_colors", in_a_worker_only(fail))
         spec = ExperimentSpec((InterpolatorKind.NN3, InterpolatorKind.IDW2), (0.5,), runs=2)
         with pytest.raises(ValueError, match="raised in a block worker"):
             run_experiment(sphere_cloud(60), spec)
 
     def test_a_block_worker_that_exits_is_a_cloudcolor_error(self, monkeypatch):
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
-        monkeypatch.setattr(pipeline, "block_colors", in_a_worker_only(lambda: os._exit(3)))
+        monkeypatch.setattr(pipeline, "_block_colors", in_a_worker_only(lambda: os._exit(3)))
         spec = ExperimentSpec((InterpolatorKind.IDW2,), (0.5,), runs=3)
         with pytest.raises(CloudColorError, match="worker process ended abruptly"):
             run_experiment(sphere_cloud(60), spec)

@@ -5,10 +5,10 @@ take, `main` returns exit code 0, 1 or 2 and prints no traceback.
 Float flags get arbitrary tokens: NaN, +-inf, huge, subnormal, negative
 and any float hypothesis draws.  `--model-size`, `--max-iters` and
 `--runs` draw only up to 32, 200 and 2 to keep each example fast.  Larger
-values are valid but cost time and memory; a model size whose tables exceed
-the address space ends in `MemoryError`, which `main` answers with exit code
-2 (`test_cli.py` checks that case).  `--root-seed` draws any int within
-+-2**70.
+values are valid but cost time and memory.  A model size past 1,073,741,823
+is refused as a bad setting, and a smaller one whose tables exceed memory
+ends in `MemoryError`; `main` answers both with exit code 2 (`test_cli.py`
+checks both cases).  `--root-seed` draws any int within +-2**70.
 
 The lists get arbitrary text: tokens that are neither numbers nor method
 names (`abc`, `0x10`, a space), tokens Python reads as numbers in unusual

@@ -15,7 +15,7 @@ from cloudcolor.fsmmr import (
     FsmmrConfig, ScatteredSamples, _cosine_tables, _generate_models, _upsample_share, evaluate_model, fit_basis,
     frequency_weight, generate_model, normalize_to_window, query_table, spatial_weight, upsample_block,
 )
-from cloudcolor.pipeline import block_colors
+from cloudcolor.pipeline import UpsampleConfig, _block_colors
 from cloudcolor.surface_transform import flatten_block
 
 from oracles import (
@@ -88,12 +88,18 @@ class TestConfigValidation:
         {"sigma": 0.0}, {"sigma": 1.0}, {"rho": 1.0}, {"gamma": 0.0},
         {"gamma": 1.5}, {"max_iterations": 0}, {"model_size": 0},
         {"energy_threshold": -1.0}, {"energy_threshold": math.nan},
-        # a window corner's spatial weight underflows to 0 (past 2^64 for every rho)
-        {"model_size": 2956}, {"model_size": 2 ** 64, "rho": 1 - 2 ** -53}, {"model_size": 10 ** 400},
+        # a window corner's spatial weight underflows to 0
+        {"model_size": 2956},
+        # a window whose M^2 candidates numpy cannot hold as 8-byte values
+        {"model_size": 2 ** 64, "rho": 1 - 2 ** -53}, {"model_size": 10 ** 400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidConfig):
             FsmmrConfig(**kwargs)
+
+    def test_the_largest_window_builds(self):
+        # its 2^60 candidates are built on first use, where their 8 EiB end in MemoryError
+        assert FsmmrConfig(model_size=2 ** 30 - 1, rho=1 - 2 ** -53).model_size == 2 ** 30 - 1
 
     def test_candidates_ordered_by_tie_break(self):
         kl, wf = FsmmrConfig(model_size=5, sigma=0.6).frequencies
@@ -464,10 +470,11 @@ def mixed_cloud(positions, colors):
 
 class TestUpsampleBlock:
     def colors_of_one_block(self, positions, colors):
-        """FSMMR's `block_colors` over a cloud that is one block."""
+        """FSMMR's `_block_colors` over a cloud that is one block."""
         cloud = mixed_cloud(positions, colors)
         [block] = partition_into_blocks(cloud, 1e9)
-        return block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR)
+        return _block_colors(block, partial(flatten_block, block, cloud), cloud, InterpolatorKind.FSMMR,
+                             UpsampleConfig(), upsample_block)
 
     def test_constant_color_block(self):
         rng = np.random.default_rng(17)
@@ -484,7 +491,7 @@ class TestUpsampleBlock:
     def test_zero_original_block_falls_back_to_nearest(self, method, expected):
         cloud = mixed_cloud([(100.0, 0, 0), (0.0, 0, 0), (0.5, 0, 0)], [(9, 9, 9), None, None])
         lonely = next(b for b in partition_into_blocks(cloud, 4.0) if 1 in b.point_ids)
-        ids, colors = block_colors(lonely, partial(flatten_block, lonely, cloud), cloud, method)
+        ids, colors = _block_colors(lonely, partial(flatten_block, lonely, cloud), cloud, method, UpsampleConfig(), upsample_block)
         # LIN2 leaves both points uncolored, and uncolored points are left out
         colored = {pid: tuple(c) for pid, c in zip(ids.tolist(), colors.tolist())}
         assert colored == ({} if expected is None else {1: expected, 2: expected})

@@ -1,7 +1,6 @@
 import math
 import os
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
 from cloudcolor.fsmmr import _generate_models, _upsample_share
-from cloudcolor.pipeline import UpsampleConfig, block_colors, upsample_cloud, upsample_clouds
+from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import flatten_block
 
@@ -54,14 +53,6 @@ def test_method_must_be_a_member(mixed_cloud, method):
     # a string used to fall through the block dispatch into LIN2
     with pytest.raises(InvalidConfig, match="InterpolatorKind"):
         upsample_cloud(mixed_cloud, method)
-
-
-@pytest.mark.parametrize("method", [InterpolatorKind.NN3, InterpolatorKind.IDW3, "fsmmr"])
-def test_block_colors_takes_only_the_block_methods(mixed_cloud, method):
-    # NN3 and IDW3 run over the whole cloud in 3D; per block they used to fall through to LIN2
-    for block in partition_into_blocks(mixed_cloud, UpsampleConfig.block_size):
-        with pytest.raises(InvalidConfig, match="block_colors takes FSMMR, IDW2 or LIN2"):
-            block_colors(block, partial(flatten_block, block, mixed_cloud), mixed_cloud, method)
 
 
 class TestUpsampleClouds:
@@ -214,7 +205,7 @@ class TestBlockProcesses:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_the_lowest_failing_block_gives_the_error(self, mixed_cloud, cores, monkeypatch):
         # at 2 processes block 3 fails in the worker and block 4 here; at 3 the other way round
-        colors, cells = pipeline.block_colors, [block.cell_index for block in partition_into_blocks(mixed_cloud, 4.0)]
+        colors, cells = pipeline._block_colors, [block.cell_index for block in partition_into_blocks(mixed_cloud, 4.0)]
 
         def failing_from_3(block, *args):
             if cells.index(block.cell_index) >= 3:
@@ -222,7 +213,7 @@ class TestBlockProcesses:
             return colors(block, *args)
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(pipeline, "block_colors", failing_from_3)
+        monkeypatch.setattr(pipeline, "_block_colors", failing_from_3)
         with pytest.raises(InvalidInput, match="^block 3 fails$"):
             upsample_cloud(mixed_cloud, InterpolatorKind.IDW2)
 

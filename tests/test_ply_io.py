@@ -141,6 +141,21 @@ def test_malformed_header_is_parse_error(old, new, binary):
         read_ply(data)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    (b"end_header\n0 0 0 255 0 0\n", b"end_header", "header not terminated by a newline"),
+    (b"element vertex 1", b"element vertex", "malformed element line"),
+    (b"element vertex 1", b"element vertex abc", "non-integer element count"),
+    (b"element vertex 1", b"element face 1", "no vertex element declared"),
+    (b"element vertex 1", b"element face 0\nelement vertex 1", "elements preceding 'vertex' are not supported"),
+    (b"property float z\n", b"", "vertex element lacks property 'z'"),
+], ids=["no-newline-after-end_header", "no-count", "count-abc", "no-vertex", "element-before-vertex", "no-z"])
+def test_header_error_names_the_problem(old, new, message):
+    data = ASCII_ONE_RED.replace(old, new)
+    assert data != ASCII_ONE_RED
+    with pytest.raises(ParseError, match=rf"^{message} \(at byte \d+\)$"):
+        read_ply(data)
+
+
 ASCII_MIXED = b"""ply
 format ascii 1.0
 element vertex 2

@@ -50,7 +50,7 @@ BAD_SETTINGS = {
     **{f"random_downsample seed {seed!r}": ((lambda seed=seed: random_downsample(CLOUD, 0.5, seed)), "seed")
        for seed in (None, True, "1", 1.5, -1, 2 ** 64)},
     # more than 4,300 digits: Python refuses to print the value in the message
-    "model_size too long to print": (lambda: FsmmrConfig(model_size=10 ** 5000), "rho"),
+    "model_size too long to print": (lambda: FsmmrConfig(model_size=10 ** 5000), "model_size"),
     "max_iterations too long to print": (lambda: FsmmrConfig(max_iterations=Fraction(10 ** 5000)), "max_iterations"),
     "partition block_size str": (lambda: partition_into_blocks(CLOUD, "4"), "block_size"),
     "interpolate_idw power str": (lambda: interpolate_idw(POINTS, COLORS, POINTS, power="2"), "idw power"),
@@ -75,6 +75,14 @@ BAD_SETTINGS = {
     "query_table size str": (lambda: query_table(WINDOW_POINTS, "4"), "size"),
     "normalize_to_window size 2.5": (lambda: normalize_to_window(WINDOW_POINTS, 2.5), "size"),
     "normalize_to_window size bool": (lambda: normalize_to_window(WINDOW_POINTS, True), "size"),
+    # a window whose M^2 candidates numpy cannot hold as 8-byte values
+    "model_size 2**30": (lambda: FsmmrConfig(model_size=2 ** 30, rho=1 - 2 ** -53), "model_size"),
+    "normalize_to_window size 10**400": (lambda: normalize_to_window(WINDOW_POINTS, 10 ** 400), "size"),
+    "query_table size 10**400": (lambda: query_table(WINDOW_POINTS, 10 ** 400), "size"),
+    "SparseModel size 2**70": (lambda: SparseModel((), 2 ** 70, 0, 0.0), "size"),
+    # outside random_downsample's seed range, derive_seed would fold -1 onto 2**64 - 1
+    **{f"ExperimentSpec base_seed {seed!r}": ((lambda seed=seed: ExperimentSpec(base_seed=seed)), "base_seed")
+       for seed in (-1, 2 ** 64)},
 }
 
 

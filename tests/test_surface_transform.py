@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudcolor.core import ColorPointCloud, partition_into_blocks
+from cloudcolor.core import Block, ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import EmptyBlock, InvalidConfig, InvalidInput
 from cloudcolor.surface_transform import _prim_keys, build_mst, flatten_block, fold_deltas
 
@@ -268,6 +268,14 @@ class TestFlattenBlock:
             x, y, _ = coords[pid]
             assert fx == pytest.approx(x - root_xy[0], abs=1e-12)
             assert fy == pytest.approx(y - root_xy[1], abs=1e-12)
+
+    @pytest.mark.parametrize("root_seed", [None, 3])
+    def test_empty_block_raises(self, root_seed):
+        # with a seed, the root pick would end in randrange(0)'s ValueError
+        _, cloud = single_block([(2, 3, 4)])
+        empty = Block(cell_index=(0, 0, 0), point_ids=np.array([], dtype=np.intp))
+        with pytest.raises(EmptyBlock, match="^cannot flatten an empty block$"):
+            flatten_block(empty, cloud, root_seed=root_seed)
 
     def test_deterministic_root_is_lowest_id(self):
         block, cloud = single_block([(5, 5, 5), (0, 0, 0), (1, 1, 1)])
