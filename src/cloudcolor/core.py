@@ -95,6 +95,14 @@ def as_bool(value, name: str) -> bool:
     return bool(value)
 
 
+def as_instance(value, name: str, kind: type):
+    """`value`, the config `name`, if it is a `kind` (each config class's
+    name takes "an"); anything else raises InvalidConfig naming it."""
+    if not isinstance(value, kind):
+        raise InvalidConfig(f"{name} must be an {kind.__name__}, got {shown(value)}")
+    return value
+
+
 def as_rows(values, name: str, width: int | None = None) -> np.ndarray:
     """`values`, the array `name`, as (n, d) float64 rows, d being `width` or
     by default the array's own, and an empty input as (0, d).  Any other

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind
-from .core import ColorPointCloud, as_bool, as_number, as_values, round_color_channel, shown
+from .core import ColorPointCloud, as_bool, as_instance, as_number, as_values, round_color_channel, shown
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .pipeline import UpsampleConfig, upsample_clouds
 
@@ -35,8 +35,7 @@ class ExperimentSpec:
         for name in ("methods", "densities"):
             if not isinstance(getattr(self, name), (tuple, list)):
                 raise InvalidConfig(f"{name} must be a tuple or a list, got {shown(getattr(self, name))}")
-        if not isinstance(self.upsample, UpsampleConfig):
-            raise InvalidConfig(f"upsample must be an UpsampleConfig, got {shown(self.upsample)}")
+        as_instance(self.upsample, "upsample", UpsampleConfig)
         if not (self.methods and self.densities):
             raise InvalidConfig("the method and density lists must not be empty")
         if not all(isinstance(method, InterpolatorKind) for method in self.methods):
@@ -176,6 +175,7 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
     method) order, so the report is the same for any number of processes.
     With `spec.measure_time`, a row's `wall_time_ms` is the time spent
     coloring it, summed over its blocks wherever they ran."""
+    as_instance(spec, "spec", ExperimentSpec)
     if not cloud.colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
     jobs = [(density, run, derive_seed(spec.base_seed, density, run))

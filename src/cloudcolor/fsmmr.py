@@ -17,7 +17,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_kernel_rows, as_number, as_rows, as_values, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
+from .core import as_instance, as_kernel_rows, as_number, as_rows, as_values, nearest_original_color, round_color_channel, shown  # noqa: F401  perfbench's tracer lists fsmmr.nearest_original_color
 from .errors import CloudColorError, EmptySamples, InvalidConfig, InvalidInput
 
 _MAX_WINDOW_SIZE = math.isqrt(np.iinfo(np.intp).max // 8)  # the largest side M whose M^2 candidates numpy can hold as 8-byte values: 2^30 - 1 on 64 bits
@@ -109,19 +109,6 @@ def _window_size(size, name: str = "size") -> int:
     return size
 
 
-def _as_built(value, name: str, *shapes: tuple) -> list[np.ndarray]:
-    """The parts of `value`, the argument `name`, as float64 arrays of
-    `shapes` in turn, the form its function would build itself; a value of
-    any other form raises InvalidConfig naming it."""
-    try:
-        parts = [np.asarray(part, dtype=float) for part in value]
-    except (TypeError, ValueError, OverflowError):
-        parts = []
-    if [part.shape for part in parts] != list(shapes):
-        raise InvalidConfig(f"{name} must be float arrays of shapes {' and '.join(map(str, shapes))}")
-    return parts
-
-
 def spatial_weight(x: float, y: float, size: int, rho: float) -> float:
     center = (size - 1) / 2
     return rho ** math.hypot(x - center, y - center)
@@ -139,7 +126,7 @@ def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
-def fit_basis(samples: ScatteredSamples, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
+def _fit_basis(samples: ScatteredSamples, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
     """The basis of a fit to `samples` under `config`: the (C, n) candidate
     rows `phi` at the samples and their (C,) denominators phi^2 . w.  It
     reads only the samples' coordinates and weights, so the fits of R, G and
@@ -157,19 +144,16 @@ def fit_basis(samples: ScatteredSamples, config: FsmmrConfig) -> tuple[np.ndarra
     return phi, denominators
 
 
-def generate_model(
-    samples: ScatteredSamples, config: FsmmrConfig, basis: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SparseModel:
-    """The greedy sparse model of `samples` under `config`, on `basis`:
-    ``fit_basis`` of samples at the same coordinates and weights under the
-    same config, built here by default; InvalidConfig for a basis of other
-    shapes."""
+def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=None) -> SparseModel:
+    """The greedy sparse model of `samples` under `config`.  Within the
+    package, `_basis` is ``_fit_basis`` of samples at the same coordinates
+    and weights under the same config, shared by the fits of R, G and B."""
+    as_instance(config, "config", FsmmrConfig)
     if len(samples.values) == 0:
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    phi, denominators = (fit_basis(samples, config) if basis is None
-                         else _as_built(basis, "basis", (len(kl), len(samples.values)), (len(kl),)))
+    phi, denominators = _fit_basis(samples, config) if _basis is None else _basis
     w = samples.weights
 
     coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
@@ -202,7 +186,7 @@ def _generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: Fsmmr
     one argmax and one update for every fit still running, and a fit that
     stops leaves the arrays.  The blocks are ``_block_samples``' of equal
     n >= 1, so the R, G and B samples of a block share their coordinates
-    and weights, and so one ``fit_basis``.  The fits run in this call; the
+    and weights, and so one ``_fit_basis``.  The fits run in this call; the
     iterator builds each block's models as the caller reads them, so a
     caller that uses them block by block never holds the whole group's.
 
@@ -213,7 +197,7 @@ def _generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: Fsmmr
     """
     width, n = len(blocks[0]), len(blocks[0][0].values)
     kl, wf = config.frequencies
-    phi, denominators = map(np.stack, zip(*(fit_basis(channels[0], config) for channels in blocks)))  # (B, C, n), (B, C)
+    phi, denominators = map(np.stack, zip(*(_fit_basis(channels[0], config) for channels in blocks)))  # (B, C, n), (B, C)
     fits = len(blocks) * width
     live, owner = np.arange(fits), np.arange(fits) // width  # the running fits and the block of each
     values = np.array([samples.values for channels in blocks for samples in channels])
@@ -272,22 +256,20 @@ def _sparse_model(config: FsmmrConfig, selections, coefficients: np.ndarray, ene
     )
 
 
-def query_table(queries: np.ndarray, size: int) -> np.ndarray:
+def _query_table(queries: np.ndarray, size: int) -> np.ndarray:
     """The (2, M, k) cosine table of an M x M window at the (k, 2)
     `queries`, as ``_cosine_tables`` builds it; it reads no model, so the
     models of R, G and B at the same queries share one."""
-    queries, size = as_rows(queries, "queries", 2), _window_size(size)
     # tolerate normalization round-off marginally outside the window
     return _cosine_tables(np.clip(queries, 0.0, size - 1), size)
 
 
-def evaluate_model(model: SparseModel, queries: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-    """The model's values at the (k, 2) `queries`, on `table`:
-    ``query_table`` of the same queries for the model's size, built here by
-    default; InvalidConfig for a table of another shape."""
+def evaluate_model(model: SparseModel, queries: np.ndarray, *, _table=None) -> np.ndarray:
+    """The model's values at the (k, 2) `queries`.  Within the package,
+    `_table` is ``_query_table`` of the same queries for the model's size,
+    shared by the models of R, G and B."""
     queries = as_rows(queries, "queries", 2)
-    shape = model.size, len(queries)
-    cos_x, cos_y = query_table(queries, model.size) if table is None else _as_built(table, "table", shape, shape)
+    cos_x, cos_y = _query_table(queries, model.size) if _table is None else _table
     out = np.zeros(cos_x.shape[1])
     for u, v, c in model.terms:
         out += c * cos_x[u] * cos_y[v]
@@ -333,11 +315,12 @@ def upsample_block(
     queries on one query table.  Colors so far outside 8 bits that the fit
     or its evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
+    as_instance(config, "config", FsmmrConfig)
     channels, r_coords = _block_samples(positions, colors, queries, config)
-    basis = fit_basis(channels[0], config)
+    basis = _fit_basis(channels[0], config)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _colors_at([generate_model(samples, config, basis) for samples in channels], r_coords)
+            return _colors_at([generate_model(samples, config, _basis=basis) for samples in channels], r_coords)
     except FloatingPointError:
         raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
 
@@ -345,8 +328,8 @@ def upsample_block(
 def _colors_at(models: Sequence[SparseModel], r_coords: np.ndarray) -> np.ndarray:
     """A block's R, G and B `models` at its queries' window coordinates
     `r_coords`, evaluated on one query table, as (k, 3) uint8 colors."""
-    table = query_table(r_coords, models[0].size)
-    return round_color_channel(np.column_stack([evaluate_model(model, r_coords, table) for model in models]))
+    table = _query_table(r_coords, models[0].size)
+    return round_color_channel(np.column_stack([evaluate_model(model, r_coords, _table=table) for model in models]))
 
 
 def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tuple[np.ndarray | CloudColorError, float]]:

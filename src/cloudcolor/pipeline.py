@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
-from .core import Block, ColorPointCloud, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
+from .core import Block, ColorPointCloud, as_instance, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
 from .errors import CloudColorError, EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, _upsample_share
 from .parallel import map_on_cores
@@ -36,8 +36,7 @@ class UpsampleConfig:
         object.__setattr__(self, "idw_power", positive_real(self.idw_power, "idw power"))
         if self.root_seed is not None:
             object.__setattr__(self, "root_seed", as_number(self.root_seed, "root_seed", int))
-        if not isinstance(self.fsmmr, FsmmrConfig):
-            raise InvalidConfig(f"fsmmr must be an FsmmrConfig, got {shown(self.fsmmr)}")
+        as_instance(self.fsmmr, "fsmmr", FsmmrConfig)
 
 
 def _block_colors(
@@ -108,6 +107,7 @@ def upsample_clouds(
     blocks raise holds the error of the lowest-index one, whatever the
     number of processes.
     """
+    as_instance(config, "config", UpsampleConfig)
     for method in methods:
         if not isinstance(method, InterpolatorKind):
             raise InvalidConfig(f"the method must be an InterpolatorKind, got {shown(method)}")

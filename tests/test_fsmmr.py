@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from functools import partial
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, _cosine_tables, _generate_models, _upsample_share, evaluate_model, fit_basis,
-    frequency_weight, generate_model, normalize_to_window, query_table, spatial_weight, upsample_block,
+    FsmmrConfig, ScatteredSamples, _cosine_tables, _fit_basis, _generate_models, _query_table, _upsample_share,
+    evaluate_model, frequency_weight, generate_model, normalize_to_window, spatial_weight, upsample_block,
 )
 from cloudcolor.pipeline import UpsampleConfig, _block_colors
 from cloudcolor.surface_transform import flatten_block
@@ -280,9 +281,9 @@ class TestFitMatchesSeedOracle:
         model = generate_model(samples, config)
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
         # one basis shared by fits of other values at the same points, as upsample_block's R, G and B
-        basis = fit_basis(samples, config)
+        basis = _fit_basis(samples, config)
         for shared in (samples, ScatteredSamples(coords, values[::-1], weights)):
-            assert model_bits(generate_model(shared, config, basis)) == model_bits(generate_model_oracle(shared, config))
+            assert model_bits(generate_model(shared, config, _basis=basis)) == model_bits(generate_model_oracle(shared, config))
 
         # queries inside the window, on its grid and just outside it (clipped)
         rng = np.random.default_rng(seed + 100)
@@ -292,9 +293,9 @@ class TestFitMatchesSeedOracle:
         ])
         assert float_bits(evaluate_model(model, queries)) == float_bits(evaluate_model_oracle(model, queries))
         # one query table shared by the models of other values, as upsample_block's R, G and B
-        table = query_table(queries, m)
-        for shared in (model, generate_model(ScatteredSamples(coords, values[::-1], weights), config, basis)):
-            assert float_bits(evaluate_model(shared, queries, table)) == float_bits(evaluate_model_oracle(shared, queries))
+        table = _query_table(queries, m)
+        for shared in (model, generate_model(ScatteredSamples(coords, values[::-1], weights), config, _basis=basis)):
+            assert float_bits(evaluate_model(shared, queries, _table=table)) == float_bits(evaluate_model_oracle(shared, queries))
 
     @pytest.mark.parametrize("stop", ["energy threshold", "zero decrease at once", "constant signal"])
     def test_early_stops(self, stop):
@@ -331,7 +332,7 @@ class TestFitMatchesSeedOracle:
         assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
         expected = model_bits(generate_model_oracle(samples, config))
         assert model_bits(generate_model(samples, config)) == expected
-        assert model_bits(generate_model(samples, config, fit_basis(samples, config))) == expected
+        assert model_bits(generate_model(samples, config, _basis=_fit_basis(samples, config))) == expected
 
 
 def lockstep_case(kind, blocks, n, m, seed):
@@ -407,6 +408,16 @@ class TestShareFit:
         for problem, (colors, seconds) in zip(problems, done):
             assert colors.tolist() == upsample_block(*problem).tolist() and seconds >= 0
         assert done[0][1] == done[2][1] == done[4][1]  # the group's seconds, split evenly
+
+    def test_the_channels_of_a_block_share_one_basis_and_one_query_table(self, monkeypatch):
+        # without the sharing every color stays the same, only the time grows
+        fit, table = Mock(wraps=fsmmr._fit_basis), Mock(wraps=fsmmr._query_table)
+        monkeypatch.setattr(fsmmr, "_fit_basis", fit)
+        monkeypatch.setattr(fsmmr, "_query_table", table)
+        upsample_block(*self.problems([7])[0])
+        assert (fit.call_count, table.call_count) == (1, 1)
+        _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())  # one group of three blocks and a lone block
+        assert (fit.call_count, table.call_count) == (5, 5)
 
     def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self):
         # a flattened x span of 5e-324: normalize_to_window cannot scale it, so the group raises and reruns

@@ -1,4 +1,5 @@
-"""The README cites library names as `module.name`; each must exist."""
+"""The README cites library names as `module.name`; each must exist and be
+public, so that private helpers and arguments stay out of the documented API."""
 import importlib
 import pkgutil
 import re
@@ -19,3 +20,8 @@ def test_every_cited_module_name_resolves():
     missing = [f"{module}.{name}" for module, name in CITED
                if module in MODULES and not hasattr(importlib.import_module(f"cloudcolor.{module}"), name)]
     assert not missing, f"the README cites names that do not resolve: {missing}"
+
+
+def test_every_cited_module_name_is_public():
+    private = [f"{module}.{name}" for module, name in CITED if module in MODULES and name.startswith("_")]
+    assert not private, f"the README cites private names: {private}"

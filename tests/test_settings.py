@@ -1,10 +1,10 @@
 """Every number a caller passes follows one rule: an int setting takes an int
 or a numpy integer, a real setting takes any real number, and anything
 else (a bool, a string, None, an int too large for a float) raises
-InvalidConfig naming the setting.  Nested settings must be of their class,
-list settings a tuple or a list, a flag a bool or a numpy bool and a PLY
-format a PlyFormat.  The value is stored converted, so equal numbers give
-equal output bytes.
+InvalidConfig naming the setting.  Nested settings and config arguments
+must be of their class, list settings a tuple or a list, a flag a bool or
+a numpy bool and a PLY format a PlyFormat.  The value is stored converted,
+so equal numbers give equal output bytes.
 """
 import math
 from fractions import Fraction
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from cloudcolor.baselines import InterpolatorKind, interpolate_idw
 from cloudcolor.core import partition_into_blocks
 from cloudcolor.errors import InvalidConfig
-from cloudcolor.evaluation import ExperimentSpec, random_downsample, sphere_cloud
-from cloudcolor.fsmmr import FsmmrConfig, SparseModel, normalize_to_window, query_table
-from cloudcolor.pipeline import UpsampleConfig, upsample_cloud
+from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
+from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, generate_model, normalize_to_window, upsample_block
+from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
@@ -27,6 +27,7 @@ CLOUD = sphere_cloud(40, radius=2.0, seed=3)
 POINTS = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (3.0, 0.0, 0.0)]
 COLORS = [(10, 20, 30), (40, 50, 60), (70, 80, 90)]
 WINDOW_POINTS = [(0.0, 0.0), (1.0, 2.0)]
+MIXED = random_downsample(CLOUD, 0.5, 1)
 
 BAD_SETTINGS = {
     "block_size str": (lambda: UpsampleConfig(block_size="4"), "block_size"),
@@ -43,6 +44,12 @@ BAD_SETTINGS = {
     "methods scalar": (lambda: ExperimentSpec(methods=InterpolatorKind.NN3), "methods"),
     "upsample None": (lambda: ExperimentSpec(upsample=None), "upsample"),
     "upsample of another class": (lambda: ExperimentSpec(upsample=FsmmrConfig()), "upsample"),
+    # a config of another class used to be ignored (NN3 reads none) or to end in AttributeError
+    "upsample_clouds config str": (lambda: upsample_clouds([MIXED], [InterpolatorKind.NN3], "x"), "config"),
+    "upsample_cloud config None": (lambda: upsample_cloud(MIXED, InterpolatorKind.FSMMR, None), "config"),
+    "run_experiment spec None": (lambda: run_experiment(CLOUD, None), "spec"),
+    "upsample_block config None": (lambda: upsample_block(WINDOW_POINTS, COLORS[:2], WINDOW_POINTS, None), "config"),
+    "generate_model config None": (lambda: generate_model(ScatteredSamples(WINDOW_POINTS, [1.0, 2.0], [1.0, 1.0]), None), "config"),
     "build_mst root bool": (lambda: build_mst(POINTS, root=True), "MST root"),
     "flatten_block root_seed bool": (
         lambda: flatten_block(partition_into_blocks(CLOUD, 4.0)[0], CLOUD, root_seed=True), "root_seed"),
@@ -68,17 +75,12 @@ BAD_SETTINGS = {
     "SparseModel term pair": (lambda: SparseModel(((0, 0),), 4, 1, 0.0), "terms"),
     "SparseModel size str": (lambda: SparseModel(((0, 0, 1.0),), "4", 1, 0.0), "size"),
     "SparseModel size 0": (lambda: SparseModel((), 0, 0, 0.0), "size"),
-    # a fraction used to build a table of its ceiling's rows or a window of [0, 1.5], 0 an empty table,
-    # True a window of 0 and a string a TypeError
-    "query_table size 2.5": (lambda: query_table(WINDOW_POINTS, 2.5), "size"),
-    "query_table size 0": (lambda: query_table(WINDOW_POINTS, 0), "size"),
-    "query_table size str": (lambda: query_table(WINDOW_POINTS, "4"), "size"),
+    # a fraction used to build a window of [0, 1.5] and True a window of 0
     "normalize_to_window size 2.5": (lambda: normalize_to_window(WINDOW_POINTS, 2.5), "size"),
     "normalize_to_window size bool": (lambda: normalize_to_window(WINDOW_POINTS, True), "size"),
     # a window whose M^2 candidates numpy cannot hold as 8-byte values
     "model_size 2**30": (lambda: FsmmrConfig(model_size=2 ** 30, rho=1 - 2 ** -53), "model_size"),
     "normalize_to_window size 10**400": (lambda: normalize_to_window(WINDOW_POINTS, 10 ** 400), "size"),
-    "query_table size 10**400": (lambda: query_table(WINDOW_POINTS, 10 ** 400), "size"),
     "SparseModel size 2**70": (lambda: SparseModel((), 2 ** 70, 0, 0.0), "size"),
     # outside random_downsample's seed range, derive_seed would fold -1 onto 2**64 - 1
     **{f"ExperimentSpec base_seed {seed!r}": ((lambda seed=seed: ExperimentSpec(base_seed=seed)), "base_seed")
