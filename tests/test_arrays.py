@@ -17,7 +17,7 @@ from cloudcolor.baselines import interpolate_idw, interpolate_lin2, interpolate_
 from cloudcolor.core import ColorPointCloud, as_rows, nearest_original_color
 from cloudcolor.errors import CloudColorError, EmptySamples, InvalidConfig
 from cloudcolor.evaluation import psnr_channel
-from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, normalize_to_window, upsample_block
+from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, normalize_to_window, upsample_block
 from cloudcolor.surface_transform import build_mst
 
 RNG = np.random.default_rng(5)
@@ -25,12 +25,14 @@ P2, P3 = RNG.uniform(0, 4, size=(6, 2)), RNG.uniform(0, 4, size=(6, 3))
 Q2, Q3 = RNG.uniform(1, 3, size=(4, 2)), RNG.uniform(1, 3, size=(4, 3))
 C6, C4 = RNG.integers(0, 256, size=(6, 3)), RNG.integers(0, 256, size=(4, 3))
 NAN_Q2, NAN_Q3 = np.vstack([Q2, [math.nan] * 2]), np.vstack([Q3, [math.nan] * 3])
+MODEL = SparseModel(((0, 0, 1.0), (1, 2, -0.5)), 4, 2, 0.0)
 
 BAD_ARRAYS = {
     # each of these used to re-cut the array, return a result or end in a traceback
     "interpolate_idw queries wider than its positions": (lambda: interpolate_idw(P2, C6, Q3), "queries"),
     "upsample_block 3D positions": (lambda: upsample_block(P3, C6, Q3), "positions"),
     "normalize_to_window 3D coords": (lambda: normalize_to_window(P3, 16), "coords"),
+    "evaluate_model 3D queries": (lambda: evaluate_model(MODEL, Q3), "queries"),
     "build_mst three 2D points": (lambda: build_mst(P2[:3]), "points"),
     "build_mst four 2D points": (lambda: build_mst(P2[:4]), "points"),
     "interpolate_nn3 colors of width 2": (lambda: interpolate_nn3(P3, C6[:, :2], Q3), "colors"),
@@ -40,6 +42,7 @@ BAD_ARRAYS = {
     "interpolate_nn3 NaN query": (lambda: interpolate_nn3(P3, C6, NAN_Q3), "queries"),
     "interpolate_idw NaN query": (lambda: interpolate_idw(P3, C6, NAN_Q3), "queries"),
     "upsample_block NaN query": (lambda: upsample_block(P2, C6, NAN_Q2), "queries"),
+    "evaluate_model NaN query": (lambda: evaluate_model(MODEL, NAN_Q2), "queries"),
     "build_mst NaN point": (lambda: build_mst(NAN_Q3[2:]), "points"),
     "ScatteredSamples values str": (lambda: ScatteredSamples([[0, 0]], "abc", [1.0]), "values"),
     "ScatteredSamples values (2, 2)": (lambda: ScatteredSamples(P2[:4], [[1, 2], [3, 4]], [1.0] * 4), "values"),
@@ -178,6 +181,9 @@ def test_window_maps(coords):
     window = well_formed_or_domain_error(lambda c: normalize_to_window(c, 4), coords)
     if window is not None:
         assert window.shape == (len(coords), 2) and np.isfinite(window).all()
+    values = well_formed_or_domain_error(lambda c: evaluate_model(MODEL, c), coords)
+    if values is not None:
+        assert values.shape == (query_count(coords),) and np.isfinite(values).all()
 
 
 @FUZZ

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 from functools import partial
 from unittest.mock import Mock
@@ -418,6 +419,16 @@ class TestShareFit:
         assert (fit.call_count, table.call_count) == (1, 1)
         _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())  # one group of three blocks and a lone block
         assert (fit.call_count, table.call_count) == (5, 5)
+
+    @pytest.mark.parametrize("function, public, private", [
+        (generate_model, ["samples", "config"], "_basis"), (evaluate_model, ["model", "queries"], "_table"),
+    ])
+    def test_the_shared_basis_and_table_are_only_private_keyword_arguments(self, function, public, private):
+        parameters = inspect.signature(function).parameters
+        assert [name for name, p in parameters.items() if p.kind is p.POSITIONAL_OR_KEYWORD] == public
+        assert [name for name, p in parameters.items() if p.kind is p.KEYWORD_ONLY] == [private]
+        with pytest.raises(TypeError):
+            function(None, None, None)  # a third positional argument is no cache
 
     def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self):
         # a flattened x span of 5e-324: normalize_to_window cannot scale it, so the group raises and reruns

@@ -78,6 +78,8 @@ BAD_SETTINGS = {
     # a fraction used to build a window of [0, 1.5] and True a window of 0
     "normalize_to_window size 2.5": (lambda: normalize_to_window(WINDOW_POINTS, 2.5), "size"),
     "normalize_to_window size bool": (lambda: normalize_to_window(WINDOW_POINTS, True), "size"),
+    "normalize_to_window size 0": (lambda: normalize_to_window(WINDOW_POINTS, 0), "size"),
+    "normalize_to_window size str": (lambda: normalize_to_window(WINDOW_POINTS, "4"), "size"),
     # a window whose M^2 candidates numpy cannot hold as 8-byte values
     "model_size 2**30": (lambda: FsmmrConfig(model_size=2 ** 30, rho=1 - 2 ** -53), "model_size"),
     "normalize_to_window size 10**400": (lambda: normalize_to_window(WINDOW_POINTS, 10 ** 400), "size"),
