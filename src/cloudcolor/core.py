@@ -96,11 +96,19 @@ def as_bool(value, name: str) -> bool:
 
 
 def as_instance(value, name: str, kind: type):
-    """`value`, the config `name`, if it is a `kind` (each config class's
-    name takes "an"); anything else raises InvalidConfig naming it."""
+    """`value`, the argument `name`, if it is a `kind`; anything else raises
+    InvalidConfig naming it."""
     if not isinstance(value, kind):
-        raise InvalidConfig(f"{name} must be an {kind.__name__}, got {shown(value)}")
+        raise InvalidConfig(f"{name} must be of class {kind.__name__}, got {shown(value)}")
     return value
+
+
+def as_list(values, name: str) -> tuple:
+    """`values`, the list argument `name`, as a tuple: only a tuple or a list
+    is one, and anything else raises InvalidConfig naming it."""
+    if not isinstance(values, (tuple, list)):
+        raise InvalidConfig(f"{name} must be a tuple or a list, got {shown(values)}")
+    return tuple(values)
 
 
 def as_rows(values, name: str, width: int | None = None) -> np.ndarray:
@@ -161,7 +169,7 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
     index; every point lands in exactly one cell.
     """
     block_size = positive_real(block_size, "block_size")
-    if len(cloud) == 0:
+    if len(as_instance(cloud, "cloud", ColorPointCloud)) == 0:
         raise EmptyCloud("cannot partition an empty cloud")
     positions = cloud.positions
     origin = positions.min(axis=0)
@@ -226,6 +234,6 @@ def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> np.ndarray:
     """(k, 3) colors of the Original point nearest to each (x, y, z) query
     in 3D; ties go to the lowest point id."""
-    o_ids = np.flatnonzero(cloud.original)
+    o_ids = np.flatnonzero(as_instance(cloud, "cloud", ColorPointCloud).original)
     positions, _, queries = as_kernel_rows(cloud.positions[o_ids], cloud.colors[o_ids], queries)
     return cloud.colors[o_ids[nearest_ids(positions, queries)]]

@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .baselines import InterpolatorKind
-from .core import ColorPointCloud, as_bool, as_instance, as_number, as_values, round_color_channel, shown
+from .core import ColorPointCloud, as_bool, as_instance, as_list, as_number, as_values, round_color_channel, shown
 from .errors import CloudColorError, InvalidConfig, InvalidInput
 from .pipeline import UpsampleConfig, upsample_clouds
 
@@ -33,8 +33,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("methods", "densities"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise InvalidConfig(f"{name} must be a tuple or a list, got {shown(getattr(self, name))}")
+            object.__setattr__(self, name, as_list(getattr(self, name), name))
         as_instance(self.upsample, "upsample", UpsampleConfig)
         if not (self.methods and self.densities):
             raise InvalidConfig("the method and density lists must not be empty")
@@ -42,7 +41,6 @@ class ExperimentSpec:
             raise InvalidConfig("each method must be an InterpolatorKind")
         if len(set(self.methods)) < len(self.methods):
             raise InvalidConfig("each method may be listed only once")
-        object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "densities", tuple(as_number(d, "density") for d in self.densities))  # a numpy float's repr derives other seeds
         for name in ("runs", "base_seed"):
             object.__setattr__(self, name, as_number(getattr(self, name), name, int))
@@ -110,7 +108,7 @@ def random_downsample(cloud: ColorPointCloud, density: float, seed: int) -> Colo
     """Keep round(density*N) points, halves rounded up, as Original; the rest
     lose their color but keep their coordinates as Reconstruct points.
     The seed is an integer in [0, 2**64)."""
-    density, seed = as_number(density, "density"), as_number(seed, "seed", int)
+    cloud, density, seed = as_instance(cloud, "cloud", ColorPointCloud), as_number(density, "density"), as_number(seed, "seed", int)
     if not (0.0 < density <= 1.0):
         raise InvalidConfig(f"density must lie in (0, 1], got {density}")
     if not 0 <= seed < 2 ** 64:
@@ -150,6 +148,7 @@ class PsnrResult:
 def reconstruction_color_psnr(original: ColorPointCloud, upsampled: ColorPointCloud) -> PsnrResult:
     """PSNR solely over the points that were reconstructed; per channel,
     averaged.  Points the method left uncolored are excluded and counted."""
+    original, upsampled = as_instance(original, "original", ColorPointCloud), as_instance(upsampled, "upsampled", ColorPointCloud)
     if len(original) != len(upsampled):
         raise InvalidInput("clouds must have identical point counts and order")
     reconstructed = ~upsampled.original
@@ -176,7 +175,7 @@ def run_experiment(cloud: ColorPointCloud, spec: ExperimentSpec) -> ExperimentRe
     With `spec.measure_time`, a row's `wall_time_ms` is the time spent
     coloring it, summed over its blocks wherever they ran."""
     as_instance(spec, "spec", ExperimentSpec)
-    if not cloud.colored.all():
+    if not as_instance(cloud, "cloud", ColorPointCloud).colored.all():
         raise InvalidInput("the experiment needs a fully colored reference cloud")
     jobs = [(density, run, derive_seed(spec.base_seed, density, run))
             for density in sorted(spec.densities) for run in range(1, spec.runs + 1)]

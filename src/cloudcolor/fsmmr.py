@@ -126,15 +126,15 @@ def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
-def _fit_basis(samples: ScatteredSamples, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of a fit to `samples` under `config`: the (C, n) candidate
-    rows `phi` at the samples and their (C,) denominators phi^2 . w.  It
-    reads only the samples' coordinates and weights, so the fits of R, G and
-    B at the same points share one."""
+def _fit_basis(coords: np.ndarray, weights: np.ndarray, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of a fit to samples at the (n, 2) window `coords` with the
+    (n,) spatial `weights` under `config`: the (C, n) candidate rows `phi`
+    at the samples and their (C,) denominators phi^2 . w.  It reads no
+    values, so the fits of a block's R, G and B share one."""
     kl, _ = config.frequencies
-    cos_x, cos_y = _cosine_tables(samples.coords, config.model_size)
+    cos_x, cos_y = _cosine_tables(coords, config.model_size)
     phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
-    denominators = (phi * phi) @ samples.weights
+    denominators = (phi * phi) @ weights
     vanishing = denominators == 0
     # zeroed with denominator 1, a vanishing row scores 0 and never beats the DC row (first,
     # never vanishing); kept, not dropped: a gemv over fewer rows rounds the others differently
@@ -153,7 +153,7 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    phi, denominators = _fit_basis(samples, config) if _basis is None else _basis
+    phi, denominators = _fit_basis(samples.coords, samples.weights, config) if _basis is None else _basis
     w = samples.weights
 
     coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
@@ -180,13 +180,13 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
     return _sparse_model(config, selections, coefficients, energies, w @ (residual * residual))
 
 
-def _generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
-    """``generate_model(samples, config)`` for every samples of `blocks`, bit
+def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
+    """``generate_model`` of each color row of each block's sample set, bit
     for bit, with all fits in lockstep: each iteration is one stacked gemv,
     one argmax and one update for every fit still running, and a fit that
-    stops leaves the arrays.  The blocks are ``_block_samples``' of equal
-    n >= 1, so the R, G and B samples of a block share their coordinates
-    and weights, and so one ``_fit_basis``.  The fits run in this call; the
+    stops leaves the arrays.  The sets are ``_block_samples``' (coords,
+    weights, colors) of equal n >= 1, so every row of a block is fitted on
+    the block's one ``_fit_basis``.  The fits run in this call; the
     iterator builds each block's models as the caller reads them, so a
     caller that uses them block by block never holds the whole group's.
 
@@ -195,13 +195,13 @@ def _generate_models(blocks: Sequence[Sequence[ScatteredSamples]], config: Fsmmr
     not depend on its batch.  So the fits need not share a process, a
     group or an order to give the same models.
     """
-    width, n = len(blocks[0]), len(blocks[0][0].values)
+    width, n = blocks[0][2].shape
     kl, wf = config.frequencies
-    phi, denominators = map(np.stack, zip(*(_fit_basis(channels[0], config) for channels in blocks)))  # (B, C, n), (B, C)
+    phi, denominators = map(np.stack, zip(*(_fit_basis(coords, weights, config) for coords, weights, _ in blocks)))  # (B, C, n), (B, C)
     fits = len(blocks) * width
     live, owner = np.arange(fits), np.arange(fits) // width  # the running fits and the block of each
-    values = np.array([samples.values for channels in blocks for samples in channels])
-    w, denominators = np.array([channels[0].weights for channels in blocks])[owner], denominators[owner]
+    values = np.concatenate([colors for _, _, colors in blocks])
+    w, denominators = np.array([weights for _, weights, _ in blocks])[owner], denominators[owner]
     model, residual = np.zeros_like(values), values.copy()
     basis = phi[:, None]  # (B, 1, C, n): each block's basis, broadcast over its channels, until a fit stops
     coefficients = np.zeros((fits, len(kl)))  # in candidate order; summed in selection order
@@ -291,16 +291,16 @@ def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     return window
 
 
-def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[list[ScatteredSamples], np.ndarray]:
-    """One flattened block in the model window: the R, G and B samples of
-    its originals, which share their coordinates and weights, and the
-    queries' coordinates.  The arrays are read by ``as_kernel_rows``, and
-    the originals and the queries are normalised to the window together."""
+def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """One flattened block in the model window: its one sample set (the
+    originals' (n, 2) coordinates, (n,) spatial weights and (3, n) float
+    colors, one row per channel) and the queries' (k, 2) coordinates.  The
+    arrays are read by ``as_kernel_rows``; all are mapped to one window."""
     positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
     o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
     weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
-    return [ScatteredSamples(coords=o_coords, values=o_colors[:, ch], weights=weights) for ch in range(3)], r_coords
+    return (o_coords, weights, o_colors.T), r_coords
 
 
 def upsample_block(
@@ -310,17 +310,17 @@ def upsample_block(
     `queries`, the arrays read by ``as_kernel_rows``.
 
     The originals' (n, 2) `positions` and the queries are normalised to the
-    model window together.  One model per channel is fitted to the
-    originals' `colors`, all three on one basis, and evaluated at the
-    queries on one query table.  Colors so far outside 8 bits that the fit
-    or its evaluation overflows float64 (1e300, say) raise InvalidInput.
+    model window together.  Each channel of `colors` is fitted on the one
+    basis of the block's sample set and evaluated at the queries on one
+    query table.  Colors so far outside 8 bits that the fit or its
+    evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
     as_instance(config, "config", FsmmrConfig)
-    channels, r_coords = _block_samples(positions, colors, queries, config)
-    basis = _fit_basis(channels[0], config)
+    (coords, weights, channels), r_coords = _block_samples(positions, colors, queries, config)
+    basis = _fit_basis(coords, weights, config)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _colors_at([generate_model(samples, config, _basis=basis) for samples in channels], r_coords)
+            return _colors_at([generate_model(ScatteredSamples(coords, values, weights), config, _basis=basis) for values in channels], r_coords)
     except FloatingPointError:
         raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
 

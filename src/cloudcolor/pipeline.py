@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
-from .core import Block, ColorPointCloud, as_instance, as_number, nearest_original_color, partition_into_blocks, positive_real, shown
+from .core import Block, ColorPointCloud, as_instance, as_list, as_number, nearest_original_color, partition_into_blocks, positive_real
 from .errors import CloudColorError, EmptySamples, InvalidConfig
 from .fsmmr import FsmmrConfig, _upsample_share
 from .parallel import map_on_cores
@@ -83,6 +83,7 @@ def upsample_cloud(
     method, so a 2D method's blocks run on every usable core, and the result
     or the error is the same for any number of processes.
     """
+    cloud, method = as_instance(cloud, "cloud", ColorPointCloud), as_instance(method, "method", InterpolatorKind)
     [[(upsampled, _)]] = upsample_clouds([cloud], [method], config)
     if isinstance(upsampled, CloudColorError):
         raise upsampled
@@ -108,9 +109,8 @@ def upsample_clouds(
     number of processes.
     """
     as_instance(config, "config", UpsampleConfig)
-    for method in methods:
-        if not isinstance(method, InterpolatorKind):
-            raise InvalidConfig(f"the method must be an InterpolatorKind, got {shown(method)}")
+    clouds = [as_instance(cloud, f"clouds[{i}]", ColorPointCloud) for i, cloud in enumerate(as_list(clouds, "clouds"))]
+    methods = [as_instance(method, f"methods[{j}]", InterpolatorKind) for j, method in enumerate(as_list(methods, "methods"))]
     if any(not np.array_equal(cloud.positions, clouds[0].positions) for cloud in clouds):
         raise InvalidConfig("the clouds to upsample together must share their positions")
     entries: list[list] = [[None] * len(methods) for _ in clouds]

@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ColorPointCloud, as_bool, shown
-from .errors import InvalidConfig, InvalidInput, MissingColor, ParseError
+from .core import ColorPointCloud, as_bool, as_instance
+from .errors import InvalidInput, MissingColor, ParseError
 
 
 class PlyFormat(Enum):
@@ -199,8 +199,7 @@ def write_ply(
     fmt: PlyFormat = PlyFormat.BINARY_LITTLE_ENDIAN,
     include_roles: bool = False,
 ) -> bytes:
-    if not isinstance(fmt, PlyFormat):
-        raise InvalidConfig(f"fmt must be a PlyFormat, got {shown(fmt)}")
+    cloud, fmt = as_instance(cloud, "cloud", ColorPointCloud), as_instance(fmt, "fmt", PlyFormat)
     include_roles = as_bool(include_roles, "include_roles")
     uncolored = len(cloud) - int(cloud.colored.sum())
     if uncolored and not include_roles:

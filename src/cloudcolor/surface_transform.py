@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Block, ColorPointCloud, as_number, as_rows, shown, squared_distance_chunks
+from .core import Block, ColorPointCloud, as_instance, as_number, as_rows, shown, squared_distance_chunks
 from .errors import EmptyBlock, InvalidConfig, InvalidInput
 
 Coord3 = Tuple[float, float, float]
@@ -144,12 +144,17 @@ def flatten_block(block: Block, cloud: ColorPointCloud, root_seed: Optional[int]
 
     The root is the lowest point id, or with `root_seed` a pick seeded by
     it and salted by the block's cell index.  A block so wide that a 2D
-    coordinate overflows raises InvalidInput.
+    coordinate overflows raises InvalidInput.  The block's point ids must be
+    integers in [0, len(cloud)), or InvalidConfig names `block`.
     """
-    if not len(block.point_ids):
+    block, cloud = as_instance(block, "block", Block), as_instance(cloud, "cloud", ColorPointCloud)
+    ids = np.asarray(block.point_ids)
+    if ids.ndim == 1 and not len(ids):
         raise EmptyBlock("cannot flatten an empty block")
+    if ids.ndim != 1 or ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= len(cloud):
+        raise InvalidConfig(f"block must hold integer point ids in [0, {len(cloud)})")
 
-    positions = cloud.positions[block.point_ids]
+    positions = cloud.positions[ids]
     pairs = build_mst(positions, root=_pick_root(block, root_seed))
     parents, children = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     deltas = fold_deltas(positions[parents], positions[children])

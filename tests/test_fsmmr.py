@@ -225,6 +225,13 @@ class TestEvaluateModel:
         with pytest.raises(InvalidConfig, match="inside the window"):
             SparseModel(terms=((0, 0, 1.0), (u, v, 2.0)), size=4, iterations_run=2, final_energy=0.0)
 
+    def test_the_sum_starts_from_positive_zero(self):
+        # the one product is -0.0 (a zero coefficient times cos(5 pi / 8) < 0); added to +0.0 it
+        # reads +0.0, as in the oracle, where a cumulative sum of the products alone reads -0.0
+        from cloudcolor.fsmmr import SparseModel
+        model = SparseModel(((1, 0, 0.0),), 4, 1, 0.0)
+        assert float_bits(evaluate_model(model, [(2.0, 0.0)])) == float_bits(evaluate_model_oracle(model, [(2.0, 0.0)])) == ["0x0.0p+0"]
+
     def test_reproduces_single_basis_signal(self):
         m = 8
         xs, ys = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -282,7 +289,7 @@ class TestFitMatchesSeedOracle:
         model = generate_model(samples, config)
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
         # one basis shared by fits of other values at the same points, as upsample_block's R, G and B
-        basis = _fit_basis(samples, config)
+        basis = _fit_basis(samples.coords, samples.weights, config)
         for shared in (samples, ScatteredSamples(coords, values[::-1], weights)):
             assert model_bits(generate_model(shared, config, _basis=basis)) == model_bits(generate_model_oracle(shared, config))
 
@@ -333,7 +340,13 @@ class TestFitMatchesSeedOracle:
         assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
         expected = model_bits(generate_model_oracle(samples, config))
         assert model_bits(generate_model(samples, config)) == expected
-        assert model_bits(generate_model(samples, config, _basis=_fit_basis(samples, config))) == expected
+        assert model_bits(generate_model(samples, config, _basis=_fit_basis(samples.coords, samples.weights, config))) == expected
+
+
+def sample_set(channels):
+    """The R, G and B `channels` of one block, which share their coordinates
+    and weights, as the (coords, weights, colors) set of ``_block_samples``."""
+    return channels[0].coords, channels[0].weights, np.array([samples.values for samples in channels])
 
 
 def lockstep_case(kind, blocks, n, m, seed):
@@ -371,7 +384,7 @@ class TestLockstepFit:
            m=st.sampled_from([1, 2, 5, 6, 16]), seed=st.integers(0, 2 ** 32 - 1))
     def test_every_fit_is_generate_model_bit_for_bit(self, kind, blocks, n, m, seed):
         cases, config = lockstep_case(kind, blocks, n, m, seed)
-        fitted = list(_generate_models(cases, config))
+        fitted = list(_generate_models(list(map(sample_set, cases)), config))
         assert [len(models) for models in fitted] == [3] * blocks
         for channels, models in zip(cases, fitted):
             for samples, model in zip(channels, models):
@@ -381,7 +394,7 @@ class TestLockstepFit:
     @pytest.mark.parametrize("kind", ["threshold", "grid"])
     def test_fits_that_stop_early_leave_the_others_running(self, kind):
         cases, config = lockstep_case(kind, 4, 20, 6, 3)
-        runs = [model.iterations_run for models in _generate_models(cases, config) for model in models]
+        runs = [model.iterations_run for models in _generate_models(list(map(sample_set, cases)), config) for model in models]
         assert min(runs) < max(runs)  # some fits stopped mid-group
         assert runs == [generate_model(samples, config).iterations_run for channels in cases for samples in channels]
 
@@ -420,6 +433,14 @@ class TestShareFit:
         _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())  # one group of three blocks and a lone block
         assert (fit.call_count, table.call_count) == (5, 5)
 
+    def test_only_the_lone_block_builds_scattered_samples(self, monkeypatch):
+        # a grouped block's channels are the rows of its one sample set; the lone block's
+        # generate_model calls are the only readers of ScatteredSamples
+        built = Mock(wraps=fsmmr.ScatteredSamples)
+        monkeypatch.setattr(fsmmr, "ScatteredSamples", built)
+        _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())
+        assert built.call_count == 3
+
     @pytest.mark.parametrize("function, public, private", [
         (generate_model, ["samples", "config"], "_basis"), (evaluate_model, ["model", "queries"], "_table"),
     ])
@@ -444,7 +465,7 @@ class TestShareFit:
         config = FsmmrConfig(max_iterations=10 ** 12, gamma=1.0)
         samples = ScatteredSamples([(7.5, 7.5)], [200.0], [1.0])
         assert generate_model(samples, config).iterations_run == 1
-        assert [model.iterations_run for [model] in _generate_models([[samples]] * 2, config)] == [1, 1]
+        assert [model.iterations_run for [model] in _generate_models([sample_set([samples])] * 2, config)] == [1, 1]
         problems = [([(0.0, 0.0)], [(10, 20, 30)], [(0.0, 0.0)]), ([(5.0, 1.0)], [(40, 50, 60)], [(5.0, 1.0)])]
         problems = [(np.array(o, dtype=float), np.array(c, dtype=np.uint8), np.array(q, dtype=float)) for o, c, q in problems]
         assert upsample_block(*problems[0], config).tolist() == [[10, 20, 30]]

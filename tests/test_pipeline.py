@@ -112,7 +112,7 @@ class TestUpsampleClouds:
             return _upsample_share(share, config)
 
         def recording_group(blocks, config):
-            groups.append([len(samples.values) for channels in blocks for samples in channels])
+            groups.append([len(values) for _, _, colors in blocks for values in colors])
             return _generate_models(blocks, config)
 
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)

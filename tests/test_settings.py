@@ -1,10 +1,11 @@
 """Every number a caller passes follows one rule: an int setting takes an int
 or a numpy integer, a real setting takes any real number, and anything
 else (a bool, a string, None, an int too large for a float) raises
-InvalidConfig naming the setting.  Nested settings and config arguments
-must be of their class, list settings a tuple or a list, a flag a bool or
-a numpy bool and a PLY format a PlyFormat.  The value is stored converted,
-so equal numbers give equal output bytes.
+InvalidConfig naming the setting.  Nested settings and config, cloud and
+block arguments must be of their class, list settings and arguments a
+tuple or a list, a flag a bool or a numpy bool and a PLY format a
+PlyFormat.  The value is stored converted, so equal numbers give equal
+output bytes.
 """
 import math
 from fractions import Fraction
@@ -15,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cloudcolor.baselines import InterpolatorKind, interpolate_idw
-from cloudcolor.core import partition_into_blocks
+from cloudcolor.core import Block, nearest_original_color, partition_into_blocks
 from cloudcolor.errors import InvalidConfig
-from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
+from cloudcolor.evaluation import ExperimentSpec, random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud
 from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, generate_model, normalize_to_window, upsample_block
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import write_ply
@@ -87,6 +88,27 @@ BAD_SETTINGS = {
     # outside random_downsample's seed range, derive_seed would fold -1 onto 2**64 - 1
     **{f"ExperimentSpec base_seed {seed!r}": ((lambda seed=seed: ExperimentSpec(base_seed=seed)), "base_seed")
        for seed in (-1, 2 ** 64)},
+    # a cloud, block or list argument of another type used to end in AttributeError or TypeError
+    "upsample_cloud cloud None": (lambda: upsample_cloud(None, InterpolatorKind.FSMMR), "cloud"),
+    "upsample_cloud method None": (lambda: upsample_cloud(MIXED, None), "method"),
+    "upsample_clouds cloud str": (lambda: upsample_clouds(["x"], [InterpolatorKind.FSMMR]), r"clouds\[0\]"),
+    "upsample_clouds method str": (lambda: upsample_clouds([MIXED], [InterpolatorKind.NN3, "fsmmr"]), r"methods\[1\]"),
+    "upsample_clouds bare cloud": (lambda: upsample_clouds(MIXED, [InterpolatorKind.FSMMR]), "clouds"),
+    "upsample_clouds methods generator": (
+        lambda: upsample_clouds([MIXED], (m for m in [InterpolatorKind.FSMMR])), "methods"),
+    "run_experiment cloud None": (lambda: run_experiment(None, ExperimentSpec()), "cloud"),
+    "random_downsample cloud None": (lambda: random_downsample(None, 0.5, 1), "cloud"),
+    "nearest_original_color cloud None": (lambda: nearest_original_color(None, POINTS), "cloud"),
+    "flatten_block block None": (lambda: flatten_block(None, CLOUD), "block"),
+    "flatten_block cloud None": (lambda: flatten_block(partition_into_blocks(CLOUD, 4.0)[0], None), "cloud"),
+    "partition cloud None": (lambda: partition_into_blocks(None, 4.0), "cloud"),
+    "reconstruction_color_psnr original None": (lambda: reconstruction_color_psnr(None, MIXED), "original"),
+    "reconstruction_color_psnr upsampled None": (lambda: reconstruction_color_psnr(CLOUD, None), "upsampled"),
+    "write_ply cloud None": (lambda: write_ply(None), "cloud"),
+    # a negative id used to flatten the cloud's last point, a float id to end in IndexError
+    "flatten_block negative point id": (lambda: flatten_block(Block((0, 0, 0), np.array([-1, 3])), sphere_cloud(50)), "block"),
+    "flatten_block point id past the cloud": (lambda: flatten_block(Block((0, 0, 0), np.array([3, 50])), sphere_cloud(50)), "block"),
+    "flatten_block float point ids": (lambda: flatten_block(Block((0, 0, 0), np.array([0.0, 3.0])), sphere_cloud(50)), "block"),
 }
 
 
@@ -94,6 +116,11 @@ BAD_SETTINGS = {
 def test_bad_setting_is_invalid_config_naming_it(build, name):
     with pytest.raises(InvalidConfig, match=f"^{name} "):
         build()
+
+
+def test_an_argument_of_another_class_names_the_class():
+    with pytest.raises(InvalidConfig, match="^cloud must be of class ColorPointCloud, got None$"):
+        write_ply(None)
 
 
 INTEGER_REALS = [4, np.int64(4), np.uint8(4), np.float16(4), np.float32(4), np.longdouble(4), Fraction(4)]
