@@ -179,14 +179,12 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
     if not all(map(math.isfinite, spans)):
         raise InvalidInput(f"the cloud spans too many cells of size {block_size} to index")
 
-    # each float is an exact integer, possibly beyond int64; unique sorts the rows lexicographically
+    # each float is an exact integer, possibly beyond int64
     cells = np.floor((positions - origin) / block_size)
-    keys, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
-    members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-    return [
-        Block(cell_index=tuple(map(int, key)), point_ids=ids)
-        for key, ids in zip(keys.tolist(), members)
-    ]
+    order = np.lexsort(cells.T[::-1])  # x first, and stable: cells in lexicographic order, each one's ids ascending
+    starts = np.flatnonzero(np.diff(cells[order], axis=0).any(axis=1)) + 1  # cells are >= 0: a difference cannot overflow
+    return [Block(cell_index=tuple(map(int, key)), point_ids=ids)
+            for key, ids in zip(cells[order[np.r_[0, starts]]].tolist(), np.split(order, starts))]
 
 
 # Queries per chunk are sized so one chunk's distance matrix holds about

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Tuple
@@ -341,10 +342,10 @@ def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tupl
 
     The problems with equal n form a group, whose fits run together in
     ``_generate_models``, bit for bit as ``upsample_block`` would run them;
-    the group's seconds are split evenly over its problems.  A group that
-    raises (a span that ``normalize_to_window`` rejects, say) reruns each
-    of its problems through ``upsample_block``, so every error stays with
-    its own problem.
+    the group's seconds are split evenly over its problems.  A problem
+    whose samples raise (a span that ``normalize_to_window`` rejects, say)
+    gets its error, and a group whose fit raises reruns its problems
+    through ``upsample_block``: every error stays with its own problem.
     """
     groups: dict[int, list[int]] = defaultdict(list)
     for index, (positions, _, _) in enumerate(problems):
@@ -352,21 +353,26 @@ def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tupl
     done: list = [None] * len(problems)
     for indices in groups.values():
         started = time.perf_counter()
-        group, fitted = [problems[i] for i in indices], []
+        fitted, samples = {}, {}  # by problem index: the colors or error of each, and the sample set of each left to fit
         # a lone block takes the one-block path below: a lockstep of its three channels measured no faster,
         # and perfbench's span test needs generate_model and upsample_block on the pipeline's path
-        if len(group) > 1:
-            try:
-                blocks, queries = zip(*(_block_samples(*problem, config) for problem in group))
-                fitted = [_colors_at(models, r_coords) for models, r_coords in zip(_generate_models(blocks, config), queries)]
-            except CloudColorError:
-                pass
-        for problem in group[len(fitted):]:  # a lone block, or every block of a group that raised
-            try:
-                fitted.append(upsample_block(*problem, config))
-            except CloudColorError as error:
-                fitted.append(error)
-        seconds = (time.perf_counter() - started) / len(group)
-        for index, colors in zip(indices, fitted):
-            done[index] = colors, seconds
+        if len(indices) > 1:
+            for index in indices:
+                try:
+                    samples[index] = _block_samples(*problems[index], config)
+                except CloudColorError as error:
+                    fitted[index] = error
+        if samples:
+            blocks, queries = zip(*samples.values())
+            with suppress(CloudColorError):  # each problem left is rerun below
+                fitted.update(zip(samples, map(_colors_at, _generate_models(blocks, config), queries)))
+        for index in indices:  # a lone block, or the blocks left when a group's fit raised
+            if index not in fitted:
+                try:
+                    fitted[index] = upsample_block(*problems[index], config)
+                except CloudColorError as error:
+                    fitted[index] = error
+        seconds = (time.perf_counter() - started) / len(indices)
+        for index in indices:
+            done[index] = fitted[index], seconds
     return done

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ def _block_colors(
     """Colors for the Reconstruct points of `block` by a 2D method: FSMMR,
     IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
     `cloud` gives the roles and colors, and `coords()` the block's flattened
-    (n, 2) coordinates, row i being its i-th point.
+    (n, 2) coordinates, row i being its i-th point, or its flattening error.
 
     A block without Reconstruct points colors nothing.  A block without
     Original points takes the nearest original in 3D over the whole cloud,
@@ -64,6 +64,8 @@ def _block_colors(
         return r_ids, nearest_original_color(cloud, cloud.positions[r_ids])
 
     flat = coords()
+    if isinstance(flat, CloudColorError):
+        raise flat
     o_coords, o_colors, r_coords = flat[is_original], cloud.colors[ids[is_original]], flat[~is_original]
     if method is InterpolatorKind.FSMMR:
         return r_ids, fit(o_coords, o_colors, r_coords)
@@ -137,7 +139,7 @@ def upsample_clouds(
     def color_share(share: Sequence[Block]) -> list:
         problems, done = [], []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
         for block in share:
-            coords = cache(partial(flatten_block, block, clouds[0], config.root_seed))  # a raise is not kept
+            coords = cache(lambda block=block: _timed(flatten_block, block, clouds[0], config.root_seed)[0])  # an error is kept too
             done.append([_timed(_block_colors, block, coords, clouds[i], methods[j], config, lambda *problem: problems.append(problem))
                          for i, j in pairs])  # an FSMMR entry's colors read None until its fit below
         fits = iter(_upsample_share(problems, config.fsmmr))  # in the order of the entries they fill

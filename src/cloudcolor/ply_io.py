@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
 from .core import ColorPointCloud, as_bool, as_instance
-from .errors import InvalidInput, MissingColor, ParseError
+from .errors import InvalidConfig, InvalidInput, MissingColor, ParseError
 
 
 class PlyFormat(Enum):
@@ -37,6 +38,7 @@ _FLOAT_TYPES = {"float", "float32", "double", "float64"}
 _UCHAR_TYPES = {"uchar", "uint8"}
 _CHANNELS = ("red", "green", "blue")
 _ASCII_CHUNK_ROWS = 4096
+_UCHAR_TEXT = tuple(map(str, range(256)))  # a uchar value's text, looked up in place of str
 
 
 @dataclass
@@ -111,6 +113,9 @@ def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
 
 
 def read_ply(data: bytes) -> ColorPointCloud:
+    if not isinstance(data, (bytes, bytearray)):  # the class alone: a file's text would fill the message
+        raise InvalidConfig(f"data must be bytes or a bytearray, got {type(data).__name__}")
+    data = bytes(data)
     fmt, elements, body_start = _parse_header(data)
 
     vertex = next((e for e in elements if e.name == "vertex"), None)
@@ -147,27 +152,36 @@ def read_ply(data: bytes) -> ColorPointCloud:
 
 def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
     text = data[body_start:].decode("ascii", errors="replace")
-    lines = [ln for ln in text.split("\n") if ln.strip()]  # str.split() drops a trailing "\r" too
+    lines = list(filter(str.strip, text.split("\n")))  # str.split() drops a trailing "\r" too
     underscore = "_" in text  # float() and int() read "1_0" as 10, where a C reader stops at the "_"
     if len(lines) < vertex.count:
         raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
-    # row by row: a table of every token at once would double the peak memory
+    # a chunk of rows at a time, column by column: a table of every token at once would double the peak memory
     parsers = [float if ptype in _FLOAT_TYPES else int for _, ptype in vertex.properties]
-    rows = []
-    for i, line in enumerate(lines[:vertex.count]):
-        tokens = line.split()
-        if len(tokens) != len(parsers):
-            raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {len(parsers)}", body_start)
+    width, values = len(parsers), [[] for _ in parsers]
+    for start in range(0, vertex.count, _ASCII_CHUNK_ROWS):
+        chunk = lines[start:min(start + _ASCII_CHUNK_ROWS, vertex.count)]
+        rows = list(map(str.split, chunk))
         try:  # every token is parsed, used or not, so that a bad one is rejected
-            if underscore and "_" in line:
-                raise ValueError("a number cannot hold '_'")
-            rows.append([parse(token) for parse, token in zip(parsers, tokens)])
-        except ValueError as exc:
-            raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
+            if not all(map(width.__eq__, map(len, rows))) or underscore and "_" in "".join(chunk):
+                raise ValueError
+            tokens = list(chain.from_iterable(rows))
+            for c, (parse, column) in enumerate(zip(parsers, values)):
+                column.extend(map(parse, tokens[c::width]))
+        except ValueError:  # the first bad row of the chunk names the error
+            for i, tokens in enumerate(rows, start):
+                if len(tokens) != width:
+                    raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {width}", body_start) from None
+                try:
+                    if underscore and "_" in chunk[i - start]:
+                        raise ValueError("a number cannot hold '_'")
+                    [parse(token) for parse, token in zip(parsers, tokens)]
+                except ValueError as exc:
+                    raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
     # every value must fit its declared type, used or not, as it does in a
     # binary file; columns go by position, so a repeated name reads its last
     columns = {}
-    for (name, ptype), column in zip(vertex.properties, list(zip(*rows)) or [()] * len(parsers)):
+    for (name, ptype), column in zip(vertex.properties, values):
         if ptype in _FLOAT_TYPES:
             columns[name] = np.array(column, dtype=np.float64)
             if ptype in ("float", "float32"):
@@ -223,9 +237,9 @@ def write_ply(
         for start in range(0, len(cloud), _ASCII_CHUNK_ROWS):  # chunks bound the memory held by strings
             # floats as the shortest round-trippable decimal, integral ones without the
             # trailing ".0"; only float tokens hold a "." at all
-            text = [map(repr if ptype == "float" else str, col[start:start + _ASCII_CHUNK_ROWS].tolist())
+            text = [map(repr if ptype == "float" else _UCHAR_TEXT.__getitem__, col[start:start + _ASCII_CHUNK_ROWS].tolist())
                     for _, ptype, col in fields]
-            chunk = "".join(" ".join(row) + "\n" for row in zip(*text))
+            chunk = "\n".join(map(" ".join, zip(*text))) + "\n"
             out += chunk.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")
         return bytes(out)
 

@@ -124,6 +124,75 @@ def partition_oracle(cloud, block_size):
     return [(idx, cells[idx]) for idx in sorted(cells)]
 
 
+def partition_unique_oracle(cloud, block_size):
+    """The partition as (cell_index, point_ids) pairs, grouped by
+    ``np.unique`` over the cell rows, which sorts them lexicographically,
+    and each cell's ids taken in a stable argsort of the row labels."""
+    import numpy as np
+
+    positions = cloud.positions
+    cells = np.floor((positions - positions.min(axis=0)) / block_size)
+    keys, inverse, counts = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    return [(tuple(map(int, key)), ids) for key, ids in zip(keys.tolist(), members)]
+
+
+def read_ascii_columns_oracle(data, body_start, vertex, used):
+    """The ASCII PLY body reader row by row, as ``ply_io._read_ascii_columns``
+    reads it: the columns of `used` by name, or the ParseError of the first
+    bad row, then of the first property in order with a value outside its
+    type."""
+    import numpy as np
+
+    from cloudcolor.errors import ParseError
+    from cloudcolor.ply_io import _FLOAT_TYPES, _SCALAR_TYPES
+
+    text = data[body_start:].decode("ascii", errors="replace")
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    underscore = "_" in text
+    if len(lines) < vertex.count:
+        raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
+    parsers = [float if ptype in _FLOAT_TYPES else int for _, ptype in vertex.properties]
+    rows = []
+    for i, line in enumerate(lines[:vertex.count]):
+        tokens = line.split()
+        if len(tokens) != len(parsers):
+            raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {len(parsers)}", body_start)
+        try:
+            if underscore and "_" in line:
+                raise ValueError("a number cannot hold '_'")
+            rows.append([parse(token) for parse, token in zip(parsers, tokens)])
+        except ValueError as exc:
+            raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
+    columns = {}
+    for (name, ptype), column in zip(vertex.properties, list(zip(*rows)) or [()] * len(parsers)):
+        if ptype in _FLOAT_TYPES:
+            columns[name] = np.array(column, dtype=np.float64)
+            if ptype in ("float", "float32"):
+                with np.errstate(over="ignore"):
+                    beyond = np.isinf(columns[name].astype(np.float32)) & np.isfinite(columns[name])
+                if beyond.any():
+                    raise ParseError(f"a value of property {name!r} is beyond float32 range", body_start)
+            continue
+        limits = np.iinfo(_SCALAR_TYPES[ptype])
+        if column and not limits.min <= min(column) <= max(column) <= limits.max:
+            raise ParseError(f"a value of property {name!r} is outside the {ptype} range", body_start)
+        columns[name] = np.array(column, dtype=_SCALAR_TYPES[ptype])
+    return {name: columns[name] for name in used}
+
+
+def ascii_body_oracle(cloud, include_roles):
+    """The ASCII PLY body that ``write_ply`` gives `cloud`, row by row:
+    x, y and z as the shortest round-trip decimal without a trailing ".0",
+    then red, green, blue and, with `include_roles`, the role flag."""
+    import numpy as np
+
+    columns = [*cloud.positions.T, *cloud.colors.T] + ([cloud.original.astype(np.uint8)] if include_roles else [])
+    text = [map(repr if i < 3 else str, column.tolist()) for i, column in enumerate(columns)]
+    body = "".join(" ".join(row) + "\n" for row in zip(*text))
+    return body.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")
+
+
 def nearest_original_color_oracle(cloud, query):
     """The seed's per-query scan: strict `<` keeps the lowest id on ties."""
     best_d2, best_color = None, None

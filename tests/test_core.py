@@ -11,7 +11,7 @@ from cloudcolor.core import ColorPointCloud, nearest_original_color, partition_i
 from cloudcolor.errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
 
 from conftest import random_cloud
-from oracles import nearest_original_color_oracle, partition_oracle
+from oracles import nearest_original_color_oracle, partition_oracle, partition_unique_oracle
 
 
 def cloud_of(*coords):
@@ -130,6 +130,22 @@ class TestPartition:
     def test_cell_index_beyond_int64(self):
         blocks = partition_into_blocks(cloud_of((0, 0, 0), (0, 1e300, 0)), 1.0)
         assert [b.cell_index for b in blocks] == [(0, 0, 0), (0, math.floor(1e300), 0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # few distinct coordinates: duplicate points and shared cells
+        points=st.lists(st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 3.9, 4.0, 7.25, 1e3])] * 3), min_size=1, max_size=40),
+        # one cell for every cloud, cells of a few points, and cell indices beyond int64 (1e3 / 1e-300)
+        size=st.sampled_from([1e6, 4.0, 0.5, 1e-300]) | st.floats(0.1, 10.0),
+    )
+    def test_matches_the_unique_grouping(self, points, size):
+        blocks = partition_into_blocks(cloud_of(*points), size)
+        expected = partition_unique_oracle(cloud_of(*points), size)
+        assert [b.cell_index for b in blocks] == [key for key, _ in expected]
+        for block, (_, ids) in zip(blocks, expected):
+            assert block.point_ids.dtype == ids.dtype and block.point_ids.tolist() == ids.tolist()
+        if size == 1e6:
+            assert len(blocks) == 1
 
 
 class TestNearestOriginal:

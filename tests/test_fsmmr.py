@@ -451,13 +451,17 @@ class TestShareFit:
         with pytest.raises(TypeError):
             function(None, None, None)  # a third positional argument is no cache
 
-    def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self):
-        # a flattened x span of 5e-324: normalize_to_window cannot scale it, so the group raises and reruns
-        problems = self.problems([2, 2, 2])
+    def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self, monkeypatch):
+        # a flattened x span of 5e-324: normalize_to_window cannot scale it; the other four still fit in lockstep
+        problems = self.problems([2, 2, 2, 2, 2])
         problems[1] = (np.array([(0.0, 0.0), (5e-324, 1.0)]), problems[1][1], np.array([(0.0, 0.5)]))
+        one_block, groups = Mock(wraps=upsample_block), Mock(wraps=_generate_models)
+        monkeypatch.setattr(fsmmr, "upsample_block", one_block)
+        monkeypatch.setattr(fsmmr, "_generate_models", groups)
         done = _upsample_share(problems, FsmmrConfig())
+        assert one_block.call_count == 0 and [len(call.args[0]) for call in groups.call_args_list] == [4]
         assert type(done[1][0]) is InvalidInput and "span" in str(done[1][0])
-        for i in (0, 2):
+        for i in (0, 2, 3, 4):
             assert done[i][0].tolist() == upsample_block(*problems[i]).tolist()
 
     def test_an_unbounded_cap_returns_once_every_fit_reaches_zero_energy(self):

@@ -147,6 +147,19 @@ class TestUpsampleClouds:
         assert sorted(cells) == sorted(str(block.cell_index) for block in blocks) and len(cells) == 56
         assert set(Counter(pids).values()) == {28}  # the calling process and the worker
 
+    def test_a_block_that_cannot_be_flattened_is_tried_once_per_sweep(self, monkeypatch):
+        # one process: every entry of the default sweep reaches the far pair's block, whose flattening raises
+        calls = Counter()
+
+        def counting_flatten(block, cloud, root_seed=None):
+            calls[block.cell_index] += 1
+            return flatten_block(block, cloud, root_seed)
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pipeline, "flatten_block", counting_flatten)
+        run_experiment(far_pair_cloud(), ExperimentSpec(upsample=UpsampleConfig(block_size=1e155)))
+        assert calls == {(0, 0, 0): 1, (3, 0, 0): 1}
+
     def test_partition_is_built_once_per_call_and_its_error_fills_the_2d_entries(self, monkeypatch):
         calls = []
 

@@ -6,9 +6,12 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cloudcolor import ply_io
 from cloudcolor.core import ColorPointCloud
-from cloudcolor.errors import CloudColorError
-from cloudcolor.ply_io import _SCALAR_TYPES, read_ply
+from cloudcolor.errors import CloudColorError, ParseError
+from cloudcolor.ply_io import _SCALAR_TYPES, _parse_header, _read_ascii_columns, read_ply
+
+from oracles import read_ascii_columns_oracle
 
 SCALAR_TYPES = sorted(_SCALAR_TYPES)
 FLOATS, UCHARS = ["float", "float32", "double", "float64"], ["uchar", "uint8"]
@@ -78,3 +81,40 @@ def ply_files(draw):
               b"property double z\nend_header\n\x00\x00\x81\x7f" + bytes(12))
 def test_random_header_types_count_and_body(data):
     read_or_domain_error(data)
+
+
+def vertex_rows(types):
+    """ASCII vertex rows for properties of `types`: mostly a value that fits
+    each type, one in twenty a tricky token, and one row in ten of any width."""
+    def value(ptype):
+        limits = np.iinfo(_SCALAR_TYPES[ptype]) if ptype not in FLOATS else None
+        fits = st.floats(width=32).map(repr) if limits is None else st.integers(int(limits.min), int(limits.max)).map(str)
+        return st.integers(0, 19).flatmap(lambda k: fits if k else st.sampled_from(TOKENS))
+
+    any_width = st.lists(st.sampled_from(TOKENS) | st.integers(-300, 300).map(str), max_size=len(types) + 1)
+    return st.integers(0, 9).flatmap(lambda k: st.tuples(*map(value, types)).map(list) if k else any_width)
+
+
+def columns_or_error(read, data):
+    """The columns that `read` finds in the ASCII file `data`, by name with
+    their dtypes and bytes, or its ParseError's message."""
+    _, [vertex, *_], body_start = _parse_header(data)
+    try:
+        columns = read(data, body_start, vertex, list(dict.fromkeys(name for name, _ in vertex.properties)))
+    except ParseError as error:
+        return str(error)
+    return {name: (column.dtype, column.tobytes()) for name, column in columns.items()}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ascii_columns_match_the_row_by_row_oracle(data, monkeypatch):
+    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 3)  # bodies of more than three rows cross a chunk edge
+    names = data.draw(st.lists(st.sampled_from(sorted(EXPECTED_TYPES)), min_size=1, max_size=4))
+    types = [data.draw(st.sampled_from(SCALAR_TYPES)) for _ in names]
+    rows = data.draw(st.lists(vertex_rows(types), max_size=10))
+    count = data.draw(st.sampled_from([len(rows)] * 4 + [max(0, len(rows) - 1), len(rows) + 1]))
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\n \n"]))
+    header = ["ply", "format ascii 1.0", f"element vertex {count}", *(f"property {t} {n}" for t, n in zip(types, names))]
+    ply = ("\n".join(header) + "\nend_header\n" + "".join(" ".join(r) + newline for r in rows)).encode("utf-8")
+    assert columns_or_error(_read_ascii_columns, ply) == columns_or_error(read_ascii_columns_oracle, ply)

@@ -1,14 +1,17 @@
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cloudcolor import ply_io
 from cloudcolor.core import ColorPointCloud
 from cloudcolor.errors import InvalidInput, MissingColor, ParseError
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
 from conftest import random_cloud
+from oracles import ascii_body_oracle
 
 
 ASCII_ONE_RED = b"""ply
@@ -288,3 +291,48 @@ def test_role_flag_roundtrip_for_mixed_clouds():
         assert back.original.tolist() == [True, False]
         assert back.colors[0].tolist() == [10, 20, 30]
         assert back.colored.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("fmt", PlyFormat)
+def test_a_bytearray_reads_as_its_bytes(fmt):
+    data = write_ply(read_ply(ASCII_MIXED.replace(b"{flag}", b"0")), fmt, include_roles=True)
+    assert write_ply(read_ply(bytearray(data)), fmt, include_roles=True) == data
+
+
+# integral floats, signed zero, a float that repr writes with an exponent, the least subnormal
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -7.0, 0.1, 1e16, -1e16, 5e-324, 123456789.0, 3.4e38, 1.5e-7]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    positions=st.lists(st.tuples(*[st.sampled_from(SPECIAL_FLOATS) | st.floats(-3e38, 3e38)] * 3), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_ascii_body_matches_the_row_by_row_oracle(positions, data, monkeypatch):
+    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 3)  # most clouds span several chunks
+    n = len(positions)
+    colors = data.draw(st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=n, max_size=n))
+    original = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cloud = ColorPointCloud(positions, colors, original=original)
+    for include_roles in (False, True):
+        head, body = write_ply(cloud, PlyFormat.ASCII, include_roles=include_roles).split(b"end_header\n")
+        assert body == ascii_body_oracle(cloud, include_roles)
+
+
+def rows_of(count):
+    return b"".join(b"%d 0 0 1 2 3\n" % i for i in range(count))
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"0 0 0 25x 0 0", "bad value in vertex row 4100: invalid literal for int() with base 10: '25x'"),
+    (b"0 0 0 255 0", "vertex row 4100 has 5 values where the header declares 6"),
+    (b"0 0 0 1_0 0 0", "bad value in vertex row 4100: a number cannot hold '_'"),
+])
+def test_a_bad_row_past_the_first_chunk_is_named(row, message):
+    body = rows_of(5000).split(b"\n")
+    body[4100] = row
+    data = ASCII_ONE_RED.replace(b"element vertex 1", b"element vertex 5000").replace(b"0 0 0 255 0 0\n", b"\n".join(body))
+    with pytest.raises(ParseError) as error:
+        read_ply(data)
+    assert str(error.value).startswith(message)
+    assert len(read_ply(data.replace(row, b"0 0 0 255 0 0"))) == 5000

@@ -3,9 +3,9 @@ or a numpy integer, a real setting takes any real number, and anything
 else (a bool, a string, None, an int too large for a float) raises
 InvalidConfig naming the setting.  Nested settings and config, cloud and
 block arguments must be of their class, list settings and arguments a
-tuple or a list, a flag a bool or a numpy bool and a PLY format a
-PlyFormat.  The value is stored converted, so equal numbers give equal
-output bytes.
+tuple or a list, PLY data bytes or a bytearray, a flag a bool or a numpy
+bool and a PLY format a PlyFormat.  The value is stored converted, so
+equal numbers give equal output bytes.
 """
 import math
 from fractions import Fraction
@@ -21,7 +21,7 @@ from cloudcolor.errors import InvalidConfig
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud
 from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, generate_model, normalize_to_window, upsample_block
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
-from cloudcolor.ply_io import write_ply
+from cloudcolor.ply_io import read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
 
 CLOUD = sphere_cloud(40, radius=2.0, seed=3)
@@ -105,6 +105,10 @@ BAD_SETTINGS = {
     "reconstruction_color_psnr original None": (lambda: reconstruction_color_psnr(None, MIXED), "original"),
     "reconstruction_color_psnr upsampled None": (lambda: reconstruction_color_psnr(CLOUD, None), "upsampled"),
     "write_ply cloud None": (lambda: write_ply(None), "cloud"),
+    # a str used to end in TypeError, None and a memoryview in AttributeError
+    "read_ply data str": (lambda: read_ply("ply"), "data"),
+    "read_ply data None": (lambda: read_ply(None), "data"),
+    "read_ply data memoryview": (lambda: read_ply(memoryview(b"ply")), "data"),
     # a negative id used to flatten the cloud's last point, a float id to end in IndexError
     "flatten_block negative point id": (lambda: flatten_block(Block((0, 0, 0), np.array([-1, 3])), sphere_cloud(50)), "block"),
     "flatten_block point id past the cloud": (lambda: flatten_block(Block((0, 0, 0), np.array([3, 50])), sphere_cloud(50)), "block"),
