@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Tuple
@@ -101,6 +100,19 @@ class SparseModel:
         object.__setattr__(self, "terms", terms)
 
 
+@dataclass(frozen=True)
+class _Fit:
+    """``generate_model``'s model of one channel as arrays, unchecked: its
+    terms as (u, v) `frequencies` in first-selection order and their summed
+    `coefficients`, and its `selections` as candidate indices."""
+    frequencies: np.ndarray
+    coefficients: np.ndarray
+    iterations_run: int
+    final_energy: float
+    selections: np.ndarray
+    energy_history: np.ndarray
+
+
 def _window_size(size, name: str = "size") -> int:
     """`size`, the setting `name`, the side M of an M x M model window, as
     an int in [1, _MAX_WINDOW_SIZE]; InvalidConfig naming it otherwise."""
@@ -127,13 +139,21 @@ def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
-def _fit_basis(coords: np.ndarray, weights: np.ndarray, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of a fit to samples at the (n, 2) window `coords` with the
-    (n,) spatial `weights` under `config`: the (C, n) candidate rows `phi`
-    at the samples and their (C,) denominators phi^2 . w.  It reads no
-    values, so the fits of a block's R, G and B share one."""
+def _sample_tables(coords: np.ndarray, config: FsmmrConfig) -> np.ndarray:
+    """``_cosine_tables`` at the window `coords` under `config`, after its
+    candidates: a window too large to hold them raises MemoryError first."""
+    config.frequencies
+    return _cosine_tables(coords, config.model_size)
+
+
+def _fit_basis(cosines: np.ndarray, weights: np.ndarray, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of a fit to samples with the (2, M, n) ``_cosine_tables``
+    `cosines` and the (n,) spatial `weights` under `config`: the (C, n)
+    candidate rows `phi` at the samples and their (C,) denominators
+    phi^2 . w.  It reads no values, so the fits of a block's R, G and B
+    share one."""
     kl, _ = config.frequencies
-    cos_x, cos_y = _cosine_tables(coords, config.model_size)
+    cos_x, cos_y = cosines
     phi = cos_x[kl[:, 0]] * cos_y[kl[:, 1]]  # (C, n), one row per candidate
     denominators = (phi * phi) @ weights
     vanishing = denominators == 0
@@ -149,12 +169,12 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
     """The greedy sparse model of `samples` under `config`.  Within the
     package, `_basis` is ``_fit_basis`` of samples at the same coordinates
     and weights under the same config, shared by the fits of R, G and B."""
-    as_instance(config, "config", FsmmrConfig)
+    samples, config = as_instance(samples, "samples", ScatteredSamples), as_instance(config, "config", FsmmrConfig)
     if len(samples.values) == 0:
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    phi, denominators = _fit_basis(samples.coords, samples.weights, config) if _basis is None else _basis
+    phi, denominators = _fit_basis(_sample_tables(samples.coords, config), samples.weights, config) if _basis is None else _basis
     w = samples.weights
 
     coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
@@ -181,15 +201,16 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
     return _sparse_model(config, selections, coefficients, energies, w @ (residual * residual))
 
 
-def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig) -> Iterator[list[SparseModel]]:
+def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig) -> Iterator[list[_Fit]]:
     """``generate_model`` of each color row of each block's sample set, bit
-    for bit, with all fits in lockstep: each iteration is one stacked gemv,
-    one argmax and one update for every fit still running, and a fit that
-    stops leaves the arrays.  The sets are ``_block_samples``' (coords,
-    weights, colors) of equal n >= 1, so every row of a block is fitted on
-    the block's one ``_fit_basis``.  The fits run in this call; the
-    iterator builds each block's models as the caller reads them, so a
-    caller that uses them block by block never holds the whole group's.
+    for bit, as `_Fit` records, with all fits in lockstep: each iteration is
+    one stacked gemv, one argmax and one update for every fit still running,
+    and a fit that stops leaves the arrays.  A set is the samples' (2, M, n)
+    ``_cosine_tables``, their (n,) spatial weights and their (3, n) float
+    colors, one row per channel, with n >= 1 equal over the sets, so every
+    row of a block is fitted on the block's one ``_fit_basis``.  The fits
+    run in this call; the iterator builds each block's records as the
+    caller reads them.
 
     A stacked gemv rounds each slice as ``phi @ x`` does, and so does a
     stacked (1, n) @ (n, 1) product as ``w @ x``; an element-wise step does
@@ -198,7 +219,7 @@ def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
     """
     width, n = blocks[0][2].shape
     kl, wf = config.frequencies
-    phi, denominators = map(np.stack, zip(*(_fit_basis(coords, weights, config) for coords, weights, _ in blocks)))  # (B, C, n), (B, C)
+    phi, denominators = map(np.stack, zip(*(_fit_basis(cosines, weights, config) for cosines, weights, _ in blocks)))  # (B, C, n), (B, C)
     fits = len(blocks) * width
     live, owner = np.arange(fits), np.arange(fits) // width  # the running fits and the block of each
     values = np.concatenate([colors for _, _, colors in blocks])
@@ -231,11 +252,15 @@ def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
         if not running.any():
             break
 
-    selections, energy_history = np.full((fits, len(history)), -1), np.zeros((fits, len(history)))
-    for t, (ids, best, energies) in enumerate(history):
-        selections[ids, t], energy_history[ids, t] = best, energies
-    runs = (selections >= 0).sum(axis=1)  # a fit steps in a prefix of the iterations
-    return ([_sparse_model(config, selections[f, :runs[f]], coefficients[f], energy_history[f, :runs[f]], final[f])
+    steps = len(history)
+    selections, energy_history = np.full((fits, steps), -1), np.zeros((fits, steps))
+    first = np.full((fits, len(kl)), steps)  # the first step that selected each candidate, or `steps`
+    for t, (ids, best, energies) in reversed(list(enumerate(history))):
+        selections[ids, t], energy_history[ids, t], first[ids, best] = best, energies, t
+    runs, terms = (selections >= 0).sum(axis=1), (first < steps).sum(axis=1)  # a fit steps in a prefix of the iterations
+    order = np.argsort(first, axis=1, kind="stable")  # each fit's terms first, in first-selection order
+    return ([_Fit(kl[order[f, :terms[f]]], coefficients[f, order[f, :terms[f]]], int(runs[f]), float(final[f]),
+                  selections[f, :runs[f]], energy_history[f, :runs[f]])
              for f in range(b * width, (b + 1) * width)] for b in range(len(blocks)))
 
 
@@ -269,7 +294,7 @@ def evaluate_model(model: SparseModel, queries: np.ndarray, *, _table=None) -> n
     """The model's values at the (k, 2) `queries`.  Within the package,
     `_table` is ``_query_table`` of the same queries for the model's size,
     shared by the models of R, G and B."""
-    queries = as_rows(queries, "queries", 2)
+    model, queries = as_instance(model, "model", SparseModel), as_rows(queries, "queries", 2)
     cos_x, cos_y = _query_table(queries, model.size) if _table is None else _table
     out = np.zeros(cos_x.shape[1])
     for u, v, c in model.terms:
@@ -292,6 +317,11 @@ def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     return window
 
 
+def _spatial_weights(coords: np.ndarray, config: FsmmrConfig) -> np.ndarray:
+    """The (n,) spatial weights of the (n, 2) window `coords` under `config`."""
+    return np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in coords.tolist()])
+
+
 def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """One flattened block in the model window: its one sample set (the
     originals' (n, 2) coordinates, (n,) spatial weights and (3, n) float
@@ -300,8 +330,26 @@ def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[tup
     positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
     coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
     o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
-    weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords])
-    return (o_coords, weights, o_colors.T), r_coords
+    return (o_coords, _spatial_weights(o_coords, config), o_colors.T), r_coords
+
+
+class _Window:
+    """A flattened block's (N, 2) points in the model window, for all its
+    role splits: a split maps all the block's points together, so a point's
+    window coordinates, spatial weight and cosine columns, unclipped for a
+    sample and clipped for a query, do not depend on its role."""
+
+    def __init__(self, flat: np.ndarray, config: FsmmrConfig):
+        self.coords = normalize_to_window(flat, config.model_size)
+        self.weights = _spatial_weights(self.coords, config)
+        self.tables = _sample_tables(self.coords, config), _query_table(self.coords, config.model_size)
+
+    def split(self, positions, colors, queries, is_original: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """``_block_samples`` of the split whose originals `is_original`
+        masks, as a ``_generate_models`` set, and its ``_query_table``."""
+        _, colors, _ = as_kernel_rows(positions, colors, queries, width=2)  # upsample_block's checks
+        cosines, clipped = self.tables
+        return (cosines[:, :, is_original], self.weights[is_original], colors.T), clipped[:, :, ~is_original]
 
 
 def upsample_block(
@@ -318,7 +366,7 @@ def upsample_block(
     """
     as_instance(config, "config", FsmmrConfig)
     (coords, weights, channels), r_coords = _block_samples(positions, colors, queries, config)
-    basis = _fit_basis(coords, weights, config)
+    basis = _fit_basis(_sample_tables(coords, config), weights, config)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _colors_at([generate_model(ScatteredSamples(coords, values, weights), config, _basis=basis) for values in channels], r_coords)
@@ -333,22 +381,39 @@ def _colors_at(models: Sequence[SparseModel], r_coords: np.ndarray) -> np.ndarra
     return round_color_channel(np.column_stack([evaluate_model(model, r_coords, _table=table) for model in models]))
 
 
+def _fit_values(fit: _Fit, table: np.ndarray) -> np.ndarray:
+    """``evaluate_model`` of the fit's model on a ``_query_table``, bit for
+    bit: its term loop as a cumulative sum over a leading zero row, so that
+    the terms add in the same order, from +0.0."""
+    cos_x, cos_y = table
+    u, v = fit.frequencies.T
+    terms = (fit.coefficients[:, None] * cos_x[u]) * cos_y[v]
+    return np.cumsum(np.concatenate([np.zeros((1, cos_x.shape[1])), terms]), axis=0)[-1]
+
+
+def _fit_colors(fits: Sequence[_Fit], table: np.ndarray) -> np.ndarray:
+    """``_colors_at`` of the models of a block's R, G and B `fits`."""
+    return round_color_channel(np.column_stack([_fit_values(fit, table) for fit in fits]))
+
+
 def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tuple[np.ndarray | CloudColorError, float]]:
-    """``upsample_block(*problem, config)`` for each problem of a process's
-    share of FSMMR blocks, or the CloudColorError it raises, and the seconds
-    spent on it.  A problem is a block's (n >= 1, 2) float64 originals,
-    their (n, 3) uint8 colors and its (k >= 1, 2) float64 queries, as
-    ``pipeline._block_colors`` defers them.
+    """``upsample_block(*problem[:3], config)`` for each problem of a
+    process's share of FSMMR blocks, or the CloudColorError it raises, and
+    the seconds spent on it.  A problem is a block's (n >= 1, 2) float64
+    originals, their (n, 3) uint8 colors and its (k >= 1, 2) float64
+    queries, as ``pipeline._block_colors`` defers them, then a cached call
+    that gives the block's `_Window` or its error, and the split's mask of
+    originals among the block's points.
 
     The problems with equal n form a group, whose fits run together in
-    ``_generate_models``, bit for bit as ``upsample_block`` would run them;
-    the group's seconds are split evenly over its problems.  A problem
-    whose samples raise (a span that ``normalize_to_window`` rejects, say)
-    gets its error, and a group whose fit raises reruns its problems
-    through ``upsample_block``: every error stays with its own problem.
+    ``_generate_models`` on rows of their windows, bit for bit as
+    ``upsample_block`` would run them; the group's seconds are split evenly
+    over its problems.  A problem whose window raises (a span that
+    ``normalize_to_window`` rejects, say) gets its error, and the rest of
+    its group still fit together: every error stays with its own problem.
     """
     groups: dict[int, list[int]] = defaultdict(list)
-    for index, (positions, _, _) in enumerate(problems):
+    for index, (positions, *_) in enumerate(problems):
         groups[len(positions)].append(index)
     done: list = [None] * len(problems)
     for indices in groups.values():
@@ -358,18 +423,21 @@ def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tupl
         # and perfbench's span test needs generate_model and upsample_block on the pipeline's path
         if len(indices) > 1:
             for index in indices:
+                *split, window, is_original = problems[index]
                 try:
-                    samples[index] = _block_samples(*problems[index], config)
+                    window = window()
+                    if isinstance(window, CloudColorError):
+                        raise window
+                    samples[index] = window.split(*split, is_original)
                 except CloudColorError as error:
                     fitted[index] = error
         if samples:
-            blocks, queries = zip(*samples.values())
-            with suppress(CloudColorError):  # each problem left is rerun below
-                fitted.update(zip(samples, map(_colors_at, _generate_models(blocks, config), queries)))
-        for index in indices:  # a lone block, or the blocks left when a group's fit raised
+            blocks, tables = zip(*samples.values())
+            fitted.update(zip(samples, map(_fit_colors, _generate_models(blocks, config), tables)))
+        for index in indices:  # a lone block
             if index not in fitted:
                 try:
-                    fitted[index] = upsample_block(*problems[index], config)
+                    fitted[index] = upsample_block(*problems[index][:3], config)
                 except CloudColorError as error:
                     fitted[index] = error
         seconds = (time.perf_counter() - started) / len(indices)

@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import InterpolatorKind, interpolate_idw, interpolate_lin2, interpolate_nn3, load_delaunay
 from .core import Block, ColorPointCloud, as_instance, as_list, as_number, nearest_original_color, partition_into_blocks, positive_real
 from .errors import CloudColorError, EmptySamples, InvalidConfig
-from .fsmmr import FsmmrConfig, _upsample_share
+from .fsmmr import FsmmrConfig, _upsample_share, _Window
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
@@ -102,10 +102,12 @@ def upsample_clouds(
     it, and a lockstep FSMMR fit's seconds are split evenly over its
     blocks).  The clouds must share their positions (InvalidConfig
     otherwise), as role splits of one cloud do: the blocks run on every
-    usable core in one `parallel.map_on_cores` call.  Each process
-    flattens each block of its share at most once and colors it for every
-    cloud and 2D method, and fits the FSMMR blocks of its whole share in
-    one call, which fits the blocks with equal numbers of originals in
+    usable core in one `parallel.map_on_cores` call, and each NN3 or IDW3
+    entry rides with a block in it; a call without a 2D entry partitions
+    nothing and forks nothing.  Each process flattens each block of its
+    share and maps it onto the FSMMR window at most once, colors it for
+    every cloud and 2D method, and fits the FSMMR blocks of its whole share
+    in one call, which fits the blocks with equal numbers of originals in
     lockstep.  A partition that raises fills every 2D entry; an entry whose
     blocks raise holds the error of the lowest-index one, whatever the
     number of processes.
@@ -116,34 +118,36 @@ def upsample_clouds(
     if any(not np.array_equal(cloud.positions, clouds[0].positions) for cloud in clouds):
         raise InvalidConfig("the clouds to upsample together must share their positions")
     entries: list[list] = [[None] * len(methods) for _ in clouds]
-    pairs = []  # the (cloud, method) indices that color blocks
+    pairs, whole = [], []  # the (cloud, method) indices that color blocks, and those that color the whole cloud
     for i, cloud in enumerate(clouds):
         for j, method in enumerate(methods):
             if not cloud.original.any():
                 entries[i][j] = EmptySamples("upsampling requires at least one original point"), 0.0
             elif cloud.original.all():  # nothing to reconstruct
                 entries[i][j] = cloud, 0.0
-            elif method in _WHOLE_CLOUD_METHODS:
-                entries[i][j] = _timed(_whole_cloud_colors, cloud, method, config)
             else:
-                pairs.append((i, j))
-    if not pairs:
-        return entries
-    try:
-        blocks = partition_into_blocks(clouds[0], config.block_size)
-    except CloudColorError as error:
-        for i, j in pairs:
-            entries[i][j] = error, 0.0
-        return entries
+                (whole if method in _WHOLE_CLOUD_METHODS else pairs).append((i, j))
+    whole.sort(key=lambda entry: _WHOLE_CLOUD_METHODS.index(methods[entry[1]]))  # so that each share gets both methods
+    blocks: list = [None]  # with no 2D entry to color, one item, which runs in this process: the whole-cloud entries
+    if pairs:
+        try:
+            blocks = partition_into_blocks(clouds[0], config.block_size)
+        except CloudColorError as error:
+            for i, j in pairs:
+                entries[i][j] = error, 0.0
+            pairs.clear()
 
-    def color_share(share: Sequence[Block]) -> list:
-        problems, done = [], []  # the (o_coords, o_colors, r_coords) of each FSMMR block, fitted together below
-        for block in share:
+    def color_share(share: Sequence[tuple[Block, list]]) -> list:
+        problems, done = [], []  # the FSMMR problems of the share's blocks, fitted together below
+        for block, riders in share:
             coords = cache(lambda block=block: _timed(flatten_block, block, clouds[0], config.root_seed)[0])  # an error is kept too
-            done.append([_timed(_block_colors, block, coords, clouds[i], methods[j], config, lambda *problem: problems.append(problem))
-                         for i, j in pairs])  # an FSMMR entry's colors read None until its fit below
+            window = cache(lambda coords=coords: _timed(_Window, coords(), config.fsmmr)[0])  # built by the first fit that reads it
+            row = [_timed(_block_colors, block, coords, clouds[i], methods[j], config,
+                          lambda *problem: problems.append((*problem, window, clouds[i].original[block.point_ids])))
+                   for i, j in pairs]  # an FSMMR entry's colors read None until its fit below
+            done.append((row, [_timed(_whole_cloud_colors, clouds[i], methods[j], config) for i, j in riders]))
         fits = iter(_upsample_share(problems, config.fsmmr))  # in the order of the entries they fill
-        for row in done:
+        for row, _ in done:
             for k, (colored, seconds) in enumerate(row):
                 if not isinstance(colored, CloudColorError) and colored[1] is None:
                     colors, fit_seconds = next(fits)
@@ -152,12 +156,16 @@ def upsample_clouds(
 
     if any(methods[j] is InterpolatorKind.LIN2_DELAUNAY for _, j in pairs):
         load_delaunay()  # before the fork, so that every process shares one single-threaded scipy
-    done = map_on_cores(color_share, blocks)
+    # whole-cloud entry k rides with block k mod len(blocks), so that it overlaps with the other blocks
+    done = map_on_cores(color_share, [(block, whole[b::len(blocks)]) for b, block in enumerate(blocks)])
     for k, (i, j) in enumerate(pairs):
-        parts, seconds = zip(*(block_parts[k] for block_parts in done))
+        parts, seconds = zip(*(row[k] for row, _ in done))
         errors = [part for part in parts if isinstance(part, CloudColorError)]
         upsampled = errors[0] if errors else _colored(clouds[i], *map(np.concatenate, zip(*parts)))
         entries[i][j] = upsampled, sum(seconds)
+    for k, (i, j) in enumerate(whole):  # each cloud built here: one sent back from a worker would be writeable
+        colors, seconds = done[k % len(blocks)][1][k // len(blocks)]
+        entries[i][j] = colors if isinstance(colors, CloudColorError) else _colored(clouds[i], np.flatnonzero(~clouds[i].original), colors), seconds
     return entries
 
 
@@ -171,12 +179,12 @@ def _timed(function: Callable, *args) -> tuple[object, float]:
     return result, time.perf_counter() - started
 
 
-def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> ColorPointCloud:
-    """The cloud upsampled by NN3 or IDW3, in 3D over all its originals."""
+def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> np.ndarray:
+    """The colors of the cloud's Reconstruct points, in id order, by NN3 or
+    IDW3 in 3D over all its originals."""
     o_ids, r_ids = np.flatnonzero(cloud.original), np.flatnonzero(~cloud.original)
     rows = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
-    colors = interpolate_nn3(*rows) if method is InterpolatorKind.NN3 else interpolate_idw(*rows, power=config.idw_power)
-    return _colored(cloud, r_ids, colors)
+    return interpolate_nn3(*rows) if method is InterpolatorKind.NN3 else interpolate_idw(*rows, power=config.idw_power)
 
 
 def _colored(cloud: ColorPointCloud, ids: np.ndarray, rows: np.ndarray) -> ColorPointCloud:

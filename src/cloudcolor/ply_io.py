@@ -39,6 +39,7 @@ _UCHAR_TYPES = {"uchar", "uint8"}
 _CHANNELS = ("red", "green", "blue")
 _ASCII_CHUNK_ROWS = 4096
 _UCHAR_TEXT = tuple(map(str, range(256)))  # a uchar value's text, looked up in place of str
+_UCHAR_VALUES = {text: value for value, text in enumerate(_UCHAR_TEXT)}  # looked up in place of int; any other spelling falls back to it
 
 
 @dataclass
@@ -167,7 +168,10 @@ def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: li
                 raise ValueError
             tokens = list(chain.from_iterable(rows))
             for c, (parse, column) in enumerate(zip(parsers, values)):
-                column.extend(map(parse, tokens[c::width]))
+                try:  # a whole column chunk by the table or none of it: a KeyError leaves nothing behind
+                    column.extend(list(map(_UCHAR_VALUES.__getitem__, tokens[c::width])) if parse is int else map(parse, tokens[c::width]))
+                except KeyError:  # "+7", "007", "256" or a bad token: int reads it, or names it
+                    column.extend(map(int, tokens[c::width]))
         except ValueError:  # the first bad row of the chunk names the error
             for i, tokens in enumerate(rows, start):
                 if len(tokens) != width:

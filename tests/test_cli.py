@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cloudcolor import parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.cli import _experiment_spec, _upsample_config, build_parser, main
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
@@ -29,6 +30,14 @@ def colored_ply(tmp_path):
 
 
 class TestUpsample:
+    def test_nn3_partitions_nothing_and_forks_nothing(self, mixed_ply, tmp_path, monkeypatch, worker_pids):
+        # NN3 works on the whole cloud: it has no block to ride with
+        calls = []
+        monkeypatch.setattr(pipeline, "partition_into_blocks", lambda *args: calls.append(args))
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+        assert main(["upsample", "--method", "nn3", str(mixed_ply), str(tmp_path / "out.ply")]) == 0
+        assert calls == [] and worker_pids() == []
+
     def test_happy_path_fully_colored_output(self, mixed_ply, tmp_path):
         out = tmp_path / "out.ply"
         code = main(["upsample", "--method", "fsmmr", "--block-size", "4", str(mixed_ply), str(out)])

@@ -1,7 +1,7 @@
 import dataclasses
 import inspect
 import math
-from functools import partial
+from functools import cache, partial
 from unittest.mock import Mock
 
 import numpy as np
@@ -14,10 +14,11 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, _cosine_tables, _fit_basis, _generate_models, _query_table, _upsample_share,
-    evaluate_model, frequency_weight, generate_model, normalize_to_window, spatial_weight, upsample_block,
+    FsmmrConfig, ScatteredSamples, SparseModel, _block_samples, _cosine_tables, _Fit, _fit_basis, _fit_values,
+    _generate_models, _query_table, _upsample_share, _Window, evaluate_model, frequency_weight, generate_model,
+    normalize_to_window, spatial_weight, upsample_block,
 )
-from cloudcolor.pipeline import UpsampleConfig, _block_colors
+from cloudcolor.pipeline import UpsampleConfig, _block_colors, _timed
 from cloudcolor.surface_transform import flatten_block
 
 from oracles import (
@@ -289,7 +290,7 @@ class TestFitMatchesSeedOracle:
         model = generate_model(samples, config)
         assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
         # one basis shared by fits of other values at the same points, as upsample_block's R, G and B
-        basis = _fit_basis(samples.coords, samples.weights, config)
+        basis = _fit_basis(_cosine_tables(samples.coords, m), samples.weights, config)
         for shared in (samples, ScatteredSamples(coords, values[::-1], weights)):
             assert model_bits(generate_model(shared, config, _basis=basis)) == model_bits(generate_model_oracle(shared, config))
 
@@ -340,13 +341,35 @@ class TestFitMatchesSeedOracle:
         assert (((cos_x[kl[:, 0]] * cos_y[kl[:, 1]]) ** 2) @ samples.weights == 0).any()
         expected = model_bits(generate_model_oracle(samples, config))
         assert model_bits(generate_model(samples, config)) == expected
-        assert model_bits(generate_model(samples, config, _basis=_fit_basis(samples.coords, samples.weights, config))) == expected
+        assert model_bits(generate_model(samples, config, _basis=_fit_basis(_cosine_tables(samples.coords, m), samples.weights, config))) == expected
 
 
-def sample_set(channels):
-    """The R, G and B `channels` of one block, which share their coordinates
-    and weights, as the (coords, weights, colors) set of ``_block_samples``."""
-    return channels[0].coords, channels[0].weights, np.array([samples.values for samples in channels])
+def sample_set(channels, m):
+    """The R, G and B `channels` of one block in an m x m window, which share
+    their coordinates and weights, as a ``_generate_models`` set: the
+    samples' cosine tables, their weights and their colors."""
+    return _cosine_tables(channels[0].coords, m), channels[0].weights, np.array([samples.values for samples in channels])
+
+
+def fit_bits(fit, config):
+    """`model_bits` of the model that a `_Fit` record stands for."""
+    kl, _ = config.frequencies
+    return (
+        [(u, v, c.hex()) for (u, v), c in zip(fit.frequencies.tolist(), fit.coefficients.tolist())], config.model_size,
+        fit.iterations_run, fit.final_energy.hex(), float_bits(fit.energy_history), tuple(map(tuple, kl[fit.selections].tolist())),
+    )
+
+
+def share_problem(positions, colors, queries, config=FsmmrConfig(), seed=0):
+    """An FSMMR problem as the pipeline defers it to ``_upsample_share``:
+    the originals, their colors and the queries, then the block's cached
+    `_Window` call and the originals' mask, the block being the originals
+    and the queries interleaved at random."""
+    positions, queries = np.asarray(positions, dtype=float), np.asarray(queries, dtype=float)
+    is_original = np.random.default_rng(seed).permutation(len(positions) + len(queries)) < len(positions)
+    flat = np.empty((len(is_original), 2))
+    flat[is_original], flat[~is_original] = positions, queries
+    return positions, np.asarray(colors, dtype=np.uint8), queries, cache(lambda: _timed(_Window, flat, config)[0]), is_original
 
 
 def lockstep_case(kind, blocks, n, m, seed):
@@ -376,25 +399,47 @@ def lockstep_case(kind, blocks, n, m, seed):
 
 
 class TestLockstepFit:
-    """`_generate_models` fits blocks of equal n in lockstep; every fit must
-    be `generate_model`'s and the seed oracle's, bit for bit."""
+    """`_generate_models` fits blocks of equal n in lockstep; every fit's
+    record must be `generate_model`'s model and the seed oracle's, bit for
+    bit, and evaluate as the model does."""
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["scattered", "threshold", "grid"]), blocks=st.integers(2, 6), n=st.integers(1, 60),
            m=st.sampled_from([1, 2, 5, 6, 16]), seed=st.integers(0, 2 ** 32 - 1))
     def test_every_fit_is_generate_model_bit_for_bit(self, kind, blocks, n, m, seed):
         cases, config = lockstep_case(kind, blocks, n, m, seed)
-        fitted = list(_generate_models(list(map(sample_set, cases)), config))
-        assert [len(models) for models in fitted] == [3] * blocks
-        for channels, models in zip(cases, fitted):
-            for samples, model in zip(channels, models):
-                assert model_bits(model) == model_bits(generate_model(samples, config))
-                assert model_bits(model) == model_bits(generate_model_oracle(samples, config))
+        fitted = list(_generate_models([sample_set(channels, m) for channels in cases], config))
+        assert [len(fits) for fits in fitted] == [3] * blocks
+        for channels, fits in zip(cases, fitted):
+            for samples, fit in zip(channels, fits):
+                assert fit_bits(fit, config) == model_bits(generate_model(samples, config))
+                assert fit_bits(fit, config) == model_bits(generate_model_oracle(samples, config))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["scattered", "threshold", "grid"]), n=st.integers(1, 40),
+           m=st.sampled_from([1, 2, 5, 6, 16]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_record_evaluates_as_evaluate_model_bit_for_bit(self, kind, n, m, seed):
+        cases, config = lockstep_case(kind, 2, n, m, seed)
+        # queries inside the window, on its grid and just outside it (clipped)
+        rng = np.random.default_rng(seed)
+        queries = np.concatenate([rng.uniform(0, 1, size=(30, 2)) * (m - 1), cases[0][0].coords, [[-0.5, m - 0.5]]])
+        for channels, fits in zip(cases, _generate_models([sample_set(channels, m) for channels in cases], config)):
+            for samples, fit in zip(channels, fits):
+                model = generate_model(samples, config)
+                for at in (queries, queries[:1]):  # one query: numpy sums a column of terms pairwise, not in order
+                    assert float_bits(_fit_values(fit, _query_table(at, m))) == float_bits(evaluate_model(model, at))
+
+    def test_a_record_sum_starts_from_positive_zero(self):
+        # TestEvaluateModel's -0.0 product: the record's sum must read +0.0 too
+        model = SparseModel(((1, 0, 0.0),), 4, 1, 0.0)
+        fit = _Fit(np.array([[1, 0]]), np.array([0.0]), 1, 0.0, np.array([2]), np.array([0.0]))
+        queries = np.array([(2.0, 0.0)])
+        assert float_bits(_fit_values(fit, _query_table(queries, 4))) == float_bits(evaluate_model(model, queries)) == ["0x0.0p+0"]
 
     @pytest.mark.parametrize("kind", ["threshold", "grid"])
     def test_fits_that_stop_early_leave_the_others_running(self, kind):
         cases, config = lockstep_case(kind, 4, 20, 6, 3)
-        runs = [model.iterations_run for models in _generate_models(list(map(sample_set, cases)), config) for model in models]
+        runs = [fit.iterations_run for fits in _generate_models([sample_set(channels, 6) for channels in cases], config) for fit in fits]
         assert min(runs) < max(runs)  # some fits stopped mid-group
         assert runs == [generate_model(samples, config).iterations_run for channels in cases for samples in channels]
 
@@ -405,8 +450,8 @@ class TestShareFit:
 
     def problems(self, sizes, seed=0):
         rng = np.random.default_rng(seed)
-        return [(rng.uniform(0, 3, size=(n, 2)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8),
-                 rng.uniform(0, 3, size=(5, 2))) for n in sizes]
+        return [share_problem(rng.uniform(0, 3, size=(n, 2)), rng.integers(0, 256, size=(n, 3), dtype=np.uint8),
+                              rng.uniform(0, 3, size=(5, 2)), seed=n) for n in sizes]
 
     def test_groups_by_sample_count_and_matches_upsample_block(self, monkeypatch):
         groups = []
@@ -420,7 +465,7 @@ class TestShareFit:
         done = _upsample_share(problems, FsmmrConfig())
         assert sorted(groups) == [2, 3]  # n = 12 runs on its own
         for problem, (colors, seconds) in zip(problems, done):
-            assert colors.tolist() == upsample_block(*problem).tolist() and seconds >= 0
+            assert colors.tolist() == upsample_block(*problem[:3]).tolist() and seconds >= 0
         assert done[0][1] == done[2][1] == done[4][1]  # the group's seconds, split evenly
 
     def test_the_channels_of_a_block_share_one_basis_and_one_query_table(self, monkeypatch):
@@ -428,7 +473,7 @@ class TestShareFit:
         fit, table = Mock(wraps=fsmmr._fit_basis), Mock(wraps=fsmmr._query_table)
         monkeypatch.setattr(fsmmr, "_fit_basis", fit)
         monkeypatch.setattr(fsmmr, "_query_table", table)
-        upsample_block(*self.problems([7])[0])
+        upsample_block(*self.problems([7])[0][:3])
         assert (fit.call_count, table.call_count) == (1, 1)
         _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())  # one group of three blocks and a lone block
         assert (fit.call_count, table.call_count) == (5, 5)
@@ -436,10 +481,16 @@ class TestShareFit:
     def test_only_the_lone_block_builds_scattered_samples(self, monkeypatch):
         # a grouped block's channels are the rows of its one sample set; the lone block's
         # generate_model calls are the only readers of ScatteredSamples
-        built = Mock(wraps=fsmmr.ScatteredSamples)
-        monkeypatch.setattr(fsmmr, "ScatteredSamples", built)
+        built = []
+
+        class Counted(ScatteredSamples):  # a subclass, not a Mock: generate_model checks its samples by class
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(fsmmr, "ScatteredSamples", Counted)
         _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())
-        assert built.call_count == 3
+        assert len(built) == 3
 
     @pytest.mark.parametrize("function, public, private", [
         (generate_model, ["samples", "config"], "_basis"), (evaluate_model, ["model", "queries"], "_table"),
@@ -454,7 +505,7 @@ class TestShareFit:
     def test_a_problem_whose_span_fails_gets_its_error_and_the_rest_of_its_group_their_colors(self, monkeypatch):
         # a flattened x span of 5e-324: normalize_to_window cannot scale it; the other four still fit in lockstep
         problems = self.problems([2, 2, 2, 2, 2])
-        problems[1] = (np.array([(0.0, 0.0), (5e-324, 1.0)]), problems[1][1], np.array([(0.0, 0.5)]))
+        problems[1] = share_problem([(0.0, 0.0), (5e-324, 1.0)], problems[1][1], [(0.0, 0.5)])
         one_block, groups = Mock(wraps=upsample_block), Mock(wraps=_generate_models)
         monkeypatch.setattr(fsmmr, "upsample_block", one_block)
         monkeypatch.setattr(fsmmr, "_generate_models", groups)
@@ -462,18 +513,75 @@ class TestShareFit:
         assert one_block.call_count == 0 and [len(call.args[0]) for call in groups.call_args_list] == [4]
         assert type(done[1][0]) is InvalidInput and "span" in str(done[1][0])
         for i in (0, 2, 3, 4):
-            assert done[i][0].tolist() == upsample_block(*problems[i]).tolist()
+            assert done[i][0].tolist() == upsample_block(*problems[i][:3]).tolist()
 
     def test_an_unbounded_cap_returns_once_every_fit_reaches_zero_energy(self):
         # one sample at the window center: weight 1, so a full step (gamma 1) leaves zero energy
         config = FsmmrConfig(max_iterations=10 ** 12, gamma=1.0)
         samples = ScatteredSamples([(7.5, 7.5)], [200.0], [1.0])
         assert generate_model(samples, config).iterations_run == 1
-        assert [model.iterations_run for [model] in _generate_models([sample_set([samples])] * 2, config)] == [1, 1]
-        problems = [([(0.0, 0.0)], [(10, 20, 30)], [(0.0, 0.0)]), ([(5.0, 1.0)], [(40, 50, 60)], [(5.0, 1.0)])]
-        problems = [(np.array(o, dtype=float), np.array(c, dtype=np.uint8), np.array(q, dtype=float)) for o, c, q in problems]
-        assert upsample_block(*problems[0], config).tolist() == [[10, 20, 30]]
+        assert [fit.iterations_run for [fit] in _generate_models([sample_set([samples], 16)] * 2, config)] == [1, 1]
+        problems = [share_problem([(0.0, 0.0)], [(10, 20, 30)], [(0.0, 0.0)], config),
+                    share_problem([(5.0, 1.0)], [(40, 50, 60)], [(5.0, 1.0)], config)]
+        assert upsample_block(*problems[0][:3], config).tolist() == [[10, 20, 30]]
         assert [colors.tolist() for colors, _ in _upsample_share(problems, config)] == [[[10, 20, 30]], [[40, 50, 60]]]
+
+
+def array_bits(array):
+    """An array's shape and bytes: equal only bit for bit, -0.0 apart from 0.0."""
+    array = np.asarray(array)
+    return array.shape, array.dtype, array.tobytes()
+
+
+class TestBlockWindow:
+    """A block's `_Window` is built once for all its role splits; sliced by a
+    split's original mask, it must be that split's own geometry bit for bit.
+    That rests on np.cos giving an element the same value wherever it sits
+    in the array, which this pins for the numpy at hand."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=st.integers(2, 120), m=st.sampled_from([1, 2, 5, 16]), scale=st.sampled_from([1e-9, 1.0, 37.5, 1e12]),
+           degenerate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_a_split_of_the_window_is_the_split_geometry_bit_for_bit(self, points, m, scale, degenerate, seed, data):
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=(points, 2)) * scale  # a flattened block: the root need not sit at the origin here
+        if degenerate:
+            flat[:, 1] = flat[0, 1]  # an axis without span maps to the window center
+        is_original = np.array(data.draw(st.lists(st.booleans(), min_size=points, max_size=points)
+                                         .filter(lambda mask: any(mask) and not all(mask))))
+        colors = rng.integers(0, 256, size=(points, 3), dtype=np.uint8)
+        config = FsmmrConfig(model_size=m, rho=0.9)
+        split = flat[is_original], colors[is_original], flat[~is_original]
+        window = _Window(flat, config)
+        (cosines, weights, channels), clipped = window.split(*split, is_original)
+        (o_coords, o_weights, o_channels), r_coords = _block_samples(*split, config)
+        assert array_bits(window.coords[is_original]) == array_bits(o_coords)
+        assert array_bits(window.coords[~is_original]) == array_bits(r_coords)
+        assert array_bits(weights) == array_bits(o_weights) and array_bits(channels) == array_bits(o_channels)
+        assert array_bits(cosines) == array_bits(_cosine_tables(o_coords, m))
+        assert array_bits(clipped) == array_bits(_query_table(r_coords, m))
+        for shared, own in zip(_fit_basis(cosines, weights, config), _fit_basis(_cosine_tables(o_coords, m), o_weights, config)):
+            assert array_bits(shared) == array_bits(own)
+
+    def test_the_tables_are_built_once_per_block(self, monkeypatch):
+        tables = Mock(wraps=fsmmr._cosine_tables)
+        monkeypatch.setattr(fsmmr, "_cosine_tables", tables)
+        flat = np.random.default_rng(0).uniform(0, 3, size=(9, 2))
+        window = _Window(flat, FsmmrConfig())
+        for k in range(1, 8):
+            window.split(flat[:k], np.zeros((k, 3)), flat[k:], np.arange(9) < k)
+        assert tables.call_count == 2  # at the points, and clipped to the window
+
+    def test_a_window_too_large_for_its_candidates_raises_before_any_table(self, monkeypatch):
+        # 10^16 candidates: numpy refuses them without allocating; a (2, 10^8, n) table would be allocated
+        tables = Mock(wraps=fsmmr._cosine_tables)
+        monkeypatch.setattr(fsmmr, "_cosine_tables", tables)
+        flat, config = np.array([(0.0, 0.0), (1.0, 2.0), (3.0, 1.0)]), FsmmrConfig(model_size=10 ** 8, rho=0.9999999)
+        with pytest.raises(MemoryError):
+            _Window(flat, config)
+        with pytest.raises(MemoryError):
+            upsample_block(flat[:2], np.zeros((2, 3)), flat[2:], config)
+        assert tables.call_count == 0
 
 
 class TestNormalizeToWindow:

@@ -8,7 +8,7 @@ import pytest
 from cloudcolor import fsmmr, parallel, pipeline
 from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
-from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
+from cloudcolor.errors import CloudColorError, EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
 from cloudcolor.fsmmr import _generate_models, _upsample_share
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
@@ -121,11 +121,14 @@ class TestUpsampleClouds:
         run_experiment(sphere_cloud(1500), ExperimentSpec())
         upsample_cloud(mixed_cloud, InterpolatorKind.FSMMR)
         assert problems and groups
-        for o_coords, o_colors, r_coords in problems:
+        for o_coords, o_colors, r_coords, window, is_original in problems:
             n, k = len(o_coords), len(r_coords)
             assert n >= 1 and (o_coords.shape, o_coords.dtype) == ((n, 2), np.float64)
             assert (o_colors.shape, o_colors.dtype) == ((n, 3), np.uint8)
             assert k >= 1 and (r_coords.shape, r_coords.dtype) == ((k, 2), np.float64)
+            # the block's window over its n + k points, and the mask of the split's n originals among them
+            assert type(window()) is fsmmr._Window and window().coords.shape == (n + k, 2)
+            assert (is_original.shape, is_original.dtype, is_original.sum()) == ((n + k,), np.bool_, n)
         for sizes in groups:  # three channels per problem, all of one n
             assert len(sizes) >= 6 and len(sizes) % 3 == 0 and len(set(sizes)) == 1
 
@@ -159,6 +162,62 @@ class TestUpsampleClouds:
         monkeypatch.setattr(pipeline, "flatten_block", counting_flatten)
         run_experiment(far_pair_cloud(), ExperimentSpec(upsample=UpsampleConfig(block_size=1e155)))
         assert calls == {(0, 0, 0): 1, (3, 0, 0): 1}
+
+    def test_a_window_map_error_is_found_once_per_block_and_reaches_every_fsmmr_entry(self, monkeypatch):
+        # one process: the problems of four splits at one block share the block's window, built by the first that reads it
+        built = Counter()
+
+        def failing_window(flat, config):
+            built[flat.tobytes()] += 1
+            raise InvalidInput("the coordinates span too little or too much of float64 to map onto the window")
+
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(pipeline, "_Window", failing_window)
+        reference = sphere_cloud(400, seed=1)
+        splits = [random_downsample(reference, density, seed=run) for density in (0.3, 0.5) for run in (1, 2)]
+        entries = upsample_clouds(splits, [InterpolatorKind.FSMMR, InterpolatorKind.IDW2])
+        assert built and set(built.values()) == {1}
+        for (fitted, _), (interpolated, _) in entries:
+            assert type(fitted) is InvalidInput and "span" in str(fitted)
+            assert isinstance(interpolated, ColorPointCloud)
+
+    def test_whole_cloud_entries_ride_with_the_blocks_alike_at_1_2_and_3_processes(self, monkeypatch, tmp_path):
+        # NN3 and IDW3 next to 2D methods, and splits without originals or without points to reconstruct;
+        # each NN3 or IDW3 call reports seconds that name its entry, and logs the process it ran in
+        reference, log = sphere_cloud(400, seed=1), tmp_path / "whole"
+        splits = [random_downsample(reference, density, seed=2) for density in (0.1, 0.3, 0.5)]
+        splits += [reference, ColorPointCloud(reference.positions)]
+        methods = [InterpolatorKind.IDW3, InterpolatorKind.FSMMR, InterpolatorKind.NN3, InterpolatorKind.IDW2]
+        timed = pipeline._timed
+
+        def tag(cloud, method):
+            return int(cloud.original.sum()) + 0.5 * (method is InterpolatorKind.IDW3)
+
+        def tagging(function, *args):
+            result, seconds = timed(function, *args)
+            if function is pipeline._whole_cloud_colors:
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()}\n")
+                return result, tag(*args[:2])
+            return result, seconds
+
+        monkeypatch.setattr(pipeline, "_timed", tagging)
+        outputs = set()
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_usable_cores", lambda: cores)
+            log.write_text("")
+            entries = upsample_clouds(splits, methods)
+            assert len(set(log.read_text().split())) == cores  # every process ran some of the 6 whole-cloud entries
+            outputs.add(tuple((type(upsampled), str(upsampled)) if isinstance(upsampled, CloudColorError)
+                              else write_ply(upsampled, include_roles=True) for row in entries for upsampled, _ in row))
+            for cloud, row in zip(splits[:3], entries):
+                for method, (upsampled, seconds) in zip(methods, row):
+                    if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
+                        assert seconds == tag(cloud, method)
+                        arrays = upsampled.positions, upsampled.colors, upsampled.original, upsampled.colored
+                        assert not any(array.flags.writeable for array in arrays)
+            assert all(type(error) is EmptySamples for error, _ in entries[4])
+        assert len(outputs) == 1
 
     def test_partition_is_built_once_per_call_and_its_error_fills_the_2d_entries(self, monkeypatch):
         calls = []

@@ -18,8 +18,9 @@ FLOATS, UCHARS = ["float", "float32", "double", "float64"], ["uchar", "uint8"]
 # the types this reader accepts for each property it uses; "extra" is unused
 EXPECTED_TYPES = {"x": FLOATS, "y": FLOATS, "z": FLOATS, "red": UCHARS, "green": UCHARS,
                   "blue": UCHARS, "original": UCHARS, "extra": SCALAR_TYPES}
+# "+7", "-0", "007" and "256" are ints that the reader's text table lacks, so int parses their chunk
 TOKENS = ["0", "1", "-1", "255", "256", "0.5", "nan", "-inf", "inf", "1e39", "1e308", "1e400", "1_0",
-          "99999999999999999999", "0x1", "", "+7", "-0", "1e-320", "\xff"]
+          "99999999999999999999", "0x1", "", "+7", "-0", "007", "1e-320", "\xff"]
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 

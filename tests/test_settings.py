@@ -19,7 +19,7 @@ from cloudcolor.baselines import InterpolatorKind, interpolate_idw
 from cloudcolor.core import Block, nearest_original_color, partition_into_blocks
 from cloudcolor.errors import InvalidConfig
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, reconstruction_color_psnr, run_experiment, sphere_cloud
-from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, generate_model, normalize_to_window, upsample_block
+from cloudcolor.fsmmr import FsmmrConfig, ScatteredSamples, SparseModel, evaluate_model, generate_model, normalize_to_window, upsample_block
 from cloudcolor.pipeline import UpsampleConfig, upsample_cloud, upsample_clouds
 from cloudcolor.ply_io import read_ply, write_ply
 from cloudcolor.surface_transform import build_mst, flatten_block
@@ -51,6 +51,9 @@ BAD_SETTINGS = {
     "run_experiment spec None": (lambda: run_experiment(CLOUD, None), "spec"),
     "upsample_block config None": (lambda: upsample_block(WINDOW_POINTS, COLORS[:2], WINDOW_POINTS, None), "config"),
     "generate_model config None": (lambda: generate_model(ScatteredSamples(WINDOW_POINTS, [1.0, 2.0], [1.0, 1.0]), None), "config"),
+    # samples or a model of another class used to end in AttributeError
+    "generate_model samples str": (lambda: generate_model("junk", FsmmrConfig()), "samples"),
+    "evaluate_model model int": (lambda: evaluate_model(3, np.zeros((2, 2))), "model"),
     "build_mst root bool": (lambda: build_mst(POINTS, root=True), "MST root"),
     "flatten_block root_seed bool": (
         lambda: flatten_block(partition_into_blocks(CLOUD, 4.0)[0], CLOUD, root_seed=True), "root_seed"),
