@@ -139,13 +139,6 @@ def _cosine_tables(coords: np.ndarray, size: int) -> np.ndarray:
     return np.cos(np.pi * np.arange(size, dtype=float)[:, None] * (2 * coords.T[:, None] + 1) / (2 * size))
 
 
-def _sample_tables(coords: np.ndarray, config: FsmmrConfig) -> np.ndarray:
-    """``_cosine_tables`` at the window `coords` under `config`, after its
-    candidates: a window too large to hold them raises MemoryError first."""
-    config.frequencies
-    return _cosine_tables(coords, config.model_size)
-
-
 def _fit_basis(cosines: np.ndarray, weights: np.ndarray, config: FsmmrConfig) -> tuple[np.ndarray, np.ndarray]:
     """The basis of a fit to samples with the (2, M, n) ``_cosine_tables``
     `cosines` and the (n,) spatial `weights` under `config`: the (C, n)
@@ -174,7 +167,7 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
         raise EmptySamples("cannot generate a model from zero samples")
 
     kl, wf = config.frequencies
-    phi, denominators = _fit_basis(_sample_tables(samples.coords, config), samples.weights, config) if _basis is None else _basis
+    phi, denominators = _fit_basis(_cosine_tables(samples.coords, config.model_size), samples.weights, config) if _basis is None else _basis
     w = samples.weights
 
     coefficients = np.zeros(len(kl))  # per candidate, summed in selection order
@@ -198,7 +191,16 @@ def generate_model(samples: ScatteredSamples, config: FsmmrConfig, *, _basis=Non
         if energies[-1] <= config.energy_threshold:
             break
 
-    return _sparse_model(config, selections, coefficients, energies, w @ (residual * residual))
+    _, first = np.unique(selections, return_index=True)
+    terms = np.asarray(selections, dtype=int)[np.sort(first)]  # in first-selection order
+    return SparseModel(
+        terms=tuple(zip(*kl[terms].T.tolist(), coefficients[terms].tolist())),
+        size=config.model_size,
+        iterations_run=len(selections),
+        final_energy=float(w @ (residual * residual)),
+        energy_history=tuple(energies),
+        selection_history=tuple(map(tuple, kl[selections].tolist())),
+    )
 
 
 def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], config: FsmmrConfig) -> Iterator[list[_Fit]]:
@@ -264,24 +266,6 @@ def _generate_models(blocks: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
              for f in range(b * width, (b + 1) * width)] for b in range(len(blocks)))
 
 
-def _sparse_model(config: FsmmrConfig, selections, coefficients: np.ndarray, energies, final_energy) -> SparseModel:
-    """The model of a fit that stepped on the candidates `selections` in
-    turn: its terms in first-selection order with their summed
-    `coefficients` (one per candidate), its energy after each step and its
-    final energy."""
-    kl, _ = config.frequencies
-    _, first = np.unique(selections, return_index=True)
-    terms = np.asarray(selections, dtype=int)[np.sort(first)]
-    return SparseModel(
-        terms=tuple(zip(*kl[terms].T.tolist(), coefficients[terms].tolist())),
-        size=config.model_size,
-        iterations_run=len(selections),
-        final_energy=float(final_energy),
-        energy_history=tuple(map(float, energies)),
-        selection_history=tuple(map(tuple, kl[selections].tolist())),
-    )
-
-
 def _query_table(queries: np.ndarray, size: int) -> np.ndarray:
     """The (2, M, k) cosine table of an M x M window at the (k, 2)
     `queries`, as ``_cosine_tables`` builds it; it reads no model, so the
@@ -295,11 +279,18 @@ def evaluate_model(model: SparseModel, queries: np.ndarray, *, _table=None) -> n
     `_table` is ``_query_table`` of the same queries for the model's size,
     shared by the models of R, G and B."""
     model, queries = as_instance(model, "model", SparseModel), as_rows(queries, "queries", 2)
-    cos_x, cos_y = _query_table(queries, model.size) if _table is None else _table
-    out = np.zeros(cos_x.shape[1])
-    for u, v, c in model.terms:
-        out += c * cos_x[u] * cos_y[v]
-    return out
+    u, v, c = np.array(model.terms, dtype=float).reshape(-1, 3).T
+    return _term_sum(u.astype(int), v.astype(int), c, _query_table(queries, model.size) if _table is None else _table)
+
+
+def _term_sum(u: np.ndarray, v: np.ndarray, coefficients: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The sum of the terms c * cos_x[u] * cos_y[v] of a model on a
+    ``_query_table``, adding them one by one in term order from +0.0: a
+    cumulative sum over a leading zero row (``.sum(axis=0)`` adds from the
+    first term, and pairwise down a column of one query)."""
+    cos_x, cos_y = table
+    terms = (coefficients[:, None] * cos_x[u]) * cos_y[v]
+    return np.cumsum(np.concatenate([np.zeros((1, cos_x.shape[1])), terms]), axis=0)[-1]
 
 
 def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
@@ -317,22 +308,6 @@ def normalize_to_window(coords: np.ndarray, size: int) -> np.ndarray:
     return window
 
 
-def _spatial_weights(coords: np.ndarray, config: FsmmrConfig) -> np.ndarray:
-    """The (n,) spatial weights of the (n, 2) window `coords` under `config`."""
-    return np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in coords.tolist()])
-
-
-def _block_samples(positions, colors, queries, config: FsmmrConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """One flattened block in the model window: its one sample set (the
-    originals' (n, 2) coordinates, (n,) spatial weights and (3, n) float
-    colors, one row per channel) and the queries' (k, 2) coordinates.  The
-    arrays are read by ``as_kernel_rows``; all are mapped to one window."""
-    positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
-    coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
-    o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
-    return (o_coords, _spatial_weights(o_coords, config), o_colors.T), r_coords
-
-
 class _Window:
     """A flattened block's (N, 2) points in the model window, for all its
     role splits: a split maps all the block's points together, so a point's
@@ -341,13 +316,16 @@ class _Window:
 
     def __init__(self, flat: np.ndarray, config: FsmmrConfig):
         self.coords = normalize_to_window(flat, config.model_size)
-        self.weights = _spatial_weights(self.coords, config)
-        self.tables = _sample_tables(self.coords, config), _query_table(self.coords, config.model_size)
+        self.weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in self.coords.tolist()])
+        config.frequencies  # a window too large to hold its candidates raises MemoryError before any table
+        self.tables = _cosine_tables(self.coords, config.model_size), _query_table(self.coords, config.model_size)
 
     def split(self, positions, colors, queries, is_original: np.ndarray) -> tuple[tuple, np.ndarray]:
-        """``_block_samples`` of the split whose originals `is_original`
-        masks, as a ``_generate_models`` set, and its ``_query_table``."""
-        _, colors, _ = as_kernel_rows(positions, colors, queries, width=2)  # upsample_block's checks
+        """The split whose originals `is_original` masks, its arrays read by
+        ``as_kernel_rows``: its ``_generate_models`` set (the originals'
+        cosine tables, spatial weights and (3, n) float colors) and its
+        queries' ``_query_table``."""
+        _, colors, _ = as_kernel_rows(positions, colors, queries, width=2)
         cosines, clipped = self.tables
         return (cosines[:, :, is_original], self.weights[is_original], colors.T), clipped[:, :, ~is_original]
 
@@ -365,35 +343,22 @@ def upsample_block(
     evaluation overflows float64 (1e300, say) raise InvalidInput.
     """
     as_instance(config, "config", FsmmrConfig)
-    (coords, weights, channels), r_coords = _block_samples(positions, colors, queries, config)
-    basis = _fit_basis(_sample_tables(coords, config), weights, config)
+    positions, colors, queries = as_kernel_rows(positions, colors, queries, width=2)
+    window, is_original = _Window(np.concatenate([positions, queries]), config), np.arange(len(positions) + len(queries)) < len(positions)
+    (cosines, weights, channels), table = window.split(positions, colors, queries, is_original)
+    basis, o_coords, r_coords = _fit_basis(cosines, weights, config), window.coords[is_original], window.coords[~is_original]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _colors_at([generate_model(ScatteredSamples(coords, values, weights), config, _basis=basis) for values in channels], r_coords)
+            models = [generate_model(ScatteredSamples(o_coords, values, weights), config, _basis=basis) for values in channels]
+            return round_color_channel(np.column_stack([evaluate_model(model, r_coords, _table=table) for model in models]))
     except FloatingPointError:
         raise InvalidInput("the colors lie too far outside 8 bits to fit in float64") from None
 
 
-def _colors_at(models: Sequence[SparseModel], r_coords: np.ndarray) -> np.ndarray:
-    """A block's R, G and B `models` at its queries' window coordinates
-    `r_coords`, evaluated on one query table, as (k, 3) uint8 colors."""
-    table = _query_table(r_coords, models[0].size)
-    return round_color_channel(np.column_stack([evaluate_model(model, r_coords, _table=table) for model in models]))
-
-
-def _fit_values(fit: _Fit, table: np.ndarray) -> np.ndarray:
-    """``evaluate_model`` of the fit's model on a ``_query_table``, bit for
-    bit: its term loop as a cumulative sum over a leading zero row, so that
-    the terms add in the same order, from +0.0."""
-    cos_x, cos_y = table
-    u, v = fit.frequencies.T
-    terms = (fit.coefficients[:, None] * cos_x[u]) * cos_y[v]
-    return np.cumsum(np.concatenate([np.zeros((1, cos_x.shape[1])), terms]), axis=0)[-1]
-
-
 def _fit_colors(fits: Sequence[_Fit], table: np.ndarray) -> np.ndarray:
-    """``_colors_at`` of the models of a block's R, G and B `fits`."""
-    return round_color_channel(np.column_stack([_fit_values(fit, table) for fit in fits]))
+    """A block's R, G and B `fits` on its queries' ``_query_table``, as
+    (k, 3) uint8 colors: ``evaluate_model`` of their models, bit for bit."""
+    return round_color_channel(np.column_stack([_term_sum(*fit.frequencies.T, fit.coefficients, table) for fit in fits]))
 
 
 def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tuple[np.ndarray | CloudColorError, float]]:

@@ -288,6 +288,22 @@ def normalize_to_window_oracle(coords, size):
     return out
 
 
+def block_samples_oracle(positions, colors, queries, config):
+    """One flattened block in the model window, mapped on its own as each
+    role split once was: the originals' (n, 2) window coordinates, their
+    (n,) spatial weights and (3, n) float colors, one row per channel, and
+    the queries' (k, 2) window coordinates."""
+    import numpy as np
+    from cloudcolor.core import as_kernel_rows
+    from cloudcolor.fsmmr import normalize_to_window, spatial_weight
+
+    positions, o_colors, queries = as_kernel_rows(positions, colors, queries, width=2)
+    coords = normalize_to_window(np.concatenate([positions, queries]), config.model_size)
+    o_coords, r_coords = coords[:len(positions)], coords[len(positions):]
+    weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in o_coords.tolist()])
+    return (o_coords, weights, o_colors.T), r_coords
+
+
 def generate_model_oracle(samples, config):
     """The seed's greedy fit as a `SparseModel`: the candidate list and the
     frequency weights rebuilt in Python, and every one of the M*N candidate

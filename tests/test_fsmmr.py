@@ -14,15 +14,15 @@ from cloudcolor.baselines import InterpolatorKind
 from cloudcolor.core import ColorPointCloud, partition_into_blocks, round_color_channel
 from cloudcolor.errors import EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.fsmmr import (
-    FsmmrConfig, ScatteredSamples, SparseModel, _block_samples, _cosine_tables, _Fit, _fit_basis, _fit_values,
-    _generate_models, _query_table, _upsample_share, _Window, evaluate_model, frequency_weight, generate_model,
+    FsmmrConfig, ScatteredSamples, SparseModel, _cosine_tables, _Fit, _fit_basis, _generate_models, _query_table, _term_sum,
+    _upsample_share, _Window, evaluate_model, frequency_weight, generate_model,
     normalize_to_window, spatial_weight, upsample_block,
 )
 from cloudcolor.pipeline import UpsampleConfig, _block_colors, _timed
 from cloudcolor.surface_transform import flatten_block
 
 from oracles import (
-    _round_channel_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle,
+    _round_channel_oracle, block_samples_oracle, dct2_basis_oracle, evaluate_model_oracle, generate_model_oracle,
     grid_least_squares_projection, normalize_to_window_oracle,
 )
 
@@ -427,14 +427,15 @@ class TestLockstepFit:
             for samples, fit in zip(channels, fits):
                 model = generate_model(samples, config)
                 for at in (queries, queries[:1]):  # one query: numpy sums a column of terms pairwise, not in order
-                    assert float_bits(_fit_values(fit, _query_table(at, m))) == float_bits(evaluate_model(model, at))
+                    record = _term_sum(*fit.frequencies.T, fit.coefficients, _query_table(at, m))
+                    assert float_bits(record) == float_bits(evaluate_model(model, at)) == float_bits(evaluate_model_oracle(model, at))
 
     def test_a_record_sum_starts_from_positive_zero(self):
         # TestEvaluateModel's -0.0 product: the record's sum must read +0.0 too
         model = SparseModel(((1, 0, 0.0),), 4, 1, 0.0)
         fit = _Fit(np.array([[1, 0]]), np.array([0.0]), 1, 0.0, np.array([2]), np.array([0.0]))
         queries = np.array([(2.0, 0.0)])
-        assert float_bits(_fit_values(fit, _query_table(queries, 4))) == float_bits(evaluate_model(model, queries)) == ["0x0.0p+0"]
+        assert float_bits(_term_sum(*fit.frequencies.T, fit.coefficients, _query_table(queries, 4))) == float_bits(evaluate_model(model, queries)) == ["0x0.0p+0"]
 
     @pytest.mark.parametrize("kind", ["threshold", "grid"])
     def test_fits_that_stop_early_leave_the_others_running(self, kind):
@@ -554,7 +555,7 @@ class TestBlockWindow:
         split = flat[is_original], colors[is_original], flat[~is_original]
         window = _Window(flat, config)
         (cosines, weights, channels), clipped = window.split(*split, is_original)
-        (o_coords, o_weights, o_channels), r_coords = _block_samples(*split, config)
+        (o_coords, o_weights, o_channels), r_coords = block_samples_oracle(*split, config)
         assert array_bits(window.coords[is_original]) == array_bits(o_coords)
         assert array_bits(window.coords[~is_original]) == array_bits(r_coords)
         assert array_bits(weights) == array_bits(o_weights) and array_bits(channels) == array_bits(o_channels)
