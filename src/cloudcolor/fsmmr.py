@@ -102,9 +102,8 @@ class SparseModel:
 
 @dataclass(frozen=True)
 class _Fit:
-    """``generate_model``'s model of one channel as arrays, unchecked: its
-    terms as (u, v) `frequencies` in first-selection order and their summed
-    `coefficients`, and its `selections` as candidate indices."""
+    """``generate_model``'s model of one channel as unchecked arrays: (u, v) `frequencies`
+    in first-selection order, their summed `coefficients`, `selections` as candidate indices."""
     frequencies: np.ndarray
     coefficients: np.ndarray
     iterations_run: int
@@ -318,13 +317,14 @@ class _Window:
         self.coords = normalize_to_window(flat, config.model_size)
         self.weights = np.array([spatial_weight(x, y, config.model_size, config.rho) for x, y in self.coords.tolist()])
         config.frequencies  # a window too large to hold its candidates raises MemoryError before any table
-        self.tables = _cosine_tables(self.coords, config.model_size), _query_table(self.coords, config.model_size)
+        cosines, clipped = _cosine_tables(self.coords, config.model_size), np.clip(self.coords, 0.0, config.model_size - 1)
+        moved = np.flatnonzero((clipped != self.coords).any(axis=1))  # ``_query_table``'s clip moves only round-off past an edge
+        self.tables = cosines, cosines.copy()
+        self.tables[1][:, :, moved] = _cosine_tables(clipped[moved], config.model_size)
 
     def split(self, positions, colors, queries, is_original: np.ndarray) -> tuple[tuple, np.ndarray]:
-        """The split whose originals `is_original` masks, its arrays read by
-        ``as_kernel_rows``: its ``_generate_models`` set (the originals'
-        cosine tables, spatial weights and (3, n) float colors) and its
-        queries' ``_query_table``."""
+        """The ``_generate_models`` set and the queries' ``_query_table`` of the
+        split whose originals `is_original` masks, read by ``as_kernel_rows``."""
         _, colors, _ = as_kernel_rows(positions, colors, queries, width=2)
         cosines, clipped = self.tables
         return (cosines[:, :, is_original], self.weights[is_original], colors.T), clipped[:, :, ~is_original]

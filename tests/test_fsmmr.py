@@ -470,14 +470,15 @@ class TestShareFit:
         assert done[0][1] == done[2][1] == done[4][1]  # the group's seconds, split evenly
 
     def test_the_channels_of_a_block_share_one_basis_and_one_query_table(self, monkeypatch):
-        # without the sharing every color stays the same, only the time grows
-        fit, table = Mock(wraps=fsmmr._fit_basis), Mock(wraps=fsmmr._query_table)
+        # without the sharing every color stays the same, only the time grows; a block's window
+        # builds its cosine table and the clipped columns of its query table, 2 calls
+        fit, tables = Mock(wraps=fsmmr._fit_basis), Mock(wraps=fsmmr._cosine_tables)
         monkeypatch.setattr(fsmmr, "_fit_basis", fit)
-        monkeypatch.setattr(fsmmr, "_query_table", table)
+        monkeypatch.setattr(fsmmr, "_cosine_tables", tables)
         upsample_block(*self.problems([7])[0][:3])
-        assert (fit.call_count, table.call_count) == (1, 1)
+        assert (fit.call_count, tables.call_count) == (1, 2)
         _upsample_share(self.problems([7, 7, 7, 12]), FsmmrConfig())  # one group of three blocks and a lone block
-        assert (fit.call_count, table.call_count) == (5, 5)
+        assert (fit.call_count, tables.call_count) == (5, 10)
 
     def test_only_the_lone_block_builds_scattered_samples(self, monkeypatch):
         # a grouped block's channels are the rows of its one sample set; the lone block's
@@ -563,6 +564,18 @@ class TestBlockWindow:
         assert array_bits(clipped) == array_bits(_query_table(r_coords, m))
         for shared, own in zip(_fit_basis(cosines, weights, config), _fit_basis(_cosine_tables(o_coords, m), o_weights, config)):
             assert array_bits(shared) == array_bits(own)
+
+    def test_a_query_past_the_window_edge_reads_its_clipped_cosines(self):
+        # normalize_to_window maps the second point's x to 15.000000000000002, one ulp past the
+        # window: its query column is the cosine at 15.0, which differs from the unclipped one
+        flat = np.array([(-11.993484665370788, -35.63998744379695), (0.24431197011558162, -42.144983533711375),
+                         (-40.98353884857161, 54.63606807394708), (-1.994408261450303, -2.0213259552016107)])
+        is_original, config = np.array([True, False, True, True]), FsmmrConfig()
+        window = _Window(flat, config)
+        assert window.coords[1, 0] > 15.0
+        _, clipped = window.split(flat[is_original], np.zeros((3, 3)), flat[~is_original], is_original)
+        _, r_coords = block_samples_oracle(flat[is_original], np.zeros((3, 3)), flat[~is_original], config)
+        assert array_bits(clipped) == array_bits(_query_table(r_coords, 16)) != array_bits(window.tables[0][:, :, 1:2])
 
     def test_the_tables_are_built_once_per_block(self, monkeypatch):
         tables = Mock(wraps=fsmmr._cosine_tables)
