@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import as_kernel_rows, nearest_ids, positive_real, round_color_channel, squared_distance_chunks
+from .core import as_instance, as_kernel_rows, nearest_ids, positive_real, round_color_channel, squared_distance_chunks
 from .errors import InvalidConfig
 
 
@@ -28,7 +28,7 @@ class InterpolatorKind(Enum):  # declared in the default sweep's row order
     @staticmethod
     def parse(name: str) -> "InterpolatorKind":
         try:
-            return InterpolatorKind(name.lower())
+            return InterpolatorKind(as_instance(name, "method", str).lower())
         except ValueError:
             valid = ", ".join(k.value for k in InterpolatorKind)
             raise InvalidConfig(f"unknown method {name!r}; expected one of: {valid}") from None

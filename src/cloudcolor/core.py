@@ -39,8 +39,11 @@ class ColorPointCloud:
         positions = as_rows(positions, "positions", 3).copy()
         n = len(positions)
         values = np.zeros((n, 3)) if colors is None else as_rows(colors, "colors", 3)
-        colored = np.full(n, colors is not None) if colored is None else np.array(colored, dtype=bool)
-        original = colored.copy() if original is None else np.array(original, dtype=bool)
+        try:
+            colored = np.full(n, colors is not None) if colored is None else np.array(colored, dtype=bool)
+            original = colored.copy() if original is None else np.array(original, dtype=bool)
+        except ValueError:  # a ragged list
+            raise InvalidConfig("original and colored must be arrays of flags, one per point") from None
         if not (len(values) == n and colored.shape == original.shape == (n,)):
             raise InvalidConfig("positions, colors, original and colored must have equal lengths")
         if (original & ~colored).any():

@@ -322,12 +322,11 @@ class _Window:
         self.tables = cosines, cosines.copy()
         self.tables[1][:, :, moved] = _cosine_tables(clipped[moved], config.model_size)
 
-    def split(self, positions, colors, queries, is_original: np.ndarray) -> tuple[tuple, np.ndarray]:
+    def split(self, colors: np.ndarray, is_original: np.ndarray) -> tuple[tuple, np.ndarray]:
         """The ``_generate_models`` set and the queries' ``_query_table`` of the
-        split whose originals `is_original` masks, read by ``as_kernel_rows``."""
-        _, colors, _ = as_kernel_rows(positions, colors, queries, width=2)
+        split whose originals `is_original` masks, with the originals' (n, 3) `colors`."""
         cosines, clipped = self.tables
-        return (cosines[:, :, is_original], self.weights[is_original], colors.T), clipped[:, :, ~is_original]
+        return (cosines[:, :, is_original], self.weights[is_original], np.asarray(colors, dtype=float).T), clipped[:, :, ~is_original]
 
 
 def upsample_block(
@@ -345,7 +344,7 @@ def upsample_block(
     as_instance(config, "config", FsmmrConfig)
     positions, colors, queries = as_kernel_rows(positions, colors, queries, width=2)
     window, is_original = _Window(np.concatenate([positions, queries]), config), np.arange(len(positions) + len(queries)) < len(positions)
-    (cosines, weights, channels), table = window.split(positions, colors, queries, is_original)
+    (cosines, weights, channels), table = window.split(colors, is_original)
     basis, o_coords, r_coords = _fit_basis(cosines, weights, config), window.coords[is_original], window.coords[~is_original]
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -370,42 +369,35 @@ def _upsample_share(problems: Sequence[tuple], config: FsmmrConfig) -> list[tupl
     that gives the block's `_Window` or its error, and the split's mask of
     originals among the block's points.
 
-    The problems with equal n form a group, whose fits run together in
-    ``_generate_models`` on rows of their windows, bit for bit as
-    ``upsample_block`` would run them; the group's seconds are split evenly
-    over its problems.  A problem whose window raises (a span that
-    ``normalize_to_window`` rejects, say) gets its error, and the rest of
-    its group still fit together: every error stays with its own problem.
+    The problems with equal n form a group, visited once.  A group of one
+    runs ``upsample_block``.  In a larger group, a problem whose window is
+    an error (a span that ``normalize_to_window`` rejects, say) takes it,
+    and the others fit together in ``_generate_models`` on rows of their
+    windows, bit for bit as ``upsample_block`` would; the group's seconds
+    are split evenly over its problems.
     """
     groups: dict[int, list[int]] = defaultdict(list)
     for index, (positions, *_) in enumerate(problems):
         groups[len(positions)].append(index)
-    done: list = [None] * len(problems)
+    done, seconds = {}, {}  # by problem index: the colors or error of each, and its seconds
     for indices in groups.values():
         started = time.perf_counter()
-        fitted, samples = {}, {}  # by problem index: the colors or error of each, and the sample set of each left to fit
-        # a lone block takes the one-block path below: a lockstep of its three channels measured no faster,
-        # and perfbench's span test needs generate_model and upsample_block on the pipeline's path
-        if len(indices) > 1:
-            for index in indices:
-                *split, window, is_original = problems[index]
+        samples = {}  # by problem index: the sample set of each problem of the group left to fit
+        for index in indices:
+            positions, colors, queries, window, is_original = problems[index]
+            if len(indices) == 1:
+                # a lone block takes the one-block path: a lockstep of its three channels measured no faster,
+                # and perfbench's span test needs generate_model and upsample_block on the pipeline's path
                 try:
-                    window = window()
-                    if isinstance(window, CloudColorError):
-                        raise window
-                    samples[index] = window.split(*split, is_original)
+                    done[index] = upsample_block(positions, colors, queries, config)
                 except CloudColorError as error:
-                    fitted[index] = error
+                    done[index] = error
+            elif isinstance(window := window(), CloudColorError):
+                done[index] = window
+            else:
+                samples[index] = window.split(colors, is_original)
         if samples:
             blocks, tables = zip(*samples.values())
-            fitted.update(zip(samples, map(_fit_colors, _generate_models(blocks, config), tables)))
-        for index in indices:  # a lone block
-            if index not in fitted:
-                try:
-                    fitted[index] = upsample_block(*problems[index][:3], config)
-                except CloudColorError as error:
-                    fitted[index] = error
-        seconds = (time.perf_counter() - started) / len(indices)
-        for index in indices:
-            done[index] = fitted[index], seconds
-    return done
+            done.update(zip(samples, map(_fit_colors, _generate_models(blocks, config), tables)))
+        seconds.update(dict.fromkeys(indices, (time.perf_counter() - started) / len(indices)))
+    return [(done[index], seconds[index]) for index in range(len(problems))]

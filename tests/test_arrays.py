@@ -40,6 +40,9 @@ BAD_ARRAYS = {
     "interpolate_lin2 3D positions": (lambda: interpolate_lin2(P3, C6, Q2), "positions"),
     "interpolate_idw 4 colors for 6 positions": (lambda: interpolate_idw(P3, C4, Q3), "colors"),
     "interpolate_nn3 NaN query": (lambda: interpolate_nn3(P3, C6, NAN_Q3), "queries"),
+    # a ragged list of flags used to end in ValueError
+    "ColorPointCloud ragged original": (lambda: ColorPointCloud(P3, C6, original=[[True], []]), "original and colored"),
+    "ColorPointCloud ragged colored": (lambda: ColorPointCloud(P3, C6, colored=[[True, False], [True]]), "original and colored"),
     "interpolate_idw NaN query": (lambda: interpolate_idw(P3, C6, NAN_Q3), "queries"),
     "upsample_block NaN query": (lambda: upsample_block(P2, C6, NAN_Q2), "queries"),
     "evaluate_model NaN query": (lambda: evaluate_model(MODEL, NAN_Q2), "queries"),

@@ -59,6 +59,17 @@ class TestUpsample:
         code = main(["upsample", str(tmp_path / "nope.ply"), str(tmp_path / "o.ply")])
         assert code == 2
 
+    @pytest.mark.parametrize("line", [b"format binary_big_endian 1.0", b"format ascii 2.0"])
+    def test_unsupported_format_line_exit_2(self, mixed_ply, tmp_path, capsys, line):
+        source = tmp_path / "in.ply"
+        source.write_bytes(mixed_ply.read_bytes().replace(b"format binary_little_endian 1.0", line, 1))
+        code = main(["upsample", str(source), str(tmp_path / "o.ply")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unsupported format line '{line.decode()}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.ply").exists()
+
     def test_lin2_holes_filled(self, mixed_ply, tmp_path):
         out = tmp_path / "out.ply"
         code = main(["upsample", "--method", "lin2", str(mixed_ply), str(out)])

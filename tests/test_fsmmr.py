@@ -513,8 +513,21 @@ class TestShareFit:
         monkeypatch.setattr(fsmmr, "_generate_models", groups)
         done = _upsample_share(problems, FsmmrConfig())
         assert one_block.call_count == 0 and [len(call.args[0]) for call in groups.call_args_list] == [4]
+        assert done[1][0] is problems[1][3]()  # the cached window's error, as it is
         assert type(done[1][0]) is InvalidInput and "span" in str(done[1][0])
         for i in (0, 2, 3, 4):
+            assert done[i][0].tolist() == upsample_block(*problems[i][:3]).tolist()
+
+    def test_a_lone_problem_whose_span_fails_gets_its_error_and_the_other_groups_their_colors(self, monkeypatch):
+        # the only problem with n = 2 takes upsample_block, which raises on its 5e-324 x span
+        problems = self.problems([7, 3, 7, 3])
+        problems.insert(2, share_problem([(0.0, 0.0), (5e-324, 1.0)], [(1, 2, 3), (4, 5, 6)], [(0.0, 0.5)]))
+        one_block = Mock(wraps=upsample_block)
+        monkeypatch.setattr(fsmmr, "upsample_block", one_block)
+        done = _upsample_share(problems, FsmmrConfig())
+        assert one_block.call_count == 1 and len(one_block.call_args.args[0]) == 2
+        assert type(done[2][0]) is InvalidInput and "span" in str(done[2][0])
+        for i in (0, 1, 3, 4):
             assert done[i][0].tolist() == upsample_block(*problems[i][:3]).tolist()
 
     def test_an_unbounded_cap_returns_once_every_fit_reaches_zero_energy(self):
@@ -555,7 +568,7 @@ class TestBlockWindow:
         config = FsmmrConfig(model_size=m, rho=0.9)
         split = flat[is_original], colors[is_original], flat[~is_original]
         window = _Window(flat, config)
-        (cosines, weights, channels), clipped = window.split(*split, is_original)
+        (cosines, weights, channels), clipped = window.split(split[1], is_original)
         (o_coords, o_weights, o_channels), r_coords = block_samples_oracle(*split, config)
         assert array_bits(window.coords[is_original]) == array_bits(o_coords)
         assert array_bits(window.coords[~is_original]) == array_bits(r_coords)
@@ -573,7 +586,7 @@ class TestBlockWindow:
         is_original, config = np.array([True, False, True, True]), FsmmrConfig()
         window = _Window(flat, config)
         assert window.coords[1, 0] > 15.0
-        _, clipped = window.split(flat[is_original], np.zeros((3, 3)), flat[~is_original], is_original)
+        _, clipped = window.split(np.zeros((3, 3)), is_original)
         _, r_coords = block_samples_oracle(flat[is_original], np.zeros((3, 3)), flat[~is_original], config)
         assert array_bits(clipped) == array_bits(_query_table(r_coords, 16)) != array_bits(window.tables[0][:, :, 1:2])
 
@@ -583,7 +596,7 @@ class TestBlockWindow:
         flat = np.random.default_rng(0).uniform(0, 3, size=(9, 2))
         window = _Window(flat, FsmmrConfig())
         for k in range(1, 8):
-            window.split(flat[:k], np.zeros((k, 3)), flat[k:], np.arange(9) < k)
+            window.split(np.zeros((k, 3)), np.arange(9) < k)
         assert tables.call_count == 2  # at the points, and clipped to the window
 
     def test_a_window_too_large_for_its_candidates_raises_before_any_table(self, monkeypatch):

@@ -151,7 +151,10 @@ def test_malformed_header_is_parse_error(old, new, binary):
     (b"element vertex 1", b"element face 1", "no vertex element declared"),
     (b"element vertex 1", b"element face 0\nelement vertex 1", "elements preceding 'vertex' are not supported"),
     (b"property float z\n", b"", "vertex element lacks property 'z'"),
-], ids=["no-newline-after-end_header", "no-count", "count-abc", "no-vertex", "element-before-vertex", "no-z"])
+    (b"format ascii 1.0", b"format binary_big_endian 1.0", "unsupported format line 'format binary_big_endian 1.0'"),
+    (b"format ascii 1.0", b"format ascii 2.0", "unsupported format line 'format ascii 2.0'"),
+], ids=["no-newline-after-end_header", "no-count", "count-abc", "no-vertex", "element-before-vertex", "no-z",
+        "big-endian", "ascii-2.0"])
 def test_header_error_names_the_problem(old, new, message):
     data = ASCII_ONE_RED.replace(old, new)
     assert data != ASCII_ONE_RED

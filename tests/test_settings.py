@@ -72,6 +72,9 @@ BAD_SETTINGS = {
     # a format's name or None used to end in AttributeError
     "write_ply fmt str": (lambda: write_ply(CLOUD, "ascii"), "fmt"),
     "write_ply fmt None": (lambda: write_ply(CLOUD, None), "fmt"),
+    # a method name that is not a str used to end in AttributeError
+    **{f"InterpolatorKind.parse {name!r}": ((lambda name=name: InterpolatorKind.parse(name)), "method")
+       for name in (None, 3, b"nn3", ["nn3"], InterpolatorKind.NN3)},
     # a float frequency used to end in IndexError in evaluate_model, a string number was kept
     "SparseModel term frequency float": (lambda: SparseModel(((0.5, 0, 1.0),), 4, 1, 0.0), "terms"),
     "SparseModel coefficient str": (lambda: SparseModel(((0, 0, "x"),), 4, 1, 0.0), "terms"),
