@@ -1,5 +1,6 @@
-"""Cloud-level upsampling: dispatch a method over the block partition (or
-the raw 3D coordinates for the 3D baselines) and assemble the output cloud.
+"""Cloud-level upsampling: dispatch a method over the block partition (or,
+for the 3D baselines, one block of every point id in 3D) and assemble the
+output cloud.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .fsmmr import FsmmrConfig, _upsample_share, _Window
 from .parallel import map_on_cores
 from .surface_transform import flatten_block
 
-_WHOLE_CLOUD_METHODS = (InterpolatorKind.NN3, InterpolatorKind.IDW3)  # 3D, over all originals of the cloud, not per block
+_WHOLE_CLOUD_METHODS = (InterpolatorKind.NN3, InterpolatorKind.IDW3)  # 3D, on role splits of the block of every point id
 
 
 @dataclass(frozen=True)
@@ -43,17 +44,19 @@ def _block_colors(
     block: Block, coords: Callable[[], np.ndarray], cloud: ColorPointCloud, method: InterpolatorKind,
     config: UpsampleConfig, fit: Callable,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Colors for the Reconstruct points of `block` by a 2D method: FSMMR,
-    IDW2 or LIN2, as the ids of the points colored and a (k, 3) uint8 array.
-    `cloud` gives the roles and colors, and `coords()` the block's flattened
-    (n, 2) coordinates, row i being its i-th point, or its flattening error.
+    """Colors for the Reconstruct points of `block` by any method, as the
+    ids of the points colored and a (k, 3) uint8 array.  `cloud` gives the
+    roles and colors, and `coords()` the coordinates of the block's points,
+    row i being its i-th point, or their error: a partition block's
+    flattened (n, 2) coordinates for FSMMR, IDW2 and LIN2, and the 3D
+    positions of the block of every point id for NN3 and IDW3.
 
     A block without Reconstruct points colors nothing.  A block without
     Original points takes the nearest original in 3D over the whole cloud,
     except under LIN2, which leaves its points uncolored.  Otherwise the
-    method interpolates its originals' colors at the block's flattened
-    coordinates; the points it leaves uncolored are left out.  FSMMR's
-    colors are ``fit(o_coords, o_colors, r_coords)``.
+    method interpolates its originals' colors at the block's coordinates;
+    the points it leaves uncolored are left out.  FSMMR's colors are
+    ``fit(o_coords, o_colors, r_coords)``.
     """
     ids = block.point_ids
     is_original = cloud.original[ids]
@@ -69,7 +72,9 @@ def _block_colors(
     o_coords, o_colors, r_coords = flat[is_original], cloud.colors[ids[is_original]], flat[~is_original]
     if method is InterpolatorKind.FSMMR:
         return r_ids, fit(o_coords, o_colors, r_coords)
-    if method is InterpolatorKind.IDW2:
+    if method is InterpolatorKind.NN3:
+        return r_ids, interpolate_nn3(o_coords, o_colors, r_coords)
+    if method in (InterpolatorKind.IDW2, InterpolatorKind.IDW3):
         return r_ids, interpolate_idw(o_coords, o_colors, r_coords, power=config.idw_power)
     inside, colors = interpolate_lin2(o_coords, o_colors, r_coords)
     return r_ids[inside], colors
@@ -97,14 +102,15 @@ def upsample_clouds(
 ) -> list[list[tuple[ColorPointCloud | CloudColorError, float]]]:
     """Entry [i][j] is what ``upsample_cloud(clouds[i], methods[j], config)``
     returns, or the CloudColorError it raises, and the seconds spent coloring
-    it: its whole-cloud NN3 or IDW3 call, or the sum over its blocks,
-    wherever they ran (the first entry to reach a block pays for flattening
-    it, and a lockstep FSMMR fit's seconds are split evenly over its
-    blocks).  The clouds must share their positions (InvalidConfig
-    otherwise), as role splits of one cloud do: the blocks run on every
-    usable core in one `parallel.map_on_cores` call, and each NN3 or IDW3
-    entry rides with a block in it; a call without a 2D entry partitions
-    nothing and forks nothing.  Each process flattens each block of its
+    it, summed over its blocks wherever they ran (the first entry to reach a
+    block pays for flattening it, and a lockstep FSMMR fit's seconds are
+    split evenly over its blocks).  The clouds must share their positions
+    (InvalidConfig otherwise), as role splits of one cloud do: the blocks
+    run on every usable core in one `parallel.map_on_cores` call.  An NN3
+    or IDW3 entry is the role split of one block of every point id, colored
+    in 3D by `_block_colors` like a partition block's, and rides with a
+    block in that call; a call without a 2D entry partitions nothing and
+    forks nothing.  Each process flattens each block of its
     share and maps it onto the FSMMR window at most once, colors it for
     every cloud and 2D method, and fits the FSMMR blocks of its whole share
     in one call, which fits the blocks with equal numbers of originals in
@@ -118,7 +124,7 @@ def upsample_clouds(
     if any(not np.array_equal(cloud.positions, clouds[0].positions) for cloud in clouds):
         raise InvalidConfig("the clouds to upsample together must share their positions")
     entries: list[list] = [[None] * len(methods) for _ in clouds]
-    pairs, whole = [], []  # the (cloud, method) indices that color blocks, and those that color the whole cloud
+    pairs, whole = [], []  # the (cloud, method) indices that color partition blocks, and those that color the whole cloud
     for i, cloud in enumerate(clouds):
         for j, method in enumerate(methods):
             if not cloud.original.any():
@@ -128,7 +134,9 @@ def upsample_clouds(
             else:
                 (whole if method in _WHOLE_CLOUD_METHODS else pairs).append((i, j))
     whole.sort(key=lambda entry: _WHOLE_CLOUD_METHODS.index(methods[entry[1]]))  # so that each share gets both methods
-    blocks: list = [None]  # with no 2D entry to color, one item, which runs in this process: the whole-cloud entries
+    if whole:  # the block of every point id, whose role splits NN3 and IDW3 color in 3D, so it is never flattened
+        everything = Block((0, 0, 0), np.arange(len(clouds[0].positions)))
+    blocks = [everything] if whole else []  # with no 2D entry to color, the one item, which runs in this process
     if pairs:
         try:
             blocks = partition_into_blocks(clouds[0], config.block_size)
@@ -137,35 +145,33 @@ def upsample_clouds(
                 entries[i][j] = error, 0.0
             pairs.clear()
 
-    def color_share(share: Sequence[tuple[Block, list]]) -> list:
+    def color_share(share: Sequence[tuple[Block, list]]) -> list[dict]:
         problems, done = [], []  # the FSMMR problems of the share's blocks, fitted together below
         for block, riders in share:
             coords = cache(lambda block=block: _timed(flatten_block, block, clouds[0], config.root_seed)[0])  # an error is kept too
             window = cache(lambda coords=coords: _timed(_Window, coords(), config.fsmmr)[0])  # built by the first fit that reads it
-            row = [_timed(_block_colors, block, coords, clouds[i], methods[j], config,
-                          lambda *problem: problems.append((*problem, window, clouds[i].original[block.point_ids])))
-                   for i, j in pairs]  # an FSMMR entry's colors read None until its fit below
-            done.append((row, [_timed(_whole_cloud_colors, clouds[i], methods[j], config) for i, j in riders]))
+            row = {(i, j): _timed(_block_colors, block, coords, clouds[i], methods[j], config,
+                                  lambda *problem: problems.append((*problem, window, clouds[i].original[block.point_ids])))
+                   for i, j in pairs}  # an FSMMR entry's colors read None until its fit below
+            done.append(row | {(i, j): _timed(_block_colors, everything, lambda: clouds[0].positions, clouds[i], methods[j],
+                                              config, None) for i, j in riders})
         fits = iter(_upsample_share(problems, config.fsmmr))  # in the order of the entries they fill
-        for row, _ in done:
-            for k, (colored, seconds) in enumerate(row):
+        for row in done:
+            for entry, (colored, seconds) in row.items():
                 if not isinstance(colored, CloudColorError) and colored[1] is None:
                     colors, fit_seconds = next(fits)
-                    row[k] = colors if isinstance(colors, CloudColorError) else (colored[0], colors), seconds + fit_seconds
+                    row[entry] = colors if isinstance(colors, CloudColorError) else (colored[0], colors), seconds + fit_seconds
         return done
 
     if any(methods[j] is InterpolatorKind.LIN2_DELAUNAY for _, j in pairs):
         load_delaunay()  # before the fork, so that every process shares one single-threaded scipy
     # whole-cloud entry k rides with block k mod len(blocks), so that it overlaps with the other blocks
     done = map_on_cores(color_share, [(block, whole[b::len(blocks)]) for b, block in enumerate(blocks)])
-    for k, (i, j) in enumerate(pairs):
-        parts, seconds = zip(*(row[k] for row, _ in done))
+    for i, j in pairs + whole:  # each cloud built here: one sent back from a worker would be writeable
+        parts, seconds = zip(*(row[i, j] for row in done if (i, j) in row))
         errors = [part for part in parts if isinstance(part, CloudColorError)]
         upsampled = errors[0] if errors else _colored(clouds[i], *map(np.concatenate, zip(*parts)))
         entries[i][j] = upsampled, sum(seconds)
-    for k, (i, j) in enumerate(whole):  # each cloud built here: one sent back from a worker would be writeable
-        colors, seconds = done[k % len(blocks)][1][k // len(blocks)]
-        entries[i][j] = colors if isinstance(colors, CloudColorError) else _colored(clouds[i], np.flatnonzero(~clouds[i].original), colors), seconds
     return entries
 
 
@@ -177,14 +183,6 @@ def _timed(function: Callable, *args) -> tuple[object, float]:
     except CloudColorError as error:
         result = error
     return result, time.perf_counter() - started
-
-
-def _whole_cloud_colors(cloud: ColorPointCloud, method: InterpolatorKind, config: UpsampleConfig) -> np.ndarray:
-    """The colors of the cloud's Reconstruct points, in id order, by NN3 or
-    IDW3 in 3D over all its originals."""
-    o_ids, r_ids = np.flatnonzero(cloud.original), np.flatnonzero(~cloud.original)
-    rows = cloud.positions[o_ids], cloud.colors[o_ids], cloud.positions[r_ids]
-    return interpolate_nn3(*rows) if method is InterpolatorKind.NN3 else interpolate_idw(*rows, power=config.idw_power)
 
 
 def _colored(cloud: ColorPointCloud, ids: np.ndarray, rows: np.ndarray) -> ColorPointCloud:

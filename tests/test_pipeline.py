@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cloudcolor import fsmmr, parallel, pipeline
-from cloudcolor.baselines import InterpolatorKind
+from cloudcolor.baselines import InterpolatorKind, interpolate_idw, interpolate_nn3
 from cloudcolor.core import ColorPointCloud, partition_into_blocks
 from cloudcolor.errors import CloudColorError, EmptySamples, InvalidConfig, InvalidInput
 from cloudcolor.evaluation import ExperimentSpec, random_downsample, run_experiment, sphere_cloud
@@ -183,7 +183,8 @@ class TestUpsampleClouds:
 
     def test_whole_cloud_entries_ride_with_the_blocks_alike_at_1_2_and_3_processes(self, monkeypatch, tmp_path):
         # NN3 and IDW3 next to 2D methods, and splits without originals or without points to reconstruct;
-        # each NN3 or IDW3 call reports seconds that name its entry, and logs the process it ran in
+        # each NN3 or IDW3 block call reports seconds that name its entry, and logs the process it ran in;
+        # each NN3 or IDW3 entry holds the kernel's colors over its own split's originals, point by point
         reference, log = sphere_cloud(400, seed=1), tmp_path / "whole"
         splits = [random_downsample(reference, density, seed=2) for density in (0.1, 0.3, 0.5)]
         splits += [reference, ColorPointCloud(reference.positions)]
@@ -195,10 +196,10 @@ class TestUpsampleClouds:
 
         def tagging(function, *args):
             result, seconds = timed(function, *args)
-            if function is pipeline._whole_cloud_colors:
+            if function is pipeline._block_colors and args[3] in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
                 with open(log, "a") as out:
                     out.write(f"{os.getpid()}\n")
-                return result, tag(*args[:2])
+                return result, tag(*args[2:4])
             return result, seconds
 
         monkeypatch.setattr(pipeline, "_timed", tagging)
@@ -213,6 +214,11 @@ class TestUpsampleClouds:
             for cloud, row in zip(splits[:3], entries):
                 for method, (upsampled, seconds) in zip(methods, row):
                     if method in (InterpolatorKind.NN3, InterpolatorKind.IDW3):
+                        o, r = cloud.original, ~cloud.original
+                        rows = cloud.positions[o], cloud.colors[o], cloud.positions[r]
+                        kernel = interpolate_nn3(*rows) if method is InterpolatorKind.NN3 else interpolate_idw(*rows, power=2.0)
+                        assert np.array_equal(upsampled.colors[r], kernel) and upsampled.colored.all()
+                        assert np.array_equal(upsampled.colors[o], cloud.colors[o])
                         assert seconds == tag(cloud, method)
                         arrays = upsampled.positions, upsampled.colors, upsampled.original, upsampled.colored
                         assert not any(array.flags.writeable for array in arrays)
