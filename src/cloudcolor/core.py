@@ -190,11 +190,12 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
             for key, ids in zip(cells[order[np.r_[0, starts]]].tolist(), np.split(order, starts))]
 
 
-# Queries per chunk are sized so one chunk's distance matrix holds about
-# this many float64 values (128 KB), whatever the number of originals.
-# Larger chunks raised peak RSS: 2 MB chunks added 6 MB on a 1.5k-point
-# `evaluate` sweep, 128 KB chunks under 0.5 MB.
+# The full scan compares max(1, this // n) queries at a time with all n
+# originals: about this many float64 values (128 KB), or one row of n past it
+# (400 KB for 49,750).  Grid candidate arrays hold this many, or one query's.
+# 2 MB chunks added 6 MB of peak RSS to a 1.5k-point `evaluate` sweep.
 _NEAREST_CHUNK_VALUES = 1 << 14
+_GRID_MIN_PAIRS, _GRID_MIN_QUERIES = 1 << 18, 16  # smaller lookups scan every pair: the grid's sort costs more
 
 
 def squared_distance_chunks(positions: np.ndarray, queries: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -219,17 +220,61 @@ def squared_distance_chunks(positions: np.ndarray, queries: np.ndarray) -> Itera
 
 
 def nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row index in the (n >= 1, d) `positions` of the nearest one to each
-    (k, d) query, both read by `as_rows`; ties go to the lowest index.  A
-    query whose smallest squared distance overflows to inf raises
-    InvalidInput: every candidate would tie."""
-    out = np.empty(len(queries), dtype=np.intp)
-    for rows, d2 in squared_distance_chunks(positions, queries):
+    """Row index in the (n >= 1, d) `positions` of the nearest one to each (k, d)
+    query, both finite float64 rows as `as_kernel_rows` leaves them, by the sums
+    of `squared_distance_chunks`, the lowest on ties; a least sum of inf raises
+    InvalidInput.  Large lookups prune by grid cells, exactly (`_grid_nearest_ids`)."""
+    grid = positions.shape[1] <= 3 and len(queries) >= _GRID_MIN_QUERIES and len(positions) * len(queries) >= _GRID_MIN_PAIRS
+    out = _grid_nearest_ids(positions, queries) if grid else np.full(len(queries), -1, dtype=np.intp)
+    todo = np.flatnonzero(out < 0)
+    for rows, d2 in squared_distance_chunks(positions, queries[todo]):
         nearest = d2.argmin(axis=1)  # argmin returns the first minimum
         if np.isinf(d2[np.arange(len(d2)), nearest]).any():
             raise InvalidInput("squared distances to the originals overflow float64")
-        out[rows] = nearest
+        out[todo[rows]] = nearest
     return out
+
+
+@np.errstate(over="ignore")  # an overflow reads inf, as in the full scan, and leaves a query unproven
+def _grid_nearest_ids(positions: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Each query's nearest row, lowest first, among the positions in the 3^d
+    grid cells around its own, or -1 where one outside them may be as near."""
+    (n, d), k = positions.shape, len(queries)
+    columns, top = np.ascontiguousarray(positions.T), math.ceil(n ** (1 / d))  # reducing (n, 3) rows is far slower
+    side = float(np.ptp(columns, axis=1).max()) / top
+    if not 0 < side < math.inf:  # all positions equal, or a span that overflows
+        return np.full(k, -1, dtype=np.intp)
+    origin, top = columns.min(axis=1, keepdims=True) - 2 * side, top + 3  # cells 2 .. top - 1 hold the positions
+    def cell(x):  # monotone in each coordinate of (d, m) `x`; in place, as fresh arrays raised peak RSS
+        c = x - origin
+        return np.clip(np.floor(np.divide(c, side, out=c), out=c), 1, top, out=c)
+    strides = (top + 2) ** np.arange(d - 1, -1, -1)  # cells 0 .. top + 1: every query's neighbours
+    keys = (strides @ cell(columns)).astype(np.intp)  # small integers: exact
+    order = np.argsort(keys)  # no stability needed: ties go to the lowest row below
+    starts = np.r_[0, np.cumsum(np.bincount(keys, minlength=(top + 2) ** d))]
+    q_cells, ids = cell(queries.T), np.full(k, n, dtype=np.intp)
+    # a query's neighbours as rows of 3 cells along the last axis, each one range of `order`
+    lows = (strides @ q_cells).astype(np.intp)[:, None] + strides @ (np.indices((3,) * (d - 1) + (1,)).reshape(d, -1) - 1)
+    counts = starts[lows + 3] - starts[lows]
+    step = max(1, _NEAREST_CHUNK_VALUES // max(1, counts.sum(axis=1).max(initial=0)))
+    for chunk in (slice(start, start + step) for start in range(0, k, step)):
+        q, count = queries[chunk].T, counts[chunk].ravel()
+        rows = order[np.arange(count.sum()) + np.repeat(starts[lows[chunk]].ravel() - np.cumsum(count) + count, count)]
+        owner = np.repeat(np.arange(len(count)) // lows.shape[1], count)
+        d2, best = np.zeros(len(rows)), np.full(q.shape[1], np.inf)
+        for column, q_axis in zip(columns, q):  # as `squared_distance_chunks` sums them
+            diff = column[rows] - q_axis[owner]
+            diff *= diff
+            d2 += diff
+        np.minimum.at(best, owner, d2)
+        np.minimum.at(ids[chunk], owner, np.where(d2 == best[owner], rows, n))
+        # Terms >= 0 sum monotonically, so an x as near as the best has each axis term <= best: then
+        # |fl(x - q)| < reach, lo < x < hi, and as cells are monotone, x's cell neighbours the query's.
+        reach = np.nextafter(np.sqrt(best), np.inf)  # a best of inf or 0 fails the first test
+        hi, lo = np.nextafter(q + reach, np.inf), np.nextafter(q - reach, -np.inf)
+        held = (hi - q >= reach) & (lo - q <= -reach) & (cell(hi) <= q_cells[:, chunk] + 1) & (cell(lo) >= q_cells[:, chunk] - 1)
+        ids[chunk][~((reach * reach > best) & held.all(axis=0))] = -1
+    return ids
 
 
 def nearest_original_color(cloud: ColorPointCloud, queries: np.ndarray) -> np.ndarray:

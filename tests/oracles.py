@@ -206,6 +206,29 @@ def nearest_original_color_oracle(cloud, query):
     return best_color
 
 
+def nearest_ids_oracle(positions, queries):
+    """Row index of the nearest of `positions` to each of `queries`, by a
+    per-query scan over rows of any width: the squares of p - q summed from
+    0.0 in axis order, and strict `<` so the lowest row wins a tie.  A query
+    whose best sum is inf raises InvalidInput."""
+    from cloudcolor.errors import InvalidInput
+
+    out = []
+    for query in queries.tolist():
+        best, best_row = math.inf, None
+        for row, position in enumerate(positions.tolist()):
+            d2 = 0.0
+            for p, q in zip(position, query):
+                diff = p - q  # Python floats overflow to inf, as numpy's do
+                d2 += diff * diff
+            if d2 < best:
+                best, best_row = d2, row
+        if best_row is None:
+            raise InvalidInput("squared distances to the originals overflow float64")
+        out.append(best_row)
+    return out
+
+
 def _round_channel_oracle(v):
     """The seed's scalar rounding: half away from zero, clamped to [0, 255]."""
     rounded = math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)

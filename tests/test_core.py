@@ -10,8 +10,9 @@ from cloudcolor import core
 from cloudcolor.core import ColorPointCloud, nearest_original_color, partition_into_blocks
 from cloudcolor.errors import EmptyCloud, EmptySamples, InvalidConfig, InvalidInput
 
+from cloudcolor.evaluation import sphere_cloud
 from conftest import random_cloud
-from oracles import nearest_original_color_oracle, partition_oracle, partition_unique_oracle
+from oracles import nearest_ids_oracle, nearest_original_color_oracle, partition_oracle, partition_unique_oracle
 
 
 def cloud_of(*coords):
@@ -146,6 +147,86 @@ class TestPartition:
             assert block.point_ids.dtype == ids.dtype and block.point_ids.tolist() == ids.tolist()
         if size == 1e6:
             assert len(blocks) == 1
+
+
+@st.composite
+def nearest_lookups(draw):
+    """(positions, queries) for `nearest_ids`: 1 to 5 columns of lattice
+    coordinates (exact ties) or random ones, rows repeated from a pool
+    (duplicate and all-identical rows), maybe one column of zero span,
+    queries inside and past the positions' box and a subnormal step off
+    them, all at a scale from subnormal to overflowing."""
+    d, n, k = draw(st.integers(1, 5)), draw(st.sampled_from([60, 1, 2, 9, 30])), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = draw(st.booleans())
+
+    def coords(count, spread):
+        return (rng.integers(-3, 4, size=(count, d)) if lattice else rng.uniform(-4, 4, size=(count, d))) * spread
+
+    pool = coords(draw(st.sampled_from([n, n // 4 + 1, n // 2 + 1, 1])), 1.0)
+    positions = pool[rng.integers(0, len(pool), size=n)]
+    queries = coords(k, draw(st.sampled_from([0.5, 1.0, 3.0])))  # 0.5: half-lattice ties; 3: mostly past the box
+    if d > 1 and draw(st.booleans()):
+        positions[:, rng.integers(d)] = positions[0, 0]
+    if draw(st.booleans()):
+        queries = np.concatenate([queries, positions[:k] + rng.integers(-2, 3, size=(min(k, n), d)) * 5e-324])
+    scale = draw(st.just(1.0) | st.sampled_from([3e153, 1e154, 1e300, 1e-310, 5e-324]))
+    return positions * scale, queries * scale
+
+
+class TestNearestIds:
+    @settings(max_examples=400, deadline=None)
+    @given(lookup=nearest_lookups(), chunk_values=st.sampled_from([1, 7, core._NEAREST_CHUNK_VALUES]), grid=st.booleans())
+    def test_matches_the_scan_oracle(self, lookup, chunk_values, grid):
+        positions, queries = lookup
+        try:
+            expected = nearest_ids_oracle(positions, queries)
+        except InvalidInput:
+            expected = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_NEAREST_CHUNK_VALUES", chunk_values)
+            if grid:  # every lookup, however small, tries the grid first
+                patch.setattr(core, "_GRID_MIN_PAIRS", 0)
+                patch.setattr(core, "_GRID_MIN_QUERIES", 0)
+            if expected is None:
+                with pytest.raises(InvalidInput):
+                    core.nearest_ids(positions, queries)
+            else:
+                ids = core.nearest_ids(positions, queries)
+                assert ids.dtype == np.intp and ids.tolist() == expected
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e-310])  # 1e-310: every squared distance underflows to a tie at 0
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_matches_the_full_scan_on_clusters(self, d, scale, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-50, 50, size=(5, d))
+        positions = (centers[rng.integers(0, 5, size=400)] + rng.normal(size=(400, d)) * rng.uniform(0.1, 5)) * scale
+        queries = rng.uniform(-60, 60, size=(300, d)) * scale
+        monkeypatch.setattr(core, "_GRID_MIN_QUERIES", len(queries) + 1)
+        full = core.nearest_ids(positions, queries)
+        monkeypatch.setattr(core, "_GRID_MIN_QUERIES", 0)
+        assert core.nearest_ids(positions, queries).tolist() == full.tolist()
+
+    def test_a_nearer_position_two_cells_away_is_found(self, monkeypatch):
+        # cells of side 1: the query's neighbours, cells 0 to 2, hold only 0.0,
+        # while 3.0, in cell 3, is nearer
+        monkeypatch.setattr(core, "_GRID_MIN_PAIRS", 0)
+        monkeypatch.setattr(core, "_GRID_MIN_QUERIES", 0)
+        assert core.nearest_ids(np.array([[0.0], [3.0], [3.5], [4.0]]), np.array([[1.9], [0.4]])).tolist() == [1, 0]
+
+    def test_sphere_holes_never_reach_the_full_scan(self, monkeypatch):
+        # without pruning the lookup would quietly decay into the all-pairs scan
+        cloud = sphere_cloud(20_000, seed=3)
+        holes = np.random.default_rng(3).random(len(cloud)) < 0.01
+        positions, queries = cloud.positions[~holes], cloud.positions[holes]
+        scanned, scan = [], core.squared_distance_chunks
+        monkeypatch.setattr(core, "squared_distance_chunks", lambda p, q: scanned.append(len(q)) or scan(p, q))
+        ids = core.nearest_ids(positions, queries)
+        assert len(queries) > 150 and sum(scanned) == 0
+        monkeypatch.setattr(core, "_GRID_MIN_QUERIES", len(queries) + 1)
+        assert ids.tolist() == core.nearest_ids(positions, queries).tolist()
+        assert sum(scanned) == len(queries)
 
 
 class TestNearestOriginal:
