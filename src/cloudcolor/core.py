@@ -175,10 +175,11 @@ def partition_into_blocks(cloud: ColorPointCloud, block_size: float) -> list[Blo
     if len(as_instance(cloud, "cloud", ColorPointCloud)) == 0:
         raise EmptyCloud("cannot partition an empty cloud")
     positions = cloud.positions
-    origin = positions.min(axis=0)
+    axes = np.ascontiguousarray(positions.T)  # numpy reduces each of 3 contiguous rows far faster than (n, 3) along axis 0
+    origin = axes.min(axis=1)
     # subtraction and division round monotonically, so the largest cell
     # index on each axis is the maximum coordinate's
-    spans = [(hi - lo) / block_size for hi, lo in zip(positions.max(axis=0).tolist(), origin.tolist())]
+    spans = [(hi - lo) / block_size for hi, lo in zip(axes.max(axis=1).tolist(), origin.tolist())]
     if not all(map(math.isfinite, spans)):
         raise InvalidInput(f"the cloud spans too many cells of size {block_size} to index")
 

@@ -33,4 +33,7 @@ class ParseError(CloudColorError):
     """PLY parsing failure; the message ends with the byte offset where it was detected."""
 
     def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(message, offset)  # the args that pickle passes back to __init__
+
+    def __str__(self) -> str:
+        return "{} (at byte {})".format(*self.args)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import ColorPointCloud, as_bool, as_instance
 from .errors import InvalidConfig, InvalidInput, MissingColor, ParseError
+from .parallel import map_on_cores
 
 
 class PlyFormat(Enum):
@@ -157,48 +158,65 @@ def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: li
     underscore = "_" in text  # float() and int() read "1_0" as 10, where a C reader stops at the "_"
     if len(lines) < vertex.count:
         raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
-    # a chunk of rows at a time, column by column: a table of every token at once would double the peak memory
-    parsers = [float if ptype in _FLOAT_TYPES else int for _, ptype in vertex.properties]
-    width, values = len(parsers), [[] for _ in parsers]
-    for start in range(0, vertex.count, _ASCII_CHUNK_ROWS):
-        chunk = lines[start:min(start + _ASCII_CHUNK_ROWS, vertex.count)]
-        rows = list(map(str.split, chunk))
+    types = [ptype for _, ptype in vertex.properties]
+
+    def read_chunk(start: int, stop: int) -> list[np.ndarray | None] | ParseError:
+        """The columns of rows start:stop, or their first bad row's ParseError."""
+        chunk = lines[start:stop]
+        width, rows = len(types), list(map(str.split, chunk))
         try:  # every token is parsed, used or not, so that a bad one is rejected
             if not all(map(width.__eq__, map(len, rows))) or underscore and "_" in "".join(chunk):
                 raise ValueError
             tokens = list(chain.from_iterable(rows))
-            for c, (parse, column) in enumerate(zip(parsers, values)):
-                try:  # a whole column chunk by the table or none of it: a KeyError leaves nothing behind
-                    column.extend(list(map(_UCHAR_VALUES.__getitem__, tokens[c::width])) if parse is int else map(parse, tokens[c::width]))
-                except KeyError:  # "+7", "007", "256" or a bad token: int reads it, or names it
-                    column.extend(map(int, tokens[c::width]))
+            return [_ascii_column(tokens[c::width], ptype) for c, ptype in enumerate(types)]
         except ValueError:  # the first bad row of the chunk names the error
             for i, tokens in enumerate(rows, start):
                 if len(tokens) != width:
-                    raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {width}", body_start) from None
+                    return ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {width}", body_start)
                 try:
                     if underscore and "_" in chunk[i - start]:
                         raise ValueError("a number cannot hold '_'")
-                    [parse(token) for parse, token in zip(parsers, tokens)]
+                    [float(token) if ptype in _FLOAT_TYPES else int(token) for ptype, token in zip(types, tokens)]
                 except ValueError as exc:
-                    raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
+                    return ParseError(f"bad value in vertex row {i}: {exc}", body_start)
+
+    chunks = map_on_cores(lambda share: [read_chunk(*rows) for rows in share], _chunks(vertex.count) or [(0, 0)])
+    errors = [chunk for chunk in chunks if isinstance(chunk, ParseError)]
+    if errors:  # the first bad row's
+        raise errors[0]
     # every value must fit its declared type, used or not, as it does in a
     # binary file; columns go by position, so a repeated name reads its last
-    columns = {}
-    for (name, ptype), column in zip(vertex.properties, values):
-        if ptype in _FLOAT_TYPES:
-            columns[name] = np.array(column, dtype=np.float64)
-            if ptype in ("float", "float32"):
-                with np.errstate(over="ignore"):
-                    beyond = np.isinf(columns[name].astype(np.float32)) & np.isfinite(columns[name])
-                if beyond.any():
-                    raise ParseError(f"a value of property {name!r} is beyond float32 range", body_start)
-            continue
-        limits = np.iinfo(_SCALAR_TYPES[ptype])
-        if column and not limits.min <= min(column) <= max(column) <= limits.max:
-            raise ParseError(f"a value of property {name!r} is outside the {ptype} range", body_start)
-        columns[name] = np.array(column, dtype=_SCALAR_TYPES[ptype])
-    return {name: columns[name] for name in used}
+    for c, (name, ptype) in enumerate(vertex.properties):
+        if any(chunk[c] is None for chunk in chunks):
+            outside = "beyond float32 range" if ptype in _FLOAT_TYPES else f"outside the {ptype} range"
+            raise ParseError(f"a value of property {name!r} is {outside}", body_start)
+    return {name: np.concatenate([chunk[c] for chunk in chunks]) for c, (name, _) in enumerate(vertex.properties) if name in used}
+
+
+def _chunks(rows: int) -> list[tuple[int, int]]:
+    """Row ranges of equal size, to a row, of at most _ASCII_CHUNK_ROWS rows
+    that cover `rows`: the items of an ASCII body on every usable core, read
+    and written column by column, which a table of every token at once
+    would do with twice the peak memory."""
+    count = -(-rows // _ASCII_CHUNK_ROWS)
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
+def _ascii_column(tokens: list[str], ptype: str) -> np.ndarray | None:
+    """The values of `tokens` under `ptype`, or None if one lies outside its
+    range: that of its integer type, or float32's under `float`."""
+    if ptype in _FLOAT_TYPES:
+        column = np.array(list(map(float, tokens)), dtype=np.float64)
+        with np.errstate(over="ignore"):
+            beyond = ptype in ("float", "float32") and (np.isinf(column.astype(np.float32)) & np.isfinite(column)).any()
+        return None if beyond else column
+    try:  # by the table; "+7", "007", "256" or a bad token: int reads it, or names it
+        values = list(map(_UCHAR_VALUES.__getitem__, tokens))
+    except KeyError:
+        values = list(map(int, tokens))
+    limits = np.iinfo(_SCALAR_TYPES[ptype])
+    inside = not values or limits.min <= min(values) <= max(values) <= limits.max
+    return np.array(values, dtype=_SCALAR_TYPES[ptype]) if inside else None
 
 
 def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
@@ -237,17 +255,17 @@ def write_ply(
     head = ("\n".join(header) + "\n").encode("ascii")
 
     if fmt is PlyFormat.ASCII:
-        out = bytearray(head)
-        for start in range(0, len(cloud), _ASCII_CHUNK_ROWS):  # chunks bound the memory held by strings
-            # floats as the shortest round-trippable decimal, integral ones without the
-            # trailing ".0"; only float tokens hold a "." at all
-            text = [map(repr if ptype == "float" else _UCHAR_TEXT.__getitem__, col[start:start + _ASCII_CHUNK_ROWS].tolist())
-                    for _, ptype, col in fields]
-            chunk = "\n".join(map(" ".join, zip(*text))) + "\n"
-            out += chunk.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")
-        return bytes(out)
+        return b"".join([head, *map_on_cores(lambda share: [_write_ascii_chunk(fields, *rows) for rows in share], _chunks(len(cloud)))])
 
     table = np.empty(len(cloud), dtype=[(name, "<" + _SCALAR_TYPES[ptype]) for name, ptype, _ in fields])
     for name, _, col in fields:
         table[name] = col
     return head + table.tobytes()
+
+
+def _write_ascii_chunk(fields: list[tuple[str, str, np.ndarray]], start: int, stop: int) -> bytes:
+    # floats as the shortest round-trippable decimal, integral ones without the
+    # trailing ".0"; only float tokens hold a "." at all
+    text = [map(repr if ptype == "float" else _UCHAR_TEXT.__getitem__, col[start:stop].tolist()) for _, ptype, col in fields]
+    chunk = "\n".join(map(" ".join, zip(*text))) + "\n"
+    return chunk.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")

@@ -1,5 +1,4 @@
 import faulthandler
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -9,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cloudcolor import parallel
+from cloudcolor import parallel, ply_io
 from cloudcolor.core import ColorPointCloud
 from cloudcolor.evaluation import sphere_cloud
 
@@ -40,25 +39,40 @@ def small_cloud():
 
 @pytest.fixture(autouse=True)
 def no_workers_left():
-    """Fail any test that leaves a worker process running, and end one that
-    hangs after two minutes instead of stalling the suite: every sweep and
-    2D upsample over more than one block forks."""
+    """Fail any test that leaves a child process, running or unreaped, and
+    end one that hangs after two minutes instead of stalling the suite: every
+    sweep and 2D upsample over more than one block, and every ASCII PLY body
+    of more than one chunk, forks."""
     faulthandler.dump_traceback_later(120, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()
-    assert multiprocessing.active_children() == []
+    try:  # a child that still runs reads (0, 0), an unreaped one its (pid, status)
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # this process has no child at all
+        return
+    pytest.fail(f"a child process was left behind: waitpid reads {left}")
+
+
+@pytest.fixture(params=[(processes, rows) for processes in (1, 2, 3) for rows in (1, 7, ply_io._ASCII_CHUNK_ROWS)],
+                ids=lambda param: "{}proc-{}rows".format(*param))
+def ascii_chunks(request, monkeypatch):
+    """ASCII PLY bodies read and written in chunks of at most 1, 7 or the
+    default number of rows, on 1, 2 or 3 processes."""
+    processes, rows = request.param
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: processes)
+    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", rows)
 
 
 @pytest.fixture
 def worker_pids(monkeypatch, tmp_path):
     """Reads the pids of the worker processes forked so far: each appends
-    its own to a log as it starts."""
-    log, enter = tmp_path / "worker_pids", parallel._enter_worker
+    its own to a log as it starts its share."""
+    log, run_share = tmp_path / "worker_pids", parallel._run_share
 
-    def recording_enter(*share):
+    def recording_run_share(*args):
         with open(log, "a") as out:
             out.write(f"{os.getpid()}\n")
-        enter(*share)
+        return run_share(*args)
 
-    monkeypatch.setattr(parallel, "_enter_worker", recording_enter)
+    monkeypatch.setattr(parallel, "_run_share", recording_run_share)
     return lambda: log.read_text().split() if log.exists() else []

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from cloudcolor.errors import InvalidInput, MissingColor, ParseError
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
 
 from conftest import random_cloud
-from oracles import ascii_body_oracle
+from oracles import ascii_body_oracle, read_ascii_columns_oracle
 
 
 ASCII_ONE_RED = b"""ply
@@ -306,20 +307,25 @@ def test_a_bytearray_reads_as_its_bytes(fmt):
 SPECIAL_FLOATS = [0.0, -0.0, 1.0, -7.0, 0.1, 1e16, -1e16, 5e-324, 123456789.0, 3.4e38, 1.5e-7]
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     positions=st.lists(st.tuples(*[st.sampled_from(SPECIAL_FLOATS) | st.floats(-3e38, 3e38)] * 3), min_size=1, max_size=12),
     data=st.data(),
 )
-def test_ascii_body_matches_the_row_by_row_oracle(positions, data, monkeypatch):
-    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 3)  # most clouds span several chunks
+def test_ascii_body_matches_the_row_by_row_oracle(positions, data, ascii_chunks):
+    # at 1 or 7 rows a chunk, most clouds span several chunks, and so several processes
     n = len(positions)
     colors = data.draw(st.lists(st.tuples(*[st.integers(0, 255)] * 3), min_size=n, max_size=n))
     original = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     cloud = ColorPointCloud(positions, colors, original=original)
     for include_roles in (False, True):
-        head, body = write_ply(cloud, PlyFormat.ASCII, include_roles=include_roles).split(b"end_header\n")
+        written = write_ply(cloud, PlyFormat.ASCII, include_roles=include_roles)
+        head, body = written.split(b"end_header\n")
         assert body == ascii_body_oracle(cloud, include_roles)
+        back, kept = read_ply(written), np.array(original) | (not include_roles)  # the points read back as originals
+        assert back.positions.tobytes() == cloud.positions.tobytes()
+        assert back.original.tolist() == back.colored.tolist() == kept.tolist()
+        assert back.colors[kept].tobytes() == cloud.colors[kept].tobytes()
 
 
 def rows_of(count):
@@ -339,3 +345,59 @@ def test_a_bad_row_past_the_first_chunk_is_named(row, message):
         read_ply(data)
     assert str(error.value).startswith(message)
     assert len(read_ply(data.replace(row, b"0 0 0 255 0 0"))) == 5000
+
+
+def forty_rows_with(changes):
+    """An ASCII file of 40 vertex rows under six properties, with the rows
+    of `changes` replaced: at 7 rows a chunk its chunks start at rows 0, 6,
+    13, 20, 26 and 33, and at 2 or 3 processes they fall in every share."""
+    body = rows_of(40).split(b"\n")
+    for i, row in changes.items():
+        body[i] = row
+    return ASCII_ONE_RED.replace(b"element vertex 1", b"element vertex 40").replace(b"0 0 0 255 0 0\n", b"\n".join(body))
+
+
+def oracle_error(data):
+    _, [vertex], body_start = ply_io._parse_header(data)
+    with pytest.raises(ParseError) as error:
+        read_ascii_columns_oracle(data, body_start, vertex, ["x", "y", "z", "red", "green", "blue"])
+    return str(error.value)
+
+
+@pytest.mark.parametrize("changes", [
+    {8: b"0 0 0 25x 0 0", 21: b"0 0 0 255 0", 35: b"0 0 0 1_0 0 0"},
+    {15: b"0 0 0 255 0", 22: b"0 0 0 1_0 0 0"},
+    {30: b"0 0 0 1_0 0 0", 39: b"0 0 0 25x 0 0"},
+    {6: b"1 2", 5: b"0 0 0 1 2 3 4"},
+])
+def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes, ascii_chunks):
+    data = forty_rows_with(changes)
+    with pytest.raises(ParseError) as error:
+        read_ply(data)
+    assert str(error.value) == oracle_error(data)
+    assert re.search(rf"vertex row {min(changes)}\b", str(error.value))
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({2: b"0 0 0 300 0 0", 30: b"0 0 0 25x 0 0"}, "bad value in vertex row 30"),  # a bad row before any range
+    ({30: b"1e39 0 0 1 2 3", 3: b"0 0 0 1 2 256"}, "property 'x' is beyond float32 range"),  # then in property order
+    ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1", 12: b"0 0 0 1 2 3e0"}, "bad value in vertex row 12"),
+    ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1"}, "property 'green' is outside the uchar range"),
+])
+def test_range_and_row_errors_come_in_the_oracles_order(changes, named, ascii_chunks):
+    data = forty_rows_with(changes)
+    with pytest.raises(ParseError) as error:
+        read_ply(data)
+    assert str(error.value) == oracle_error(data)
+    assert named in str(error.value)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, 4095, 4096, 4097, 5000, 9000, 50_000])
+def test_chunks_are_equal_to_a_row_and_at_most_the_chunk_rows(rows):
+    chunks = ply_io._chunks(rows)
+    assert [row for start, stop in chunks for row in range(start, stop)] == list(range(rows))
+    sizes = {stop - start for start, stop in chunks}
+    assert len(chunks) == -(-rows // ply_io._ASCII_CHUNK_ROWS) and max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert max(sizes, default=0) <= ply_io._ASCII_CHUNK_ROWS
+    if rows == 5000:
+        assert chunks == [(0, 2500), (2500, 5000)]

@@ -1,6 +1,6 @@
 """The start-up contract: scipy is loaded only by a run that reaches LIN2,
-on one BLAS thread, and the process pool only by a run with more than one
-usable core and more than one block or job.
+on one BLAS thread, and neither `multiprocessing` nor `concurrent.futures`
+by any run that does not load scipy: the process pool forks bare.
 
 Every case runs in a fresh interpreter, because the rest of the suite loads
 scipy in this one.
@@ -55,10 +55,9 @@ def test_import_loads_no_scipy(statement, tmp_path):
 
 @pytest.mark.parametrize("method", ["fsmmr", "nn3", "idw3", "idw2"])
 def test_upsample_without_lin2_loads_no_scipy(method, mixed_ply, tmp_path):
-    # FSMMR and IDW2 split their blocks over the usable cores, and so may load the pool
+    # FSMMR and IDW2 split their blocks over the usable cores, by a bare fork
     out = tmp_path / "out.ply"
-    result = fresh_run(cli_statement("upsample", "--method", method, str(mixed_ply), str(out)), tmp_path)
-    assert result["code"] == 0 and "scipy" not in result["loaded"]
+    assert fresh_run(cli_statement("upsample", "--method", method, str(mixed_ply), str(out)), tmp_path) == {"code": 0, "loaded": []}
     assert out.exists()
 
 
@@ -94,8 +93,7 @@ def colored_ply(tmp_path_factory):
 
 def test_evaluate_without_lin2_loads_no_scipy(colored_ply, tmp_path):
     out = tmp_path / "report.csv"
-    result = fresh_run(cli_statement("evaluate", "--methods", "fsmmr,nn3", str(colored_ply), str(out)), tmp_path)
-    assert result["code"] == 0 and "scipy" not in result["loaded"]
+    assert fresh_run(cli_statement("evaluate", "--methods", "fsmmr,nn3", str(colored_ply), str(out)), tmp_path) == {"code": 0, "loaded": []}
     assert out.exists()
 
 
