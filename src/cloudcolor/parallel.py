@@ -1,7 +1,8 @@
 """Independent work items on every usable core: the one process pool of the
 package.  It runs the blocks of `pipeline.upsample_clouds` (every 2D upsample
-and the `evaluate` sweep) and the row chunks of an ASCII PLY body in `ply_io`
-with one bare `os.fork` per worker; each process takes its share as one unit.
+and the `evaluate` sweep) and the row chunks of an ASCII PLY body that `ply_io`
+writes with one bare `os.fork` per worker; each process takes its share as one
+unit.  `ply_io` reads an ASCII body with numpy's reader in one process.
 """
 from __future__ import annotations
 
@@ -30,7 +31,13 @@ def map_on_cores(function: Callable, items: Sequence) -> list:
     try:
         for w in range(1, processes):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the worker leaves by os._exit: no exit handler or buffer of this process runs twice
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN under a process limit, say: the workers forked so far are reaped below
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the worker leaves by os._exit: no exit handler or buffer of this process runs twice
                 try:
                     os.close(read)
                     with open(write, "wb") as pipe:

@@ -8,9 +8,9 @@ optional `uchar original` role-flag property written by this tool.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -40,7 +40,6 @@ _UCHAR_TYPES = {"uchar", "uint8"}
 _CHANNELS = ("red", "green", "blue")
 _ASCII_CHUNK_ROWS = 4096
 _UCHAR_TEXT = tuple(map(str, range(256)))  # a uchar value's text, looked up in place of str
-_UCHAR_VALUES = {text: value for value, text in enumerate(_UCHAR_TEXT)}  # looked up in place of int; any other spelling falls back to it
 
 
 @dataclass
@@ -153,70 +152,62 @@ def read_ply(data: bytes) -> ColorPointCloud:
 
 
 def _read_ascii_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
-    text = data[body_start:].decode("ascii", errors="replace")
-    lines = list(filter(str.strip, text.split("\n")))  # str.split() drops a trailing "\r" too
-    underscore = "_" in text  # float() and int() read "1_0" as 10, where a C reader stops at the "_"
+    # a "\r" inside a line separates tokens to str.split(), but ends the line to numpy
+    text = data[body_start:].decode("ascii", errors="replace").replace("\r", " ")
+    lines = list(filter(str.strip, text.split("\n")))
     if len(lines) < vertex.count:
         raise ParseError(f"truncated body: expected {vertex.count} vertex rows, found {len(lines)}", len(data))
-    types = [ptype for _, ptype in vertex.properties]
-
-    def read_chunk(start: int, stop: int) -> list[np.ndarray | None] | ParseError:
-        """The columns of rows start:stop, or their first bad row's ParseError."""
-        chunk = lines[start:stop]
-        width, rows = len(types), list(map(str.split, chunk))
-        try:  # every token is parsed, used or not, so that a bad one is rejected
-            if not all(map(width.__eq__, map(len, rows))) or underscore and "_" in "".join(chunk):
-                raise ValueError
-            tokens = list(chain.from_iterable(rows))
-            return [_ascii_column(tokens[c::width], ptype) for c, ptype in enumerate(types)]
-        except ValueError:  # the first bad row of the chunk names the error
-            for i, tokens in enumerate(rows, start):
-                if len(tokens) != width:
-                    return ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {width}", body_start)
-                try:
-                    if underscore and "_" in chunk[i - start]:
-                        raise ValueError("a number cannot hold '_'")
-                    [float(token) if ptype in _FLOAT_TYPES else int(token) for ptype, token in zip(types, tokens)]
-                except ValueError as exc:
-                    return ParseError(f"bad value in vertex row {i}: {exc}", body_start)
-
-    chunks = map_on_cores(lambda share: [read_chunk(*rows) for rows in share], _chunks(vertex.count) or [(0, 0)])
-    errors = [chunk for chunk in chunks if isinstance(chunk, ParseError)]
-    if errors:  # the first bad row's
-        raise errors[0]
+    lines, types = lines[:vertex.count], [ptype for _, ptype in vertex.properties]
+    record = [(f"f{c}", np.float64 if ptype in _FLOAT_TYPES else np.int64) for c, ptype in enumerate(types)]
+    try:  # numpy's C reader reads a token as float() or int() does, or refuses it; an older
+        # numpy reads "7.0" as an int with a warning, and an empty body warns too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = np.loadtxt(lines, dtype=record, comments=None, ndmin=1, unpack=True)
+    except (ValueError, Warning):  # a bad row, "1_0", an integer beyond int64, or no row at all
+        columns = _read_ascii_rows(lines, types, body_start)
     # every value must fit its declared type, used or not, as it does in a
     # binary file; columns go by position, so a repeated name reads its last
-    for c, (name, ptype) in enumerate(vertex.properties):
-        if any(chunk[c] is None for chunk in chunks):
-            outside = "beyond float32 range" if ptype in _FLOAT_TYPES else f"outside the {ptype} range"
-            raise ParseError(f"a value of property {name!r} is {outside}", body_start)
-    return {name: np.concatenate([chunk[c] for chunk in chunks]) for c, (name, _) in enumerate(vertex.properties) if name in used}
+    found = {}
+    for (name, ptype), column in zip(vertex.properties, columns):
+        if ptype in _FLOAT_TYPES:
+            with np.errstate(over="ignore"):
+                outside = ptype in ("float", "float32") and (np.isinf(column.astype(np.float32)) & np.isfinite(column)).any()
+        else:
+            limits = np.iinfo(_SCALAR_TYPES[ptype])
+            outside = column.size and not limits.min <= column.min() <= column.max() <= limits.max
+        if outside:
+            kind = "beyond float32 range" if ptype in _FLOAT_TYPES else f"outside the {ptype} range"
+            raise ParseError(f"a value of property {name!r} is {kind}", body_start)
+        found[name] = column if ptype in _FLOAT_TYPES else column.astype(_SCALAR_TYPES[ptype])
+    return {name: found[name] for name in used}
+
+
+def _read_ascii_rows(lines: list[str], types: list[str], body_start: int) -> list[np.ndarray]:
+    """The columns of `lines` token by token, integers as Python ints in
+    object arrays, or the ParseError of the first bad row."""
+    rows = []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) != len(types):
+            raise ParseError(f"vertex row {i} has {len(tokens)} values where the header declares {len(types)}", body_start)
+        try:
+            if "_" in line:  # float() and int() read "1_0" as 10, where a C reader stops at the "_"
+                raise ValueError("a number cannot hold '_'")
+            rows.append([float(token) if ptype in _FLOAT_TYPES else int(token) for ptype, token in zip(types, tokens)])
+        except ValueError as exc:
+            raise ParseError(f"bad value in vertex row {i}: {exc}", body_start) from None
+    columns = list(zip(*rows)) or [()] * len(types)
+    return [np.array(column, dtype=np.float64 if ptype in _FLOAT_TYPES else object) for ptype, column in zip(types, columns)]
 
 
 def _chunks(rows: int) -> list[tuple[int, int]]:
     """Row ranges of equal size, to a row, of at most _ASCII_CHUNK_ROWS rows
-    that cover `rows`: the items of an ASCII body on every usable core, read
-    and written column by column, which a table of every token at once
-    would do with twice the peak memory."""
+    that cover `rows`: the items of an ASCII body written on every usable
+    core, column by column, which a table of every token at once would do
+    with twice the peak memory."""
     count = -(-rows // _ASCII_CHUNK_ROWS)
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-
-
-def _ascii_column(tokens: list[str], ptype: str) -> np.ndarray | None:
-    """The values of `tokens` under `ptype`, or None if one lies outside its
-    range: that of its integer type, or float32's under `float`."""
-    if ptype in _FLOAT_TYPES:
-        column = np.array(list(map(float, tokens)), dtype=np.float64)
-        with np.errstate(over="ignore"):
-            beyond = ptype in ("float", "float32") and (np.isinf(column.astype(np.float32)) & np.isfinite(column)).any()
-        return None if beyond else column
-    try:  # by the table; "+7", "007", "256" or a bad token: int reads it, or names it
-        values = list(map(_UCHAR_VALUES.__getitem__, tokens))
-    except KeyError:
-        values = list(map(int, tokens))
-    limits = np.iinfo(_SCALAR_TYPES[ptype])
-    inside = not values or limits.min <= min(values) <= max(values) <= limits.max
-    return np.array(values, dtype=_SCALAR_TYPES[ptype]) if inside else None
 
 
 def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:

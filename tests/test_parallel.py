@@ -1,6 +1,7 @@
 """The package's one process pool, `parallel.map_on_cores`, which calls its
 function once per share of the items, and the count of usable cores that
 sizes it."""
+import errno
 import os
 import pickle
 import threading
@@ -88,3 +89,21 @@ def test_a_worker_blocked_on_its_full_pipe_ends_when_share_0_raises(monkeypatch)
 
     with pytest.raises(ValueError, match="^share 0 fails$"):
         parallel.map_on_cores(share_0_fails, range(2))
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_raises(monkeypatch):
+    # the first worker is forked and reaped, the second fork fails; no_workers_left sees no child left
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 3)
+    forks, fork = [], os.fork
+
+    def fork_then_fail():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_then_fail)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        parallel.map_on_cores(lambda share: list(share), range(3))
+    assert sorted(os.listdir("/proc/self/fd")) == before

@@ -17,9 +17,13 @@ FLOATS, UCHARS = ["float", "float32", "double", "float64"], ["uchar", "uint8"]
 # the types this reader accepts for each property it uses; "extra" is unused
 EXPECTED_TYPES = {"x": FLOATS, "y": FLOATS, "z": FLOATS, "red": UCHARS, "green": UCHARS,
                   "blue": UCHARS, "original": UCHARS, "extra": SCALAR_TYPES}
-# "+7", "-0", "007" and "256" are ints that the reader's text table lacks, so int parses their chunk
+# tokens where numpy's C reader and float()/int() could part: spellings of one
+# value, "7.0" in an integer column, a NUL, int64's maximum + 1
 TOKENS = ["0", "1", "-1", "255", "256", "0.5", "nan", "-inf", "inf", "1e39", "1e308", "1e400", "1_0",
-          "99999999999999999999", "0x1", "", "+7", "-0", "007", "1e-320", "\xff"]
+          "99999999999999999999", "0x1", "", "+7", "-0", "007", "1e-320", "\xff", "\x00", "7.0", "Infinity",
+          "+nan", "-0.0", "9223372036854775808"]
+# whitespace to str.split(), where numpy reads a "\r" as a line break
+SEPARATORS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1f"]
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -109,12 +113,14 @@ def columns_or_error(read, data):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_ascii_columns_match_the_row_by_row_oracle(data, ascii_chunks):
-    # at 1 or 7 rows a chunk, most bodies span several chunks, and so several processes
+    # the reader reads in one process whatever the chunk size and process count
     names = data.draw(st.lists(st.sampled_from(sorted(EXPECTED_TYPES)), min_size=1, max_size=4))
     types = [data.draw(st.sampled_from(SCALAR_TYPES)) for _ in names]
     rows = data.draw(st.lists(vertex_rows(types), max_size=10))
+    separators = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(rows), max_size=len(rows)))
     count = data.draw(st.sampled_from([len(rows)] * 4 + [max(0, len(rows) - 1), len(rows) + 1]))
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\n \n"]))
     header = ["ply", "format ascii 1.0", f"element vertex {count}", *(f"property {t} {n}" for t, n in zip(types, names))]
-    ply = ("\n".join(header) + "\nend_header\n" + "".join(" ".join(r) + newline for r in rows)).encode("utf-8")
+    body = "".join(separator.join(row) + newline for separator, row in zip(separators, rows))
+    ply = ("\n".join(header) + "\nend_header\n" + body).encode("utf-8")
     assert columns_or_error(_read_ascii_columns, ply) == columns_or_error(read_ascii_columns_oracle, ply)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cloudcolor import ply_io
+from cloudcolor import parallel, ply_io
 from cloudcolor.core import ColorPointCloud
 from cloudcolor.errors import InvalidInput, MissingColor, ParseError
 from cloudcolor.ply_io import PlyFormat, read_ply, write_ply
@@ -347,10 +347,20 @@ def test_a_bad_row_past_the_first_chunk_is_named(row, message):
     assert len(read_ply(data.replace(row, b"0 0 0 255 0 0"))) == 5000
 
 
+def test_reading_forks_nothing_and_writing_forks_a_worker(monkeypatch, worker_pids):
+    # 100 rows at 7 a chunk are 15 chunks, which the writer splits over 2 processes
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 7)
+    data = ASCII_ONE_RED.replace(b"element vertex 1", b"element vertex 100").replace(b"0 0 0 255 0 0\n", rows_of(100))
+    cloud = read_ply(data)
+    assert len(cloud) == 100 and worker_pids() == []
+    assert write_ply(cloud, PlyFormat.ASCII) == data
+    assert len(worker_pids()) == 1
+
+
 def forty_rows_with(changes):
     """An ASCII file of 40 vertex rows under six properties, with the rows
-    of `changes` replaced: at 7 rows a chunk its chunks start at rows 0, 6,
-    13, 20, 26 and 33, and at 2 or 3 processes they fall in every share."""
+    of `changes` replaced."""
     body = rows_of(40).split(b"\n")
     for i, row in changes.items():
         body[i] = row
