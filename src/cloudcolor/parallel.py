@@ -1,8 +1,8 @@
 """Independent work items on every usable core: the one process pool of the
 package.  It runs the blocks of `pipeline.upsample_clouds` (every 2D upsample
-and the `evaluate` sweep) and the row chunks of an ASCII PLY body that `ply_io`
-writes with one bare `os.fork` per worker; each process takes its share as one
-unit.  `ply_io` reads an ASCII body with numpy's reader in one process.
+and the `evaluate` sweep) and the 4,096-row slices, the last one shorter, of an
+ASCII PLY body that `ply_io` writes, with one bare `os.fork` per worker; each
+process takes its share as one unit.  `ply_io` reads in one process.
 """
 from __future__ import annotations
 

@@ -87,6 +87,8 @@ def _parse_header(data: bytes) -> tuple[PlyFormat, list[_Element], int]:
             if len(tokens) != 3:
                 raise ParseError("malformed element line", offset)
             try:
+                if b"_" in tokens[2]:  # int() reads "1_0" as 10, where a C reader stops at the "_"
+                    raise ValueError
                 count = int(tokens[2])
             except ValueError:
                 raise ParseError("non-integer element count", offset) from None
@@ -201,15 +203,6 @@ def _read_ascii_rows(lines: list[str], types: list[str], body_start: int) -> lis
     return [np.array(column, dtype=np.float64 if ptype in _FLOAT_TYPES else object) for ptype, column in zip(types, columns)]
 
 
-def _chunks(rows: int) -> list[tuple[int, int]]:
-    """Row ranges of equal size, to a row, of at most _ASCII_CHUNK_ROWS rows
-    that cover `rows`: the items of an ASCII body written on every usable
-    core, column by column, which a table of every token at once would do
-    with twice the peak memory."""
-    count = -(-rows // _ASCII_CHUNK_ROWS)
-    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
-
-
 def _read_binary_columns(data: bytes, body_start: int, vertex: _Element, used: list[str]) -> dict[str, np.ndarray]:
     # fields are named by position: a repeated property name reads its last column
     record = np.dtype([(f"f{i}", "<" + _SCALAR_TYPES[t]) for i, (_, t) in enumerate(vertex.properties)])
@@ -246,7 +239,7 @@ def write_ply(
     head = ("\n".join(header) + "\n").encode("ascii")
 
     if fmt is PlyFormat.ASCII:
-        return b"".join([head, *map_on_cores(lambda share: [_write_ascii_chunk(fields, *rows) for rows in share], _chunks(len(cloud)))])
+        return b"".join([head, *map_on_cores(lambda starts: [_write_ascii_chunk(fields, start) for start in starts], range(0, len(cloud), _ASCII_CHUNK_ROWS))])
 
     table = np.empty(len(cloud), dtype=[(name, "<" + _SCALAR_TYPES[ptype]) for name, ptype, _ in fields])
     for name, _, col in fields:
@@ -254,9 +247,10 @@ def write_ply(
     return head + table.tobytes()
 
 
-def _write_ascii_chunk(fields: list[tuple[str, str, np.ndarray]], start: int, stop: int) -> bytes:
-    # floats as the shortest round-trippable decimal, integral ones without the
-    # trailing ".0"; only float tokens hold a "." at all
-    text = [map(repr if ptype == "float" else _UCHAR_TEXT.__getitem__, col[start:stop].tolist()) for _, ptype, col in fields]
+def _write_ascii_chunk(fields: list[tuple[str, str, np.ndarray]], start: int) -> bytes:
+    # the slice of at most _ASCII_CHUNK_ROWS rows from `start`, column by column (a
+    # table of every token would double peak memory); floats as the shortest round-
+    # trippable decimal, integral ones without the trailing ".0" (no uchar has a ".")
+    text = [map(repr if ptype == "float" else _UCHAR_TEXT.__getitem__, col[start:start + _ASCII_CHUNK_ROWS].tolist()) for _, ptype, col in fields]
     chunk = "\n".join(map(" ".join, zip(*text))) + "\n"
     return chunk.replace(".0 ", " ").replace(".0\n", "\n").encode("ascii")

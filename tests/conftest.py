@@ -42,8 +42,9 @@ def no_workers_left():
     """Fail any test that leaves a child process, running or unreaped, and
     end one that hangs after two minutes instead of stalling the suite: every
     sweep and 2D upsample over more than one block, and every write of an
-    ASCII PLY body of more than one chunk, forks; a read, by numpy's reader
-    with a row pass only to name an error, forks nothing."""
+    ASCII PLY body of more than one slice of 4,096 rows (the last one
+    shorter), forks; a read, by numpy's reader with a row pass only to name
+    an error, forks nothing."""
     faulthandler.dump_traceback_later(120, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()
@@ -57,9 +58,9 @@ def no_workers_left():
 @pytest.fixture(params=[(processes, rows) for processes in (1, 2, 3) for rows in (1, 7, ply_io._ASCII_CHUNK_ROWS)],
                 ids=lambda param: "{}proc-{}rows".format(*param))
 def ascii_chunks(request, monkeypatch):
-    """ASCII PLY bodies written in chunks of at most 1, 7 or the default
-    number of rows, on 1, 2 or 3 processes; numpy's reader reads them in one
-    process whatever the setting, with a row pass only to name an error."""
+    """ASCII PLY bodies written in slices of 1, 7 or the default 4,096
+    rows, the last one shorter, on 1, 2 or 3 processes.  Only the writer
+    reads these settings: numpy's reader reads in one process."""
     processes, rows = request.param
     monkeypatch.setattr(parallel, "_usable_cores", lambda: processes)
     monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", rows)

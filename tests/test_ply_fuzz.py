@@ -112,8 +112,7 @@ def columns_or_error(read, data):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_ascii_columns_match_the_row_by_row_oracle(data, ascii_chunks):
-    # the reader reads in one process whatever the chunk size and process count
+def test_ascii_columns_match_the_row_by_row_oracle(data):
     names = data.draw(st.lists(st.sampled_from(sorted(EXPECTED_TYPES)), min_size=1, max_size=4))
     types = [data.draw(st.sampled_from(SCALAR_TYPES)) for _ in names]
     rows = data.draw(st.lists(vertex_rows(types), max_size=10))

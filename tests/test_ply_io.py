@@ -149,13 +149,14 @@ def test_malformed_header_is_parse_error(old, new, binary):
     (b"end_header\n0 0 0 255 0 0\n", b"end_header", "header not terminated by a newline"),
     (b"element vertex 1", b"element vertex", "malformed element line"),
     (b"element vertex 1", b"element vertex abc", "non-integer element count"),
+    (b"element vertex 1", b"element vertex 1_0", "non-integer element count"),
     (b"element vertex 1", b"element face 1", "no vertex element declared"),
     (b"element vertex 1", b"element face 0\nelement vertex 1", "elements preceding 'vertex' are not supported"),
     (b"property float z\n", b"", "vertex element lacks property 'z'"),
     (b"format ascii 1.0", b"format binary_big_endian 1.0", "unsupported format line 'format binary_big_endian 1.0'"),
     (b"format ascii 1.0", b"format ascii 2.0", "unsupported format line 'format ascii 2.0'"),
-], ids=["no-newline-after-end_header", "no-count", "count-abc", "no-vertex", "element-before-vertex", "no-z",
-        "big-endian", "ascii-2.0"])
+], ids=["no-newline-after-end_header", "no-count", "count-abc", "count-underscore", "no-vertex", "element-before-vertex",
+        "no-z", "big-endian", "ascii-2.0"])
 def test_header_error_names_the_problem(old, new, message):
     data = ASCII_ONE_RED.replace(old, new)
     assert data != ASCII_ONE_RED
@@ -348,7 +349,7 @@ def test_a_bad_row_past_the_first_chunk_is_named(row, message):
 
 
 def test_reading_forks_nothing_and_writing_forks_a_worker(monkeypatch, worker_pids):
-    # 100 rows at 7 a chunk are 15 chunks, which the writer splits over 2 processes
+    # 100 rows at 7 a slice are 15 slices, which the writer splits over 2 processes
     monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
     monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 7)
     data = ASCII_ONE_RED.replace(b"element vertex 1", b"element vertex 100").replace(b"0 0 0 255 0 0\n", rows_of(100))
@@ -356,6 +357,17 @@ def test_reading_forks_nothing_and_writing_forks_a_worker(monkeypatch, worker_pi
     assert len(cloud) == 100 and worker_pids() == []
     assert write_ply(cloud, PlyFormat.ASCII) == data
     assert len(worker_pids()) == 1
+
+
+@pytest.mark.parametrize("rows, workers", [(0, 0), (7, 0), (8, 1)])
+def test_a_body_forks_only_past_one_slice(rows, workers, monkeypatch, worker_pids):
+    # at 7 rows a slice, 0 rows are no slice and 7 rows one, both written in this process, and 8 rows are two
+    cloud = random_cloud(rows, seed=rows)
+    alone = write_ply(cloud, PlyFormat.ASCII)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", 7)
+    assert write_ply(cloud, PlyFormat.ASCII) == alone and alone.endswith(b"end_header\n") == (rows == 0)
+    assert len(worker_pids()) == workers
 
 
 def forty_rows_with(changes):
@@ -380,7 +392,7 @@ def oracle_error(data):
     {30: b"0 0 0 1_0 0 0", 39: b"0 0 0 25x 0 0"},
     {6: b"1 2", 5: b"0 0 0 1 2 3 4"},
 ])
-def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes, ascii_chunks):
+def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes):
     data = forty_rows_with(changes)
     with pytest.raises(ParseError) as error:
         read_ply(data)
@@ -394,20 +406,9 @@ def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes, ascii_ch
     ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1", 12: b"0 0 0 1 2 3e0"}, "bad value in vertex row 12"),
     ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1"}, "property 'green' is outside the uchar range"),
 ])
-def test_range_and_row_errors_come_in_the_oracles_order(changes, named, ascii_chunks):
+def test_range_and_row_errors_come_in_the_oracles_order(changes, named):
     data = forty_rows_with(changes)
     with pytest.raises(ParseError) as error:
         read_ply(data)
     assert str(error.value) == oracle_error(data)
     assert named in str(error.value)
-
-
-@pytest.mark.parametrize("rows", [0, 1, 7, 4095, 4096, 4097, 5000, 9000, 50_000])
-def test_chunks_are_equal_to_a_row_and_at_most_the_chunk_rows(rows):
-    chunks = ply_io._chunks(rows)
-    assert [row for start, stop in chunks for row in range(start, stop)] == list(range(rows))
-    sizes = {stop - start for start, stop in chunks}
-    assert len(chunks) == -(-rows // ply_io._ASCII_CHUNK_ROWS) and max(sizes, default=0) - min(sizes, default=0) <= 1
-    assert max(sizes, default=0) <= ply_io._ASCII_CHUNK_ROWS
-    if rows == 5000:
-        assert chunks == [(0, 2500), (2500, 5000)]
