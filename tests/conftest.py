@@ -60,7 +60,8 @@ def no_workers_left():
 def ascii_chunks(request, monkeypatch):
     """ASCII PLY bodies written in slices of 1, 7 or the default 4,096
     rows, the last one shorter, on 1, 2 or 3 processes.  Only the writer
-    reads these settings: numpy's reader reads in one process."""
+    reads these settings: numpy's reader reads in one process, as the read
+    tests that take them check."""
     processes, rows = request.param
     monkeypatch.setattr(parallel, "_usable_cores", lambda: processes)
     monkeypatch.setattr(ply_io, "_ASCII_CHUNK_ROWS", rows)

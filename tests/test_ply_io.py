@@ -164,6 +164,19 @@ def test_header_error_names_the_problem(old, new, message):
         read_ply(data)
 
 
+@pytest.mark.parametrize("count, vertices", [
+    (b"+1", 1), (b"01", 1),  # a C reader's strtol reads these as int() does
+    (b"1_0", None), (b"1.0", None), (b"0x1", None), (b"1e0", None),  # and these otherwise, or not at all
+])
+def test_an_element_count_reads_as_a_c_reader_reads_it_or_is_refused(count, vertices):
+    data = ASCII_ONE_RED.replace(b"element vertex 1", b"element vertex " + count)
+    if vertices is None:
+        with pytest.raises(ParseError, match="non-integer element count"):
+            read_ply(data)
+    else:
+        assert len(read_ply(data)) == vertices
+
+
 ASCII_MIXED = b"""ply
 format ascii 1.0
 element vertex 2
@@ -370,6 +383,26 @@ def test_a_body_forks_only_past_one_slice(rows, workers, monkeypatch, worker_pid
     assert len(worker_pids()) == workers
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7, 4095, 4096, 4097, 5000, 9000, 50_000])
+def test_slices_start_every_chunk_rows_and_cover_the_body(rows, monkeypatch, worker_pids):
+    # each slice starts a multiple of 4,096 rows in, so holds at most 4,096, and the bytes are one process's
+    cloud = random_cloud(rows, seed=rows)
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 1)
+    alone = write_ply(cloud, PlyFormat.ASCII)
+    starts = []
+
+    def recording_map_on_cores(function, items):
+        starts.extend(items)
+        return parallel.map_on_cores(function, items)
+
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(ply_io, "map_on_cores", recording_map_on_cores)
+    written = write_ply(cloud, PlyFormat.ASCII)
+    assert written == alone and written.split(b"end_header\n")[1].count(b"\n") == rows
+    assert starts == list(range(0, rows, ply_io._ASCII_CHUNK_ROWS))
+    assert len(worker_pids()) == (rows > ply_io._ASCII_CHUNK_ROWS)
+
+
 def forty_rows_with(changes):
     """An ASCII file of 40 vertex rows under six properties, with the rows
     of `changes` replaced."""
@@ -392,7 +425,7 @@ def oracle_error(data):
     {30: b"0 0 0 1_0 0 0", 39: b"0 0 0 25x 0 0"},
     {6: b"1 2", 5: b"0 0 0 1 2 3 4"},
 ])
-def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes):
+def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes, ascii_chunks):
     data = forty_rows_with(changes)
     with pytest.raises(ParseError) as error:
         read_ply(data)
@@ -406,7 +439,7 @@ def test_bad_rows_in_chunks_of_different_shares_name_the_first(changes):
     ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1", 12: b"0 0 0 1 2 3e0"}, "bad value in vertex row 12"),
     ({35: b"0 0 0 1 999 3", 5: b"0 0 0 1 2 -1"}, "property 'green' is outside the uchar range"),
 ])
-def test_range_and_row_errors_come_in_the_oracles_order(changes, named):
+def test_range_and_row_errors_come_in_the_oracles_order(changes, named, ascii_chunks):
     data = forty_rows_with(changes)
     with pytest.raises(ParseError) as error:
         read_ply(data)
